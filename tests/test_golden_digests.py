@@ -1,0 +1,136 @@
+"""Golden result digests: replays must reproduce recorded results exactly.
+
+Each case replays a small EPA trace and hashes its serialized result
+(SHA-256 of the canonical JSON of :func:`result_to_dict`, minus the
+wall-clock provenance fields).  The expected digests in
+``tests/data/golden_digests.json`` were recorded with the code that still
+had two request routes (the generator route and the callback route), and
+both routes gave these same digests.  The cases cover every protocol
+family, audited and sharded runs, a parent-cache hierarchy, a seeded
+chaos schedule and observed runs (plain and deep), so any change to the
+request route that moves a single outcome fails here.
+
+Regenerate only for an intended behaviour change::
+
+    PYTHONPATH=src python tests/test_golden_digests.py --write
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from repro.chaos import random_schedule
+from repro.core.adaptive_ttl import adaptive_ttl
+from repro.core.invalidation import invalidation
+from repro.core.leases import lease_invalidation, two_tier_lease
+from repro.core.polling import poll_every_time
+from repro.obs import Observation
+from repro.replay.experiment import ExperimentConfig, run_experiment
+from repro.replay.serialize import result_to_dict
+from repro.sim import RngRegistry
+from repro.traces import generate_trace, profile
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
+
+PROTOCOLS = {
+    f.__name__: f
+    for f in (
+        adaptive_ttl,
+        poll_every_time,
+        invalidation,
+        lease_invalidation,
+        two_tier_lease,
+    )
+}
+
+PROXIES = [f"proxy-{i}" for i in range(4)]
+
+
+def _cases():
+    cases = {}
+    for name in PROTOCOLS:
+        for seed in (11, 42):
+            cases[f"{name}-seed{seed}"] = (name, {"seed": seed})
+    cases["invalidation-audit"] = ("invalidation", {"audit": True})
+    cases["lease_invalidation-audit"] = ("lease_invalidation", {"audit": True})
+    cases["invalidation-audit-shards4"] = (
+        "invalidation",
+        {"audit": True, "shards": 4, "batch_max": 32},
+    )
+    cases["invalidation-hierarchy2"] = ("invalidation", {"hierarchy_parents": 2})
+    cases["invalidation-chaos"] = (
+        "invalidation",
+        {
+            "audit": True,
+            "fault_schedule": random_schedule(
+                5, horizon=1500.0, proxies=PROXIES, max_faults=4, min_faults=3
+            ),
+        },
+    )
+    cases["invalidation-observed"] = ("invalidation", {"observation": "plain"})
+    cases["invalidation-observed-deep"] = ("invalidation", {"observation": "deep"})
+    return cases
+
+
+CASES = _cases()
+
+_TRACE = []
+
+
+def _trace():
+    if not _TRACE:
+        _TRACE.append(
+            generate_trace(profile("EPA").scaled(0.02), RngRegistry(seed=3))
+        )
+    return _TRACE[0]
+
+
+def digest(case: str) -> str:
+    """SHA-256 of one case's serialized result (wall-clock fields removed)."""
+    protocol, overrides = CASES[case]
+    overrides = dict(overrides)
+    observation = overrides.pop("observation", None)
+    if observation is not None:
+        observation = Observation(deep=observation == "deep")
+    config = ExperimentConfig(
+        trace=_trace(),
+        protocol=PROTOCOLS[protocol](),
+        mean_lifetime=7 * 86400.0,
+        seed=overrides.pop("seed", 11),
+        observation=observation,
+        **overrides,
+    )
+    data = result_to_dict(run_experiment(config))
+    if observation is not None:
+        observation.close()
+    data.pop("wall_seconds", None)
+    data.pop("timestamp", None)
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_digest_matches_golden(case):
+    assert digest(case) == _golden()[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_digests.py --write")
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump({case: digest(case) for case in sorted(CASES)}, handle,
+                  indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(CASES)} digests to {GOLDEN_PATH}")
