@@ -96,7 +96,7 @@ def test_condition_fanin_throughput(benchmark):
 def test_hit_path_callback_throughput(benchmark):
     """Zero-allocation hit flow: chained ``call_later`` ping-pong.
 
-    Mirrors ``ProxyCache.request_fast`` per cache hit — lookup callback,
+    Mirrors ``ProxyCache.submit`` per cache hit — lookup callback,
     serve callback, next request — with no Event, Timeout or generator
     anywhere in the loop.
     """

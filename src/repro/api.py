@@ -25,10 +25,10 @@ Design rules:
   delegate to :mod:`repro.replay`; the facade adds discovery and
   validation, never semantics.
 
-Old entry points keep working: ``repro.cli.PROTOCOL_FACTORIES`` still
-resolves (via a shim that warns once per process) and the
-``repro.core`` factory functions remain importable, undeprecated — the
-facade wraps them rather than replacing them.
+The ``repro.core`` factory functions remain importable, undeprecated —
+the facade wraps them rather than replacing them.  The old
+``repro.cli.PROTOCOL_FACTORIES`` registry has been removed; use
+:data:`PROTOCOLS` (see :data:`MIGRATIONS`).
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def bench_hit_path_ping_pong(n: int) -> Tuple[int, float]:
 def bench_hit_path_callbacks(n: int) -> Tuple[int, float]:
     """The zero-allocation hit flow: a chained ``call_later`` loop.
 
-    Mirrors what ``ProxyCache.request_fast`` does per cache hit (lookup
+    Mirrors what ``ProxyCache.submit`` does per cache hit (lookup
     callback -> serve callback -> next request), with no Event, Timeout
     or generator in the loop.
     """

@@ -72,28 +72,6 @@ from .workload import DAYS, count_r_ri, parse_stream
 
 __all__ = ["main", "build_parser"]
 
-_warned_factories = False
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``repro.cli.PROTOCOL_FACTORIES`` moved to
-    :data:`repro.api.PROTOCOLS` (same names, same factories)."""
-    if name == "PROTOCOL_FACTORIES":
-        global _warned_factories
-        if not _warned_factories:
-            _warned_factories = True
-            import warnings
-
-            warnings.warn(
-                "repro.cli.PROTOCOL_FACTORIES is deprecated; use "
-                "repro.api.PROTOCOLS (or repro.api.build_protocol)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return PROTOCOLS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -358,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--deep",
         action="store_true",
-        help="also attach the kernel event tracer (disables the "
-        "simulation fast paths for this run)",
+        help="also attach the kernel event tracer (counts every "
+        "processed event; slower, same results)",
     )
     trace_p.add_argument(
         "--view",

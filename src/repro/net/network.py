@@ -87,15 +87,11 @@ class Network:
         latency: Optional[LatencyModel] = None,
         stats: Optional[NetworkStats] = None,
         connect_timeout: float = 3.0,
-        fast_sends: bool = True,
     ) -> None:
         self.sim = sim
         self.latency = latency or LanModel()
         self.stats = stats or NetworkStats()
         self.connect_timeout = connect_timeout
-        #: Allow the zero-allocation route for ``send(..., wait=False)``.
-        #: Disabled by the differential tests to force the general path.
-        self.fast_sends = fast_sends
         self._handlers: Dict[Address, Callable[[Message], None]] = {}
         self._down: Set[Address] = set()
         self._partitions: Dict[int, Tuple[frozenset, frozenset]] = {}
@@ -221,20 +217,15 @@ class Network:
         by it (the channel layer is the place for retry logic).
 
         ``wait=False`` declares that the caller discards the outcome
-        (fire-and-forget).  When no link fault or tracer is attached the
-        send then takes a zero-allocation route — one pooled callback
-        entry, no :class:`Event` construction — and returns ``None``.
-        Stats, delivery-time reachability re-checks and timing are
-        identical to the general path; only the no-op processing of the
-        unobserved outcome event disappears, so replay results are
-        unchanged event-for-event.
+        (fire-and-forget).  When no link fault is attached the send then
+        takes a zero-allocation route — one pooled callback entry, no
+        :class:`Event` construction — and returns ``None``.  Stats,
+        delivery-time reachability re-checks and timing are identical to
+        the general path; only the no-op processing of the unobserved
+        outcome event disappears, so replay results are unchanged
+        event-for-event.
         """
-        if (
-            not wait
-            and self.fast_sends
-            and self.sim._tracer is None
-            and not self._link_faults
-        ):
+        if not wait and not self._link_faults:
             if message.dst not in self._handlers or (
                 message.src in self._down
                 or message.dst in self._down

@@ -24,12 +24,12 @@ Three pieces, each usable on its own:
     obs.close()
     print(obs.registry.render())
 
-Fast-path contract: a plain :class:`Observation` records from seams the
-replay already passes through (the per-request counters call, the
-fan-out timer), so the PR-3 zero-allocation fast path stays active and
-observed runs are bit-identical to unobserved ones.  Only
-``Observation(deep=True)`` attaches a kernel event tracer, which by
-design trades the fast paths for full event visibility.
+Observing never changes the run: a plain :class:`Observation` records
+from seams every replay already passes through (the per-request
+counters call, the fan-out timer), so observed runs are bit-identical
+to unobserved ones.  ``Observation(deep=True)`` also attaches a kernel
+event tracer, which counts every processed event on the same single
+request route (slower, same events).
 """
 
 from .observe import Observation, capture_result

@@ -7,10 +7,9 @@ and (optionally) a :class:`~repro.obs.SpanSink` into
 this module at well-chosen seams:
 
 * every completed request is folded into per-``(protocol, site, phase)``
-  counter/timer series and emitted as a ``request`` span — from the same
-  ``counters.record(outcome)`` call both the fast *and* the general
-  client paths already make, so observing does not disturb the
-  zero-allocation fast path (PR 3) and fast/slow runs stay bit-identical;
+  counter/timer series and emitted as a ``request`` span — from the
+  ``counters.record(outcome)`` call every request ends in, so observing
+  leaves the request route and its results untouched;
 * every accelerator INVALIDATE fan-out becomes an ``invalidation`` span
   plus a fan-out timer (via :attr:`repro.server.ServerSite.fanout_listener`);
 * at the end of the run, the wire accounting, per-proxy counters, server
@@ -25,10 +24,9 @@ trace clock — attaching an observation schedules no events of its own,
 so observed and unobserved runs process identical event sequences.
 
 ``deep=True`` additionally attaches a :class:`repro.sim.EventTracer` to
-the kernel.  That sees every processed event, and therefore (by design —
-see :mod:`repro.sim.tracing`) disables the pooled-timer and
-fire-and-forget fast paths for the run.  Results are still identical;
-only the kernel's speed differs.  Use it for post-mortems, not for
+the kernel.  It is told about every processed queue entry, pooled
+timers included, and schedules nothing itself, so results are identical
+and only the kernel's speed differs.  Use it for post-mortems, not for
 routine metrics.
 """
 
@@ -79,8 +77,8 @@ class Observation:
         sink: optional :class:`~repro.obs.SpanSink` receiving the
             structured event trace; ``None`` records metrics only.
         deep: also attach a kernel :class:`~repro.sim.EventTracer`
-            (disables the kernel fast paths for this run; results are
-            unchanged, speed is not).
+            (counts every processed event; results are unchanged,
+            speed is not).
         deep_keep_last: ring-buffer size for the deep tracer's recent
             events.
 

@@ -60,7 +60,7 @@ REPORT_EXPERIMENTS: Tuple[Tuple[int, str, float], ...] = (
     (4, "SDSC", 2.5),
 )
 
-#: Protocol column order (CLI names; see repro.cli.PROTOCOL_FACTORIES).
+#: Protocol column order (CLI names; see repro.api.PROTOCOLS).
 REPORT_PROTOCOLS: Tuple[str, ...] = ("polling", "invalidation", "ttl")
 
 #: The paper's example request/modification stream (Table 1).

@@ -33,6 +33,7 @@ from ..http import (
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network, Unreachable
 from ..sim import AnyOf, Event, Simulator
+from ..sim.core import URGENT
 from .cache import Cache
 from .entry import CacheEntry, entry_key
 
@@ -245,19 +246,36 @@ class ProxyCache:
     # client request path
     # ------------------------------------------------------------------
 
-    def request(self, client_id: str, url: str):
-        """Handle one browser request; yields sim events, returns outcome.
+    def submit(self, client_id: str, url: str, on_done, on_handoff) -> None:
+        """Start one browser request on the callback chain.
 
-        Intended use from a pseudo-client process::
+        The lookup runs ``cpu_lookup`` seconds from now on a pooled
+        callback entry.  A cache hit pays the serve delay on a second one
+        and finishes with ``on_done(outcome)``; so does a request to a
+        down proxy, failed at lookup time.  A request that needs the
+        network calls ``on_handoff(entry, action, outcome)`` at the
+        decision point, and the caller runs :meth:`finish` in a process
+        for the outcome.  This is the only request route, so the auditor
+        (:attr:`observer`), the hit meter and an event tracer all see
+        every request.
+        """
+        outcome = RequestOutcome(url=url, client_id=client_id, started=self.sim.now)
+        self.sim.call_later(
+            self.costs.cpu_lookup, self._on_lookup, outcome, on_done, on_handoff
+        )
+
+    def request(self, client_id: str, url: str):
+        """Generator adapter over :meth:`submit` for ``yield from`` callers::
 
             outcome = yield from proxy.request("client-7", "/doc")
         """
-        sim = self.sim
-        outcome = RequestOutcome(url=url, client_id=client_id, started=sim.now)
-        yield sim.sleep(self.costs.cpu_lookup)
-        entry, action = self._lookup(client_id, url)
-        outcome.had_cached_copy = entry is not None
-        return (yield from self._finish(entry, action, outcome))
+        wake = Event(self.sim)
+        self.submit(client_id, url, lambda outcome: wake.succeed(outcome, URGENT),
+                    lambda *item: wake.succeed(item, URGENT))
+        item = yield wake
+        if isinstance(item, RequestOutcome):
+            return item
+        return (yield from self.finish(*item))
 
     def _lookup(self, client_id: str, url: str):
         """Post-lookup-delay decision: ``(entry, action)``.
@@ -281,15 +299,29 @@ class ProxyCache:
             raise ValueError(f"policy returned unknown action {action!r}")
         return entry, action
 
-    def _finish(self, entry, action: str, outcome: RequestOutcome):
-        """General path for a looked-up request (generator)."""
+    def _on_lookup(self, outcome: RequestOutcome, on_done, on_handoff) -> None:
+        entry, action = self._lookup(outcome.client_id, outcome.url)
+        outcome.had_cached_copy = entry is not None
+        if action == "serve":
+            self.sim.call_later(
+                self.serve_delay(entry), self._on_served, entry, outcome, on_done
+            )
+        elif action == "down":
+            outcome.failed = True
+            self.failed_requests += 1
+            on_done(self._complete(outcome))
+        else:
+            on_handoff(entry, action, outcome)
+
+    def _on_served(self, entry: CacheEntry, outcome: RequestOutcome, on_done) -> None:
+        self._complete_serve(entry, outcome)
+        on_done(self._complete(outcome))
+
+    def finish(self, entry, action: str, outcome: RequestOutcome):
+        """Network leg of a handed-off ``"fill"``/``"validate"`` (generator)."""
         try:
-            if action == "down":
-                raise RequestFailed(f"proxy {self.address} is down")
             if action == "fill":
                 yield from self._fill(outcome.client_id, outcome.url, outcome)
-            elif action == "serve":
-                yield from self._serve_cached(entry, outcome)
             else:
                 if entry.questionable:
                     self.questionable_validations += 1
@@ -300,7 +332,7 @@ class ProxyCache:
         return self._complete(outcome)
 
     def _complete(self, outcome: RequestOutcome) -> RequestOutcome:
-        """Shared request epilogue (both the general and fast paths)."""
+        """Request epilogue shared by every way a request ends."""
         outcome.finished = self.sim.now
         outcome.hit = (not outcome.failed) and self.policy.is_hit(outcome)
         if (
@@ -313,59 +345,9 @@ class ProxyCache:
             self.meter.record(outcome.url)
         return outcome
 
-    # -- zero-allocation fast path ------------------------------------------
-
-    def fast_path_ok(self) -> bool:
-        """True when the callback-chain request route may be used.
-
-        Any attached observer (consistency auditor), hit meter or event
-        tracer forces the general generator path so those instruments see
-        exactly the event stream they were written against.
-        """
-        return (
-            self.observer is None
-            and self.meter is None
-            and self.sim._tracer is None
-        )
-
     def serve_delay(self, entry: CacheEntry) -> float:
         """CPU seconds to push a cached copy to the browser."""
         return self.costs.cpu_serve_per_kb * entry.size / 1024.0
-
-    def request_fast(self, client_id: str, url: str, on_done, on_handoff) -> None:
-        """Callback-chain twin of :meth:`request` (no events, no process).
-
-        Cache hits (and down-proxy failures) complete entirely on pooled
-        callback entries: ``on_done(outcome)`` fires after the same
-        lookup/serve delays the generator path pays.  Requests that need
-        the network call ``on_handoff(entry, action, outcome)`` at the
-        decision point so the caller can run :meth:`_finish` in a
-        process.  Timing and side-effect order are identical to the
-        general path; only the Timeout/Event machinery of the hit flow is
-        skipped.  Callers must check :meth:`fast_path_ok` first.
-        """
-        outcome = RequestOutcome(url=url, client_id=client_id, started=self.sim.now)
-        self.sim.call_later(
-            self.costs.cpu_lookup, self._fast_lookup, outcome, on_done, on_handoff
-        )
-
-    def _fast_lookup(self, outcome: RequestOutcome, on_done, on_handoff) -> None:
-        entry, action = self._lookup(outcome.client_id, outcome.url)
-        outcome.had_cached_copy = entry is not None
-        if action == "serve":
-            self.sim.call_later(
-                self.serve_delay(entry), self._fast_serve, entry, outcome, on_done
-            )
-        elif action == "down":
-            outcome.failed = True
-            self.failed_requests += 1
-            on_done(self._complete(outcome))
-        else:
-            on_handoff(entry, action, outcome)
-
-    def _fast_serve(self, entry: CacheEntry, outcome: RequestOutcome, on_done) -> None:
-        self._complete_serve(entry, outcome)
-        on_done(self._complete(outcome))
 
     def _serve_cached(self, entry: CacheEntry, outcome: RequestOutcome):
         yield self.sim.sleep(self.serve_delay(entry))

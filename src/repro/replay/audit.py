@@ -101,8 +101,7 @@ def audit_result(
         + result.invalidations,
     )
 
-    check("zero-violations", counters.violations == 0,
-          f"({counters.violations})")
+    check("zero-violations", result.violations == 0, f"({result.violations})")
     check(
         "sitelist-storage-arithmetic",
         result.sitelist_storage_bytes == ENTRY_BYTES * result.sitelist_entries,

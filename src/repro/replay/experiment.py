@@ -118,18 +118,16 @@ class ExperimentConfig:
         audit: attach the strong-consistency auditor
             (:class:`repro.chaos.ConsistencyAuditor`) and publish its
             verdict in ``result.chaos``.
-        fast_path: use the zero-allocation kernel fast paths (pooled
-            callback chains for cache hits, fire-and-forget network
-            sends).  Results are event-for-event identical either way —
-            ``tests/test_differential_fastpath.py`` proves it; the flag
-            exists so that proof has a lever to pull.
+        fast_path: ignored; every replay takes the one request route.
+            Kept only because ``perfbench/run.py`` still passes
+            ``fast_path=False`` for its audited reference replay.
         observation: optional :class:`repro.obs.Observation` receiving
             per-request metric series, lifecycle spans and end-of-run
-            aggregates.  A plain observation preserves the fast path and
-            changes no result; ``Observation(deep=True)`` additionally
-            traces every kernel event (slower, same results).  Not
-            picklable — use ``None`` (the default) with parallel sweep
-            runners and aggregate from checkpoints instead.
+            aggregates.  Observing changes no result;
+            ``Observation(deep=True)`` additionally traces every kernel
+            event (slower, same results).  Not picklable — use ``None``
+            (the default) with parallel sweep runners and aggregate from
+            checkpoints instead.
     """
 
     trace: Trace
@@ -286,7 +284,17 @@ class ExperimentResult:
 
     @property
     def violations(self) -> int:
-        """Strong-consistency violations (must be zero; see proxy docs)."""
+        """Strong-consistency violations (must be zero; see proxy docs).
+
+        With an auditor attached to a strong protocol this is the
+        auditor's count.  It covers the unvalidated post-delivery serves
+        the proxy's own marker flags as well as silent staleness the
+        marker cannot see, so the two are not added.  Otherwise it is
+        the marker's count.
+        """
+        chaos = self.chaos
+        if chaos is not None and chaos.get("strong"):
+            return chaos["violation_count"]
         return self.counters.violations
 
     @property
@@ -314,7 +322,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # Scale *time* by the document-size scale, keep byte accounting full.
     latency_model = config.latency_model or LanModel(size_scale=config.size_scale)
-    network = Network(sim, latency=latency_model, fast_sends=config.fast_path)
+    network = Network(sim, latency=latency_model)
     scaled_server_costs = dataclasses.replace(
         config.server_costs,
         cpu_per_kb=config.server_costs.cpu_per_kb / config.size_scale,
@@ -401,9 +409,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         proxies.append(proxy)
         # The observation wrapper feeds the same ReplayCounters (results
-        # are untouched) and records from the one seam both the fast and
-        # the general client paths share, so observing keeps the
-        # zero-allocation fast path and bit-identical outcomes.
+        # are untouched) and records at the one seam every request ends
+        # in, so observing keeps bit-identical outcomes.
         client_counters = (
             observation.wrap_counters(counters, site=proxy.address)
             if observation is not None
@@ -416,7 +423,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 client_counters,
                 think_time=config.think_time,
                 rng=rng.stream(f"think-{i}"),
-                fast=config.fast_path,
             )
         )
 

@@ -45,7 +45,15 @@ def shard_records(
 
 
 class PseudoClient:
-    """Replays one shard of trace records through one proxy."""
+    """Replays one shard of trace records through one proxy.
+
+    Cache hits run entirely on the proxy's pooled callback entries
+    (:meth:`ProxyCache.submit`).  The :meth:`participant` generator only
+    wakes up for requests that need the network, through a handoff event
+    succeeded at URGENT priority: the network leg then resumes with
+    nothing processed in between, where an inline continuation would
+    have run.
+    """
 
     def __init__(
         self,
@@ -54,7 +62,6 @@ class PseudoClient:
         counters: ReplayCounters,
         think_time: float = 1.0,
         rng: random.Random = None,
-        fast: bool = True,
     ) -> None:
         if think_time < 0:
             raise ValueError("think_time must be non-negative")
@@ -63,9 +70,6 @@ class PseudoClient:
         self.counters = counters
         self.think_time = think_time
         self.rng = rng or random.Random(0)
-        #: Drive cache hits through the proxy's callback chain instead of
-        #: generator resumption (identical results; see request_fast).
-        self.fast = fast
         self._next = 0
         self._interval_end = 0.0
         self._handoff: Optional[Event] = None
@@ -81,31 +85,6 @@ class PseudoClient:
         Issues each request, waits for the reply, records the outcome,
         then pays the driver overhead before the next request.
         """
-        if self.fast and self.proxy.fast_path_ok():
-            return self._fast_participant(trace_start, trace_end)
-        return self._general_participant(trace_start, trace_end)
-
-    def _general_participant(self, trace_start: float, trace_end: float):
-        sim = self.proxy.sim
-        while self._next < len(self.records):
-            record = self.records[self._next]
-            if record.timestamp >= trace_end:
-                break
-            self._next += 1
-            outcome = yield from self.proxy.request(record.client, record.url)
-            self.counters.record(outcome)
-            if self.think_time > 0:
-                yield sim.sleep(self.rng.uniform(0.5, 1.5) * self.think_time)
-
-    # -- fast driver --------------------------------------------------------
-    #
-    # Cache hits run entirely on pooled callback entries (request_fast);
-    # the generator below only wakes up for requests that need the
-    # network, via a handoff event succeeded at URGENT priority so the
-    # general path resumes with nothing processed in between — the same
-    # position the inline ``yield from`` would have run at.
-
-    def _fast_participant(self, trace_start: float, trace_end: float):
         sim = self.proxy.sim
         self._interval_end = trace_end
         while True:
@@ -114,8 +93,7 @@ class PseudoClient:
             item = yield self._handoff
             if item is None:
                 return
-            entry, action, outcome = item
-            outcome = yield from self.proxy._finish(entry, action, outcome)
+            outcome = yield from self.proxy.finish(*item)
             self.counters.record(outcome)
             if self.think_time > 0:
                 yield sim.sleep(self.rng.uniform(0.5, 1.5) * self.think_time)
@@ -126,11 +104,11 @@ class PseudoClient:
             record = self.records[self._next]
             if record.timestamp < self._interval_end:
                 self._next += 1
-                self.proxy.request_fast(
+                self.proxy.submit(
                     record.client, record.url, self._on_done, self._on_handoff
                 )
                 return
-        self._signal(None)
+        self._handoff.succeed(None, URGENT)
 
     def _on_done(self, outcome) -> None:
         """A request completed on the callback chain (hit or down)."""
@@ -141,14 +119,6 @@ class PseudoClient:
         else:
             self._issue_next()
 
-    def _on_handoff(self, entry, action, outcome) -> None:
-        self._signal((entry, action, outcome))
-
-    def _signal(self, value) -> None:
-        # Succeed the handoff at URGENT so the parked generator resumes
-        # before any same-time NORMAL entry, exactly where the inline
-        # continuation would have run.
-        event = self._handoff
-        event._ok = True
-        event._value = value
-        event.sim._enqueue(event, URGENT)
+    def _on_handoff(self, *item) -> None:
+        """A request needs the network: wake :meth:`participant` for it."""
+        self._handoff.succeed(item, URGENT)

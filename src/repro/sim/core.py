@@ -33,9 +33,9 @@ Allocation avoidance on the hot path:
   ubiquitous ``yield sim.sleep(delta)`` pattern; the event object is
   recycled as soon as its callbacks have run.
 
-Both fall back to real :class:`Timeout` events while an
-:class:`~repro.sim.tracing.EventTracer` is attached, so traced runs keep
-seeing the event kinds they always did.
+An attached :class:`~repro.sim.tracing.EventTracer` sees both kinds of
+pooled entry like any other event (as ``Callback`` and ``_Sleep``), so
+tracing a run changes nothing about how it is scheduled.
 
 Cancelled entries are discarded lazily when they surface, and the queue is
 compacted outright once cancelled entries outnumber live ones (mirroring
@@ -144,13 +144,18 @@ class Event:
 
     # -- triggering -------------------------------------------------------
 
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+        """Trigger the event successfully with ``value``.
+
+        ``priority=URGENT`` processes it before every NORMAL entry
+        already queued for the current time: a process woken this way
+        resumes where an inline continuation would have run.
+        """
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, NORMAL)
+        self.sim._enqueue(self, priority)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -394,11 +399,8 @@ class Simulator:
         same priority, same insertion order) but the event object comes
         from a free list and is recycled as soon as it is processed.  The
         returned event must be yielded immediately and never stored,
-        composed or cancelled.  Falls back to a real :class:`Timeout`
-        while a tracer is attached.
+        composed or cancelled.
         """
-        if self._tracer is not None:
-            return Timeout(self, delay)
         if delay < 0:
             raise ValueError(f"negative sleep delay {delay!r}")
         pool = self._sleep_pool
@@ -470,14 +472,8 @@ class Simulator:
         Uses a pooled :class:`Callback` queue entry: no :class:`Event`
         construction, no callbacks list, no generator resumption.  Returns
         a handle supporting ``cancel()``; the handle is recycled after the
-        callback fires and must not be retained past that point.  Falls
-        back to a :class:`Timeout` event while a tracer is attached (the
-        handle still supports ``cancel()``).
+        callback fires and must not be retained past that point.
         """
-        if self._tracer is not None:
-            event = Timeout(self, delay)
-            event.callbacks.append(lambda _evt, fn=fn, args=args: fn(*args))
-            return event
         if delay < 0:
             raise ValueError(f"negative callback delay {delay!r}")
         pool = self._cb_pool

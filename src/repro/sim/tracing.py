@@ -6,7 +6,10 @@ rate over simulated time, and (optionally) a bounded tail of recent
 events for post-mortem debugging of stuck or runaway models.
 
 Tracing is strictly opt-in and adds a single attribute check to the hot
-loop when disabled.
+loop when disabled.  It never changes how a run is scheduled: pooled
+timers stay pooled while traced, so the per-kind counts show them as
+``Callback`` (``Simulator.call_later``) and ``_Sleep``
+(``Simulator.sleep``) entries rather than ``Timeout`` events.
 
 Example::
 

@@ -2,11 +2,9 @@
 
 The facade is the one front door for building protocols and running
 experiments: a name registry with did-you-mean validation, config
-validation before any simulation work starts, and deprecation shims
-that keep the old import paths alive (warning once per process).
+validation before any simulation work starts, and a migration table
+for the import paths it replaced.
 """
-
-import warnings
 
 import pytest
 
@@ -134,30 +132,14 @@ def test_validate_rejects_cluster_with_adaptive_lease():
         )
 
 
-# -- deprecation shims -----------------------------------------------------
-
-
-def test_cli_factories_shim_warns_once():
-    repro.cli._warned_factories = False  # other tests may have tripped it
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            registry = repro.cli.PROTOCOL_FACTORIES
-            again = repro.cli.PROTOCOL_FACTORIES
-        assert registry is PROTOCOLS
-        assert again is PROTOCOLS
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api" in str(deprecations[0].message)
-    finally:
-        repro.cli._warned_factories = True
+# -- removed entry points --------------------------------------------------
 
 
 def test_cli_shim_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         repro.cli.NO_SUCH_NAME
+    with pytest.raises(AttributeError):
+        repro.cli.PROTOCOL_FACTORIES  # removed; see MIGRATIONS
 
 
 # -- package surface -------------------------------------------------------

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import PROTOCOL_FACTORIES, build_parser, main
+from repro.api import PROTOCOLS
+from repro.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -23,7 +24,7 @@ class TestParser:
             build_parser().parse_args(["replay", "--protocol", "bogus"])
 
     def test_all_protocol_factories_construct(self):
-        for name, factory in PROTOCOL_FACTORIES.items():
+        for name, factory in PROTOCOLS.items():
             protocol = factory()
             assert protocol.name, name
 

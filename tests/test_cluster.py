@@ -2,10 +2,10 @@
 
 Four layers of guarantees:
 
-1. **Differential** — ``shards=1`` runs produce serialized results with
-   no cluster artefacts, identical between the fast and slow simulation
-   paths, for every protocol family (the bit-identity contract with the
-   pre-cluster harness).
+1. **Single accelerator** — ``shards=1`` runs produce serialized
+   results with no cluster artefacts, for every protocol family (the
+   bit-identity contract with the pre-cluster harness; the result
+   digests themselves are pinned in ``test_golden_digests.py``).
 2. **Hash ring** — consistent hashing moves only the departed node's
    keys (~K/N of them), reverts exactly on rejoin, and ``exclude``
    walks clockwise to the node that would own the key if the excluded
@@ -59,38 +59,28 @@ def _trace(trace_seed: int):
     return _TRACES[trace_seed]
 
 
-def _replay(factory, fast: bool, **overrides) -> dict:
+def _replay(factory, **overrides) -> dict:
     config = ExperimentConfig(
         trace=_trace(3),
         protocol=factory(),
         mean_lifetime=7 * 86400.0,
         seed=11,
-        fast_path=fast,
         **overrides,
     )
     return result_to_dict(run_experiment(config))
 
 
-def _comparable(data: dict) -> dict:
-    data.pop("wall_seconds", None)
-    data.pop("timestamp", None)
-    return data
-
-
-# -- 1. differential: shards=1 is the legacy single accelerator ------------
+# -- 1. shards=1 is the legacy single accelerator ---------------------------
 
 
 @pytest.mark.parametrize("factory", PROTOCOLS, ids=lambda f: f.__name__)
 def test_shards_one_differential(factory):
-    slow = _comparable(_replay(factory, fast=False, shards=1))
-    fast = _comparable(_replay(factory, fast=True, shards=1))
-    assert fast == slow
+    data = _replay(factory, shards=1)
     # No cluster artefacts may leak into the serialized result: its key
     # set feeds the results digest, which must stay byte-identical to
     # the pre-cluster harness for single-accelerator runs.
-    assert "cluster" not in slow
-    # sitelist_evictions serializes only when nonzero, and must agree
-    # between the two paths (covered by the dict equality above).
+    assert "cluster" not in data
+    assert data["counters"]["requests"] == data["total_requests"] > 0
 
 
 # -- 2. hash ring ----------------------------------------------------------
@@ -242,10 +232,8 @@ def test_unbatched_shard_uses_legacy_fanout():
 
 
 def test_cluster_batched_fanout_reduction():
-    unbatched = _replay(invalidation, fast=True, shards=4)
-    batched = _replay(
-        invalidation, fast=True, shards=4, batch_window=1.0, batch_max=32
-    )
+    unbatched = _replay(invalidation, shards=4)
+    batched = _replay(invalidation, shards=4, batch_window=1.0, batch_max=32)
     # Same workload, same obligations — fewer wire messages.
     assert batched["invalidations_sent"] < unbatched["invalidations_sent"]
     # Every invalidation of the unbatched run rides inside some batch.
@@ -388,8 +376,56 @@ def test_table_wide_purge_does_not_count_as_eviction():
 
 
 def test_lease_run_reports_evictions_consistently():
-    data = _replay(lease_invalidation, fast=True, shards=1)
+    data = _replay(lease_invalidation, shards=1)
     evictions = data.get("sitelist_evictions", 0)
     # The field serializes only when nonzero (digest preservation).
     assert ("sitelist_evictions" in data) == (evictions > 0)
     assert evictions >= 0
+
+
+# -- 5. batch-window staleness: pinned reproducer --------------------------
+#
+# With a one-second batch window the cluster leaves one client's copy of
+# /doc/00108.html at proxy-3 un-invalidated; the auditor records four
+# silent-staleness serves.  Without the window the same run is clean.
+
+_CLARKNET = []
+
+
+def _clarknet_batched(batch_window: float):
+    if not _CLARKNET:
+        _CLARKNET.append(
+            generate_trace(profile("ClarkNet").scaled(0.025), RngRegistry(20410))
+        )
+    trace = _CLARKNET[0]
+    return run_experiment(
+        ExperimentConfig(
+            trace=trace,
+            protocol=invalidation(),
+            mean_lifetime=trace.duration / 4,
+            seed=20410,
+            shards=4,
+            batch_window=batch_window,
+            batch_max=32,
+            audit=True,
+        )
+    )
+
+
+@pytest.mark.parametrize("batch_window, expected", [(1.0, 4), (0.0, 0)])
+def test_batch_window_violations_are_reported(batch_window, expected):
+    result = _clarknet_batched(batch_window)
+    assert result.chaos["violation_count"] == expected
+    # The headline count agrees with the auditor ...
+    assert result.violations == expected
+    # ... while the serialized proxy-marker count is left as it was.
+    assert result_to_dict(result)["counters"]["violations"] == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="batched fan-out with batch_window > 0 leaves a copy "
+    "un-invalidated (cluster defect, not yet fixed)",
+)
+def test_batch_window_run_is_auditor_clean():
+    assert _clarknet_batched(1.0).chaos["violation_count"] == 0

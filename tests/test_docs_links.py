@@ -17,7 +17,6 @@ CHECKER = os.path.join(REPO, "tools", "check_markdown_links.py")
 DOCS_PAGES = (
     "architecture.md",
     "protocols.md",
-    "api-overview.md",
     "replaying-real-traces.md",
     "parallel-sweeps.md",
     "chaos.md",

@@ -134,19 +134,6 @@ class TestObservationIntegration:
         obs.close()
         assert observed == plain
 
-    def test_fast_slow_differential_with_observation(self):
-        trace = _trace()
-        outputs = {}
-        for fast in (False, True):
-            obs = Observation()
-            outputs[fast] = _comparable(
-                run_experiment(
-                    _config(trace, observation=obs, fast_path=fast)
-                )
-            )
-            obs.close()
-        assert outputs[True] == outputs[False]
-
     def test_registry_agrees_with_result(self):
         trace = _trace()
         obs = Observation()
@@ -214,8 +201,8 @@ class TestObservationIntegration:
             run_experiment(_config(trace, observation=obs))
         )
         obs.close()
-        # Deep tracing disables the kernel fast paths but must not change
-        # the simulation outcome.
+        # Deep tracing counts every kernel event but must not change the
+        # simulation outcome.
         assert observed == plain
         assert obs.tracer is not None
         assert obs.tracer.total > 0

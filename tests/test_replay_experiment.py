@@ -230,3 +230,46 @@ class TestFormatting:
             format_comparison_table([])
         with pytest.raises(ValueError):
             format_invalidation_costs([])
+
+
+class TestOneRequestRoute:
+    def test_instrumented_replay_takes_the_one_route(
+        self, small_trace, monkeypatch
+    ):
+        # An auditor, an observation and a kernel tracer all ride the
+        # callback chain of an uninstrumented replay: every request
+        # enters through ProxyCache.submit.
+        from repro.obs import Observation
+        from repro.proxy.proxy import ProxyCache
+
+        calls = []
+        original = ProxyCache.submit
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return original(self, *args)
+
+        monkeypatch.setattr(ProxyCache, "submit", counting)
+        observation = Observation(deep=True)
+        result = run(small_trace, invalidation(), audit=True,
+                     observation=observation)
+        observation.close()
+        assert len(calls) == result.total_requests > 0
+        assert observation.tracer.counts["Callback"] > 0
+
+
+def test_violations_prefers_a_strong_auditors_count():
+    from repro.replay import ExperimentResult
+
+    result = ExperimentResult(
+        protocol="p", trace_name="t", mean_lifetime=1.0,
+        total_requests=0, files_modified=0,
+    )
+    result.counters.violations = 1
+    assert result.violations == 1
+    result.chaos = {"network": {}}  # fault-injected, no auditor
+    assert result.violations == 1
+    result.chaos = {"strong": False, "violation_count": 3}
+    assert result.violations == 1
+    result.chaos = {"strong": True, "violation_count": 3}
+    assert result.violations == 3

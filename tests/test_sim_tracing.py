@@ -79,3 +79,23 @@ def test_rate_degenerate_cases():
     sim.timeout(0.0)
     sim.run()
     assert tracer.events_per_sim_second() == 0.0  # zero span
+
+
+def test_pooled_entries_are_traced_as_themselves():
+    # Tracing must not change scheduling: pooled timers stay pooled and
+    # are counted under their own kinds.
+    sim = Simulator()
+    tracer = EventTracer(sim)
+    fired = []
+    sim.call_later(1.0, fired.append, "cb")
+
+    def proc(sim):
+        yield sim.sleep(2.0)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert fired == ["cb"]
+    assert tracer.counts["Callback"] == 1
+    assert tracer.counts["_Sleep"] == 1
+    assert tracer.counts["Timeout"] == 0
+    assert tracer.last_time == 2.0
