@@ -1,16 +1,14 @@
-"""Kernel + replay benchmarks and the persisted perf trajectory.
+"""Kernel micro-benchmarks and the persisted kernel perf trajectory.
 
 The replay experiments push millions of events per run, so the kernel's
 events/second figure bounds the whole suite's runtime.  This module
-measures both layers and records the numbers as tracked artifacts:
+measures raw scheduler throughput on five workload shapes (spread
+timeout storm, near-future sleep storm, process ping-pong, chained
+callback hit flow, far-horizon calendar storm) and records the numbers
+in the tracked ``BENCH_kernel.json``.  End-to-end replay throughput is
+measured by ``perfbench/`` instead (see ``perfbench/README.md``).
 
-* ``BENCH_kernel.json`` — raw scheduler throughput on four workload
-  shapes (spread timeout storm, near-future sleep storm, process
-  ping-pong, far-horizon calendar storm);
-* ``BENCH_replay.json`` — end-to-end trace replay requests/second for a
-  strong (invalidation) and a weak (adaptive TTL) protocol.
-
-Every payload carries the git SHA, a timestamp, peak RSS and a
+The payload carries the git SHA, a timestamp, peak RSS and a
 ``machine_score`` — a fixed pure-Python calibration loop measured on the
 same host, so comparisons across machines can be normalised instead of
 trusting absolute events/second.
@@ -36,7 +34,6 @@ __all__ = [
     "KERNEL_BENCHMARKS",
     "calibrate_machine",
     "run_kernel_benchmarks",
-    "run_replay_benchmarks",
     "bench_payload",
     "git_sha",
     "write_payload",
@@ -70,7 +67,7 @@ def bench_timeout_storm(n: int) -> Tuple[int, float]:
 
     t0 = time.perf_counter()
     for i in range(n):
-        sim.schedule_callback(float(i % 97), bump)
+        sim.call_later(float(i % 97), bump)
     sim.run()
     elapsed = time.perf_counter() - t0
     assert fired[0] == n
@@ -114,11 +111,11 @@ def bench_hit_path_ping_pong(n: int) -> Tuple[int, float]:
             yield ping.get()
             pong.put(1)
 
-    sim.process(left(sim))
-    sim.process(right(sim))
+    procs = [sim.process(left(sim)), sim.process(right(sim))]
     t0 = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - t0
+    assert all(p.triggered for p in procs)
     return 2 * n, elapsed
 
 
@@ -163,7 +160,7 @@ def bench_bucketed_timeout_storm(n: int) -> Tuple[int, float]:
 
     t0 = time.perf_counter()
     for i in range(n):
-        sim.schedule_callback(float((i * 37) % 1009), bump)
+        sim.call_later(float((i * 37) % 1009), bump)
     sim.run()
     elapsed = time.perf_counter() - t0
     assert fired[0] == n
@@ -217,85 +214,6 @@ def run_kernel_benchmarks(
 
 
 # ---------------------------------------------------------------------------
-# replay workloads
-# ---------------------------------------------------------------------------
-
-def run_replay_benchmarks(
-    quick: bool = False, seed: int = 11
-) -> Dict[str, Dict[str, float]]:
-    """End-to-end replay throughput for one strong + one weak protocol."""
-    from .api import build_protocol, run_experiment
-    from .replay import ExperimentConfig
-    from .sim import RngRegistry
-    from .traces import generate_trace
-    from .traces import profile as lookup_profile
-
-    scale = 0.05 if quick else 0.2
-    trace = generate_trace(
-        lookup_profile("EPA").scaled(scale), RngRegistry(seed=3)
-    )
-    results: Dict[str, Dict[str, float]] = {}
-    for name in ("invalidation", "ttl"):
-        protocol = build_protocol(name)
-        config = ExperimentConfig(
-            trace=trace,
-            protocol=protocol,
-            mean_lifetime=7 * 86400.0,
-            seed=seed,
-        )
-        t0 = time.perf_counter()
-        result = run_experiment(config)
-        elapsed = time.perf_counter() - t0
-        results[f"replay_{protocol.name}"] = {
-            "requests": result.total_requests,
-            "seconds": round(elapsed, 6),
-            "requests_per_sec": round(result.total_requests / elapsed, 1),
-            "total_messages": result.total_messages,
-            "hits": result.hits,
-        }
-
-    # Cluster fan-out: the same invalidation workload on 4 shards, with
-    # and without batching, so the trajectory records both the routed
-    # throughput and the batching win (message reduction).
-    unbatched_cfg = ExperimentConfig(
-        trace=trace,
-        protocol=build_protocol("invalidation"),
-        mean_lifetime=7 * 86400.0,
-        seed=seed,
-        shards=4,
-    )
-    unbatched = run_experiment(unbatched_cfg)
-    batched_cfg = ExperimentConfig(
-        trace=trace,
-        protocol=build_protocol("invalidation"),
-        mean_lifetime=7 * 86400.0,
-        seed=seed,
-        shards=4,
-        batch_window=1.0,
-        batch_max=32,
-    )
-    t0 = time.perf_counter()
-    batched = run_experiment(batched_cfg)
-    elapsed = time.perf_counter() - t0
-    reduction = (
-        1.0 - batched.invalidations_sent / unbatched.invalidations_sent
-        if unbatched.invalidations_sent
-        else 0.0
-    )
-    results["cluster_fanout"] = {
-        "requests": batched.total_requests,
-        "seconds": round(elapsed, 6),
-        "requests_per_sec": round(batched.total_requests / elapsed, 1),
-        "shards": 4,
-        "invalidations_unbatched": unbatched.invalidations_sent,
-        "invalidations_batched": batched.invalidations_sent,
-        "fanout_reduction": round(reduction, 4),
-        "imbalance_ratio": round(batched.cluster["imbalance_ratio"], 4),
-    }
-    return results
-
-
-# ---------------------------------------------------------------------------
 # payloads
 # ---------------------------------------------------------------------------
 
@@ -343,14 +261,9 @@ def write_payload(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-_RATE_KEYS = ("events_per_sec", "requests_per_sec")
-
-
 def _rate_of(bench: Dict[str, float]) -> Optional[float]:
-    for key in _RATE_KEYS:
-        if key in bench:
-            return float(bench[key])
-    return None
+    rate = bench.get("events_per_sec")
+    return None if rate is None else float(rate)
 
 
 def compare_bench(

@@ -80,8 +80,8 @@ class FailureInjector:
             )
             self._record(kind, proxy.address)
 
-        self.sim.schedule_callback(at - self.sim.now, crash)
-        self.sim.schedule_callback(recover_at - self.sim.now, recover)
+        self.sim.call_later(at - self.sim.now, crash)
+        self.sim.call_later(recover_at - self.sim.now, recover)
 
     # -- server site -----------------------------------------------------------
 
@@ -110,8 +110,8 @@ class FailureInjector:
             server.recover()
             self._record("server-recover", server.address)
 
-        self.sim.schedule_callback(at - self.sim.now, crash)
-        self.sim.schedule_callback(recover_at - self.sim.now, recover)
+        self.sim.call_later(at - self.sim.now, crash)
+        self.sim.call_later(recover_at - self.sim.now, recover)
 
     # -- accelerator shards ---------------------------------------------------
 
@@ -143,8 +143,8 @@ class FailureInjector:
             cluster.recover_shard(shard)
             self._record("shard-recover", shard)
 
-        self.sim.schedule_callback(at - self.sim.now, crash)
-        self.sim.schedule_callback(recover_at - self.sim.now, recover)
+        self.sim.call_later(at - self.sim.now, crash)
+        self.sim.call_later(recover_at - self.sim.now, recover)
 
     def schedule_shard_rebalance(
         self, cluster, shard: str, at: float, until: float
@@ -166,8 +166,8 @@ class FailureInjector:
             cluster.restore_shard(shard)
             self._record("shard-restore", shard)
 
-        self.sim.schedule_callback(at - self.sim.now, drain)
-        self.sim.schedule_callback(until - self.sim.now, restore)
+        self.sim.call_later(at - self.sim.now, drain)
+        self.sim.call_later(until - self.sim.now, restore)
 
     # -- partition ----------------------------------------------------------
 
@@ -193,8 +193,8 @@ class FailureInjector:
             self.network.heal(handle[0] if handle else None)
             self._record("heal", f"{group_a}|{group_b}")
 
-        self.sim.schedule_callback(at - self.sim.now, cut)
-        self.sim.schedule_callback(heal_at - self.sim.now, heal)
+        self.sim.call_later(at - self.sim.now, cut)
+        self.sim.call_later(heal_at - self.sim.now, heal)
 
     # -- link faults ---------------------------------------------------------
 
@@ -238,8 +238,8 @@ class FailureInjector:
             self.network.clear_link_fault(src, dst)
             self._record("link-heal", f"{src}->{dst}")
 
-        self.sim.schedule_callback(at - self.sim.now, install)
-        self.sim.schedule_callback(until - self.sim.now, clear)
+        self.sim.call_later(at - self.sim.now, install)
+        self.sim.call_later(until - self.sim.now, clear)
 
     # -- clock skew ----------------------------------------------------------
 
@@ -263,5 +263,5 @@ class FailureInjector:
             proxy.clock_skew = 0.0
             self._record("clock-skew(reset)", proxy.address)
 
-        self.sim.schedule_callback(at - self.sim.now, apply)
-        self.sim.schedule_callback(until - self.sim.now, reset)
+        self.sim.call_later(at - self.sim.now, apply)
+        self.sim.call_later(until - self.sim.now, reset)

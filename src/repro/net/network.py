@@ -250,7 +250,7 @@ class Network:
                 outcome._defused = True
                 outcome.fail(Unreachable(message, reason))
 
-            self.sim.schedule_callback(delay, do_fail)
+            self.sim.call_later(delay, do_fail)
 
         if message.dst not in self._handlers:
             fail("unknown address", self.connect_timeout)
@@ -310,7 +310,7 @@ class Network:
             self.stats.record_duplicate(message)
             self._handlers[message.dst](message)
 
-        self.sim.schedule_callback(delay, deliver)
+        self.sim.call_later(delay, deliver)
         if duplicate_delay is not None:
-            self.sim.schedule_callback(duplicate_delay, deliver_duplicate)
+            self.sim.call_later(duplicate_delay, deliver_duplicate)
         return outcome

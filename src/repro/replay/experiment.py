@@ -46,7 +46,7 @@ from ..proxy import Cache, ProxyCache, ProxyCosts
 from ..server import DEFAULT_SERVER_COSTS, FileStore, ServerCosts, ServerSite
 from ..sim import RngRegistry, Simulator
 from ..traces import Trace
-from ..workload import generate_schedule
+from ..workload import Modifier, generate_schedule
 from .coordinator import TimeCoordinator
 from .pseudo_client import PseudoClient, shard_records
 
@@ -466,32 +466,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     browser_rng = rng.stream("browser-views")
 
     def notify_change(url: str) -> None:
-        if not protocol.needs_check_in:
-            return
         if config.detection == "notify":
             server.check_in(url)
         else:
             # Browser-based detection: the author views the page a bit
             # later; the accelerator then compares mtimes.
             delay = config.browser_view_delay * browser_rng.uniform(0.5, 1.5)
-            sim.schedule_callback(delay, lambda u=url: server.check_document(u))
+            sim.call_later(delay, lambda u=url: server.check_document(u))
 
-    def modifier_participant(trace_start: float, trace_end: float):
-        state = modifier_participant
-        while state.next < len(schedule) and schedule[state.next].time < trace_end:
-            mod = schedule[state.next]
-            state.next += 1
-            filestore.modify(mod.url, now=sim.now)
-            notify_change(mod.url)
-            if config.modifier_overhead > 0:
-                yield sim.sleep(config.modifier_overhead)
-
-    modifier_participant.next = 0
+    modifier = Modifier(
+        sim,
+        schedule,
+        touch=lambda url: filestore.modify(url, now=sim.now),
+        check_in=notify_change if protocol.needs_check_in else None,
+        overhead=config.modifier_overhead,
+    )
 
     coordinator = TimeCoordinator(sim, interval=config.interval)
     for client in clients:
         coordinator.register(client.participant)
-    coordinator.register(modifier_participant)
+    coordinator.register(modifier.participant)
 
     if observation is not None:
         # Bound after the coordinator exists so phases can be derived
@@ -545,7 +539,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         trace_name=trace.name,
         mean_lifetime=config.mean_lifetime,
         total_requests=len(trace.records),
-        files_modified=modifier_participant.next,
+        files_modified=modifier.modifications_applied,
         counters=counters,
         gets=stats.messages(CATEGORY_GET),
         ims=stats.messages(CATEGORY_IMS),

@@ -202,7 +202,7 @@ class AcceleratorShard(ServerSite):
             self._flush_batch(proxy)
         elif proxy not in self._batch_timer_armed:
             self._batch_timer_armed.add(proxy)
-            self.sim.schedule_callback(
+            self.sim.call_later(
                 self.batch_window, lambda p=proxy: self._batch_timer_fired(p)
             )
 

@@ -503,15 +503,6 @@ class Simulator:
         self._depth += 1
         return cb
 
-    def schedule_callback(self, delay: float, callback: Callable[[], None]) -> Any:
-        """Schedule a plain callable to run after ``delay`` seconds.
-
-        Convenience wrapper used by non-process components (e.g. the network
-        fabric delivering messages).  Returns a cancellable handle (see
-        :meth:`call_later`).
-        """
-        return self.call_later(delay, callback)
-
     # -- queue internals ---------------------------------------------------
 
     def _advance_bucket(self) -> None:

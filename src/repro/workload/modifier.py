@@ -54,7 +54,7 @@ def generate_schedule(
 
 
 class Modifier:
-    """Simulation process replaying a modification schedule.
+    """Replays a modification schedule as a coordinator participant.
 
     Args:
         sim: the simulator.
@@ -64,6 +64,7 @@ class Modifier:
             check-in utility); ``None`` for protocols without server-side
             change detection hooks (TTL / polling, where only the file
             mtime matters).
+        overhead: wall seconds the modifier spends per touch.
     """
 
     def __init__(
@@ -72,25 +73,31 @@ class Modifier:
         schedule: Sequence[Modification],
         touch: Callable[[str], None],
         check_in: Optional[Callable[[str], None]] = None,
+        overhead: float = 0.0,
     ) -> None:
         self.sim = sim
         self.schedule = list(schedule)
         self.touch = touch
         self.check_in = check_in
-        self.applied: List[Modification] = []
-        self.process = sim.process(self._run())
+        self.overhead = overhead
+        #: How many schedule entries have fired so far.
+        self.modifications_applied = 0
 
-    @property
-    def modifications_applied(self) -> int:
-        """How many schedule entries have fired so far."""
-        return len(self.applied)
+    def participant(self, trace_start: float, trace_end: float):
+        """Coordinator participant: apply modifications before ``trace_end``.
 
-    def _run(self):
-        for mod in self.schedule:
-            delay = mod.time - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
+        Each modification is a touch followed by the optional check-in,
+        then the per-touch ``overhead`` sleep.
+        """
+        schedule = self.schedule
+        while (
+            self.modifications_applied < len(schedule)
+            and schedule[self.modifications_applied].time < trace_end
+        ):
+            mod = schedule[self.modifications_applied]
+            self.modifications_applied += 1
             self.touch(mod.url)
             if self.check_in is not None:
                 self.check_in(mod.url)
-            self.applied.append(mod)
+            if self.overhead > 0:
+                yield self.sim.sleep(self.overhead)

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
 from repro.api import PROTOCOLS
+from repro.bench import KERNEL_BENCHMARKS
 from repro.cli import build_parser, main
 
 
@@ -181,3 +183,38 @@ class TestCompare:
         assert code == 0
         for name in ("poll-every-time", "invalidation", "adaptive-ttl"):
             assert name in text
+
+
+class TestBench:
+    def test_quick_run_writes_kernel_payload_and_gates(self, tmp_path):
+        code, text = run_cli(
+            "bench", "--quick", "--repeats", "1", "--out-dir", str(tmp_path)
+        )
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_kernel.json"]
+        baseline = tmp_path / "BENCH_kernel.json"
+        payload = json.loads(baseline.read_text())
+        assert payload["kind"] == "kernel"
+        assert set(payload["benchmarks"]) == set(KERNEL_BENCHMARKS)
+
+        code, text = run_cli(
+            "bench", "--quick", "--repeats", "1", "--out-dir", str(tmp_path),
+            "--compare", str(baseline), "--tolerance", "0.9",
+        )
+        assert code == 0, text
+        assert "no regression" in text
+
+    def test_compare_rejects_non_kernel_baseline(self, tmp_path):
+        baseline = tmp_path / "replay_baseline.json"
+        baseline.write_text(json.dumps({"kind": "replay", "benchmarks": {}}))
+        code, text = run_cli(
+            "bench", "--quick", "--repeats", "1", "--out-dir", str(tmp_path),
+            "--compare", str(baseline),
+        )
+        assert code == 2
+        assert "kernel baseline" in text
+
+    def test_unknown_profile_workload(self):
+        code, text = run_cli("bench", "--profile", "nope")
+        assert code == 2
+        assert "unknown benchmark" in text

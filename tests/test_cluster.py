@@ -234,8 +234,9 @@ def test_unbatched_shard_uses_legacy_fanout():
 def test_cluster_batched_fanout_reduction():
     unbatched = _replay(invalidation, shards=4)
     batched = _replay(invalidation, shards=4, batch_window=1.0, batch_max=32)
-    # Same workload, same obligations — fewer wire messages.
-    assert batched["invalidations_sent"] < unbatched["invalidations_sent"]
+    # Same workload, same obligations — at least 30% fewer wire
+    # messages, the reduction docs/cluster.md documents (52 -> 18 here).
+    assert batched["invalidations_sent"] <= 0.7 * unbatched["invalidations_sent"]
     # Every invalidation of the unbatched run rides inside some batch.
     assert (
         batched["cluster"]["batched_invalidations_delivered"]

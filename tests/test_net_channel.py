@@ -52,7 +52,7 @@ def test_retries_until_node_recovers():
     sim.process(sender(sim))
     # Recover the destination at t=25; attempts at t=0(fail@1), 11(fail@12),
     # 22(fail@23), 33(ok).
-    sim.schedule_callback(25.0, lambda: net.set_up("b"))
+    sim.call_later(25.0, lambda: net.set_up("b"))
     sim.run()
     assert len(inbox) == 1
     assert reports[0].attempts == 4
@@ -72,7 +72,7 @@ def test_retry_through_partition_heal():
         yield from channel.deliver(Message(src="a", dst="b", size=10))
 
     sim.process(sender(sim))
-    sim.schedule_callback(7.0, net.heal)
+    sim.call_later(7.0, net.heal)
     sim.run()
     assert len(inbox) == 1
 

@@ -141,7 +141,7 @@ def test_message_lost_in_flight_when_dst_dies():
     inbox = []
     net.register("b", inbox.append)
     net.send(Message(src="a", dst="b", size=10))
-    sim.schedule_callback(1.0, lambda: net.set_down("b"))
+    sim.call_later(1.0, lambda: net.set_down("b"))
     sim.run()
     assert inbox == []
     assert net.stats.total_dropped == 1

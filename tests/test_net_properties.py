@@ -46,7 +46,7 @@ def test_events_process_in_time_order(delays):
     sim = Simulator()
     seen = []
     for delay in delays:
-        sim.schedule_callback(delay, lambda: seen.append(sim.now))
+        sim.call_later(delay, lambda: seen.append(sim.now))
     sim.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)

@@ -31,7 +31,7 @@ def test_run_until_advances_clock_without_events():
 def test_run_until_does_not_process_later_events():
     sim = Simulator()
     fired = []
-    sim.schedule_callback(10.0, lambda: fired.append(sim.now))
+    sim.call_later(10.0, lambda: fired.append(sim.now))
     sim.run(until=5.0)
     assert fired == []
     assert sim.now == 5.0
@@ -108,7 +108,7 @@ def test_same_time_events_fifo_order():
     sim = Simulator()
     order = []
     for i in range(5):
-        sim.schedule_callback(1.0, (lambda i=i: order.append(i)))
+        sim.call_later(1.0, (lambda i=i: order.append(i)))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -116,9 +116,9 @@ def test_same_time_events_fifo_order():
 def test_events_process_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule_callback(3.0, lambda: order.append(3))
-    sim.schedule_callback(1.0, lambda: order.append(1))
-    sim.schedule_callback(2.0, lambda: order.append(2))
+    sim.call_later(3.0, lambda: order.append(3))
+    sim.call_later(1.0, lambda: order.append(1))
+    sim.call_later(2.0, lambda: order.append(2))
     sim.run()
     assert order == [1, 2, 3]
 
@@ -132,9 +132,9 @@ def test_peek_reports_next_event_time():
 
 def test_stop_simulation_from_callback():
     sim = Simulator()
-    sim.schedule_callback(1.0, sim.stop)
+    sim.call_later(1.0, sim.stop)
     fired = []
-    sim.schedule_callback(2.0, lambda: fired.append(True))
+    sim.call_later(2.0, lambda: fired.append(True))
     sim.run()
     assert sim.now == 1.0
     assert fired == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.replay import TimeCoordinator
 from repro.sim import Simulator
 from repro.workload import (
     DAYS,
@@ -78,28 +79,44 @@ class TestModifier:
         sim = Simulator()
         sched = generate_schedule(["/a"], 10.0, 5.0, random.Random(0))
         calls = []
+        coordinator = TimeCoordinator(sim, interval=5.0)
+
+        def log(kind):
+            return lambda url: calls.append(
+                (kind, url, coordinator.trace_time, sim.now)
+            )
+
         modifier = Modifier(
-            sim,
-            sched,
-            touch=lambda url: calls.append(("touch", url, sim.now)),
-            check_in=lambda url: calls.append(("check-in", url, sim.now)),
+            sim, sched, touch=log("touch"), check_in=log("check-in"),
+            overhead=1.0,
         )
+        coordinator.register(modifier.participant)
+        sim.process(coordinator.run(15.0))
         sim.run()
+        # Each modification lands in the trace interval holding its
+        # schedule time; the per-touch overhead advances the wall clock.
         assert calls == [
-            ("touch", "/a", 5.0),
-            ("check-in", "/a", 5.0),
-            ("touch", "/a", 10.0),
-            ("check-in", "/a", 10.0),
+            ("touch", "/a", 5.0, 0.0),
+            ("check-in", "/a", 5.0, 0.0),
+            ("touch", "/a", 10.0, 1.0),
+            ("check-in", "/a", 10.0, 1.0),
         ]
         assert modifier.modifications_applied == 2
+        assert coordinator.intervals_completed == 3
 
     def test_check_in_optional(self):
         sim = Simulator()
         sched = generate_schedule(["/a"], 5.0, 5.0, random.Random(0))
         touched = []
-        Modifier(sim, sched, touch=touched.append)
+        modifier = Modifier(sim, sched, touch=touched.append)
+        coordinator = TimeCoordinator(sim, interval=5.0)
+        coordinator.register(modifier.participant)
+        sim.process(coordinator.run(10.0))
         sim.run()
         assert touched == ["/a"]
+        assert modifier.modifications_applied == 1
+        # Zero overhead: modifications take no wall time.
+        assert sim.now == 0.0
 
 
 class TestStreams:
