@@ -2,11 +2,12 @@
 
 The replay experiments push millions of events per run, so the kernel's
 events/second figure bounds the whole suite's runtime.  This module
-measures raw scheduler throughput on five workload shapes (spread
-timeout storm, near-future sleep storm, process ping-pong, chained
-callback hit flow, far-horizon calendar storm) and records the numbers
-in the tracked ``BENCH_kernel.json``.  End-to-end replay throughput is
-measured by ``perfbench/`` instead (see ``perfbench/README.md``).
+measures raw scheduler throughput on five workload shapes (timeout
+storm over 97 distinct delays, near-future sleep storm, process
+ping-pong, chained callback hit flow, timeout storm over 1009 distinct
+delays up to ~1000 s) and records the numbers in the tracked
+``BENCH_kernel.json``.  End-to-end replay throughput is measured by
+``perfbench/`` instead (see ``perfbench/README.md``).
 
 The payload carries the git SHA, a timestamp, peak RSS and a
 ``machine_score`` — a fixed pure-Python calibration loop measured on the
@@ -53,11 +54,11 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 def bench_timeout_storm(n: int) -> Tuple[int, float]:
-    """Pre-scheduled callbacks spread over many distinct delays.
+    """Pre-scheduled callbacks sharing 97 distinct delays.
 
-    The ``test_timeout_event_throughput`` shape: ``i % 97`` second
-    delays fan the entries across ~194 calendar buckets, which is where
-    the two-level scheduler beats a single global heap.
+    All ``n`` entries are queued before the first one fires, and the
+    ``i % 97`` second delays give long runs of same-time entries that
+    only the insertion sequence orders.
     """
     sim = Simulator()
     fired = [0]
@@ -146,11 +147,11 @@ def bench_hit_path_callbacks(n: int) -> Tuple[int, float]:
 
 
 def bench_bucketed_timeout_storm(n: int) -> Tuple[int, float]:
-    """Callbacks landing beyond the calendar horizon (far-heap traffic).
+    """Pre-scheduled callbacks spread over 1009 distinct delays.
 
-    Delays up to ~1000 s overflow the default 128 s near-future window,
-    so entries migrate far heap -> calendar -> current bucket as the
-    clock advances — the full two-level machinery.
+    ``(i * 37) % 1009`` second delays reach ~1000 s and are pushed far
+    out of their firing order.  The name predates the one-heap queue
+    and stays because it keys the committed ``BENCH_kernel.json``.
     """
     sim = Simulator()
     fired = [0]

@@ -9,20 +9,10 @@ Determinism: events scheduled for the same simulated time are processed in
 (priority, insertion-order) order, so a run is exactly reproducible given
 the same seed and the same sequence of API calls.
 
-Scheduler layout (the replay hot path schedules almost everything at
-``now + small delta``):
-
-* a *near-future calendar*: ``num_buckets`` buckets of ``bucket_width``
-  simulated seconds each.  Scheduling into a future bucket is a plain list
-  append (O(1)); a bucket is sorted once, when the clock reaches it.
-* late arrivals into the *current* bucket go to a small binary heap.
-* everything beyond the calendar horizon goes to a *far heap* and migrates
-  into the calendar when the horizon advances past it.
-
-All three structures hold ``(time, priority, seq, obj)`` tuples whose
-``(time, priority, seq)`` prefix is unique, so tuple comparison never
-reaches ``obj`` and the total order is identical to the single global
-heap this kernel used to run on.
+The queue is one binary heap of ``(time, priority, seq, obj)`` tuples.
+The ``(time, priority, seq)`` prefix is unique, so tuple comparison never
+reaches ``obj``.  Replay traffic keeps the heap shallow (a few dozen
+entries), so each push and pop costs a handful of comparisons.
 
 Allocation avoidance on the hot path:
 
@@ -45,7 +35,7 @@ with many abandoned reply timers keep a bounded queue.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional
 
 __all__ = [
@@ -68,6 +58,8 @@ NORMAL = 1
 
 #: Sentinel for "event has not been given a value yet".
 _PENDING = object()
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -233,8 +225,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0, got {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
@@ -297,6 +289,9 @@ _COMPACT_MIN_CANCELLED = 64
 class Simulator:
     """The event loop.
 
+    Scheduled entries wait in one binary heap and are processed in
+    (time, priority, insertion) order.
+
     Typical use::
 
         sim = Simulator()
@@ -310,49 +305,16 @@ class Simulator:
 
     Args:
         start_time: initial simulated time.
-        bucket_width: span of one near-future calendar bucket, in
-            simulated seconds.
-        num_buckets: calendar length; times beyond
-            ``bucket_width * num_buckets`` in the future go to the far
-            heap until the horizon catches up.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        bucket_width: float = 0.5,
-        num_buckets: int = 256,
-    ) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._seq = 0
         self._active_process = None
         #: Optional EventTracer (see repro.sim.tracing).
         self._tracer = None
-
-        # -- two-level scheduler state --
-        self._width = float(bucket_width)
-        self._inv_width = 1.0 / self._width
-        self._nbuckets = num_buckets
-        #: Index of the bucket containing the clock (monotone).
-        self._cur_idx = int(self._now / self._width)
-        #: Upper time bound of the current bucket: anything scheduled
-        #: below it goes straight to the current heap (one float compare
-        #: on the hot path instead of a bucket-index computation).
-        self._cur_limit = (self._cur_idx + 1) * self._width
-        #: Sorted-descending entries of the current bucket (pop from end).
-        self._cur_run: List[tuple] = []
-        #: Heap of late arrivals into the current bucket.
-        self._cur_heap: List[tuple] = []
-        #: bucket index -> unsorted entry list, for (cur, cur + nbuckets).
-        self._buckets: dict = {}
-        #: Heap of entries beyond the calendar horizon.
-        self._far: List[tuple] = []
-        #: Total entries across all structures (including cancelled).
-        self._depth = 0
+        #: Heap of (time, priority, seq, obj) entries, cancelled included.
+        self._queue: List[tuple] = []
         #: Cancelled entries still occupying queue slots.
         self._cancelled_queued = 0
 
@@ -375,12 +337,12 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Entries currently occupying queue slots (cancelled included)."""
-        return self._depth
+        return len(self._queue)
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``float('inf')``."""
         entry = self._peek_live()
-        return entry[0] if entry is not None else float("inf")
+        return entry[0] if entry is not None else _INF
 
     # -- event construction ------------------------------------------------
 
@@ -401,8 +363,8 @@ class Simulator:
         returned event must be yielded immediately and never stored,
         composed or cancelled.
         """
-        if delay < 0:
-            raise ValueError(f"negative sleep delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"sleep delay must be finite and >= 0, got {delay!r}")
         pool = self._sleep_pool
         event = pool.pop() if pool else _Sleep(self)
         event._ok = True
@@ -430,41 +392,10 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, entry: tuple) -> None:
-        """Route one queue entry into the calendar / current heap / far."""
-        bucket = int(entry[0] * self._inv_width)
-        if bucket <= self._cur_idx:
-            heappush(self._cur_heap, entry)
-        elif bucket < self._cur_idx + self._nbuckets:
-            lst = self._buckets.get(bucket)
-            if lst is None:
-                self._buckets[bucket] = [entry]
-            else:
-                lst.append(entry)
-        else:
-            heappush(self._far, entry)
-        self._depth += 1
-
     def _enqueue(self, event: Event, priority: int, delay: float = 0.0) -> None:
         """Put a triggered event on the queue, ``delay`` seconds from now."""
-        # Hot path: _schedule inlined (every trigger/timeout lands here).
-        # The dominant schedule-at-now+δ case is one compare + heappush.
         self._seq += 1
-        t = self._now + delay
-        entry = (t, priority, self._seq, event)
-        if t < self._cur_limit:
-            heappush(self._cur_heap, entry)
-        else:
-            bucket = int(t * self._inv_width)
-            if bucket < self._cur_idx + self._nbuckets:
-                lst = self._buckets.get(bucket)
-                if lst is None:
-                    self._buckets[bucket] = [entry]
-                else:
-                    lst.append(entry)
-            else:
-                heappush(self._far, entry)
-        self._depth += 1
+        heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     def call_later(self, delay: float, fn: Callable[..., None], *args) -> Any:
         """Schedule ``fn(*args)`` after ``delay`` seconds — the fast path.
@@ -474,8 +405,8 @@ class Simulator:
         a handle supporting ``cancel()``; the handle is recycled after the
         callback fires and must not be retained past that point.
         """
-        if delay < 0:
-            raise ValueError(f"negative callback delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"callback delay must be finite and >= 0, got {delay!r}")
         pool = self._cb_pool
         if pool:
             cb = pool.pop()
@@ -484,99 +415,19 @@ class Simulator:
             cb = Callback(self)
         cb.fn = fn
         cb.args = args
-        # Hot path: _schedule inlined (mirrors _enqueue).
         self._seq += 1
-        t = self._now + delay
-        entry = (t, NORMAL, self._seq, cb)
-        if t < self._cur_limit:
-            heappush(self._cur_heap, entry)
-        else:
-            bucket = int(t * self._inv_width)
-            if bucket < self._cur_idx + self._nbuckets:
-                lst = self._buckets.get(bucket)
-                if lst is None:
-                    self._buckets[bucket] = [entry]
-                else:
-                    lst.append(entry)
-            else:
-                heappush(self._far, entry)
-        self._depth += 1
+        heappush(self._queue, (self._now + delay, NORMAL, self._seq, cb))
         return cb
 
     # -- queue internals ---------------------------------------------------
 
-    def _advance_bucket(self) -> None:
-        """Move the calendar window to the next non-empty bucket.
-
-        Raises :class:`IndexError` when nothing is scheduled anywhere.
-        """
-        buckets = self._buckets
-        far = self._far
-        if buckets:
-            self._cur_idx = min(buckets)
-        elif far:
-            self._cur_idx = int(far[0][0] * self._inv_width)
-        else:
-            raise _QueueEmpty("pop from an empty event queue")
-        self._cur_limit = (self._cur_idx + 1) * self._width
-        # Pull far-heap entries that the new horizon now covers.
-        horizon = (self._cur_idx + self._nbuckets) * self._width
-        while far and far[0][0] < horizon:
-            entry = heappop(far)
-            self._depth -= 1  # _schedule re-counts it
-            self._schedule(entry)
-        run = buckets.pop(self._cur_idx, None)
-        if run is not None:
-            # One sort per bucket; (time, priority, seq) is unique, so the
-            # comparison never reaches the object and the order is exactly
-            # the old global-heap order.
-            run.sort(reverse=True)
-            self._cur_run = run
-
     def _peek_live(self) -> Optional[tuple]:
         """Next live entry (discarding cancelled heads), or ``None``."""
-        while True:
-            run = self._cur_run
-            cur_heap = self._cur_heap
-            while run and run[-1][3]._cancelled:
-                run.pop()
-                self._depth -= 1
-                self._cancelled_queued -= 1
-            while cur_heap and cur_heap[0][3]._cancelled:
-                heappop(cur_heap)
-                self._depth -= 1
-                self._cancelled_queued -= 1
-            if run:
-                if cur_heap and cur_heap[0] < run[-1]:
-                    return cur_heap[0]
-                return run[-1]
-            if cur_heap:
-                return cur_heap[0]
-            if not self._buckets and not self._far:
-                return None
-            self._advance_bucket()
-
-    def _pop_live(self) -> tuple:
-        """Pop the next live entry directly (hot path for :meth:`step`)."""
-        cur_heap = self._cur_heap
-        run = self._cur_run
-        while True:
-            if run:
-                if cur_heap and cur_heap[0] < run[-1]:
-                    entry = heappop(cur_heap)
-                else:
-                    entry = run.pop()
-            elif cur_heap:
-                entry = heappop(cur_heap)
-            else:
-                self._advance_bucket()
-                run = self._cur_run
-                continue
-            self._depth -= 1
-            if entry[3]._cancelled:
-                self._cancelled_queued -= 1
-                continue
-            return entry
+        queue = self._queue
+        while queue and queue[0][3]._cancelled:
+            heappop(queue)
+            self._cancelled_queued -= 1
+        return queue[0] if queue else None
 
     def _note_cancel(self) -> None:
         """Bookkeeping hook for Event/Callback.cancel: maybe compact.
@@ -589,36 +440,17 @@ class Simulator:
         self._cancelled_queued += 1
         if (
             self._cancelled_queued > _COMPACT_MIN_CANCELLED
-            and self._cancelled_queued * 2 > self._depth
+            and self._cancelled_queued * 2 > len(self._queue)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the queue structures with cancelled entries dropped."""
-        live: List[tuple] = []
-        for entry in self._cur_run:
-            if not entry[3]._cancelled:
-                live.append(entry)
-        for entry in self._cur_heap:
-            if not entry[3]._cancelled:
-                live.append(entry)
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                if not entry[3]._cancelled:
-                    live.append(entry)
-        for entry in self._far:
-            if not entry[3]._cancelled:
-                live.append(entry)
-        self._cur_run = []
-        self._cur_heap = []
-        self._buckets = {}
-        self._far = []
-        self._depth = 0
+        """Rebuild the queue with cancelled entries dropped."""
+        # Entries keep their (time, priority, seq) keys, so the processing
+        # order is unchanged.
+        self._queue = [entry for entry in self._queue if not entry[3]._cancelled]
+        heapify(self._queue)
         self._cancelled_queued = 0
-        # Entries keep their (time, priority, seq) keys, so re-routing them
-        # preserves the processing order exactly.
-        for entry in live:
-            self._schedule(entry)
 
     def _recycle_callback(self, cb: Callback) -> None:
         cb.fn = None
@@ -634,7 +466,14 @@ class Simulator:
         Raises :class:`IndexError` if the queue is empty and re-raises any
         un-defused event failure.
         """
-        entry = self._pop_live()
+        queue = self._queue
+        try:
+            entry = heappop(queue)
+            while entry[3]._cancelled:
+                self._cancelled_queued -= 1
+                entry = heappop(queue)
+        except IndexError:
+            raise _QueueEmpty("pop from an empty event queue") from None
         self._now = entry[0]
         event = entry[3]
 
