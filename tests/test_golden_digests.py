@@ -10,6 +10,13 @@ family, audited and sharded runs, a parent-cache hierarchy, a seeded
 chaos schedule and observed runs (plain and deep), so any change to the
 request route that moves a single outcome fails here.
 
+The fan-out cases pin the INVALIDATE senders no other case reaches:
+multicast, ``max_retries`` give-up with flush-on-contact (unsharded and
+batched on four shards), and a recovery INVALIDATE-by-server that gives
+up and is re-sent on contact.  They were recorded with the code that
+still had a separate send routine per sender, and each asserts that its
+run really took the path it pins (:data:`REACHES`).
+
 Regenerate only for an intended behaviour change::
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -22,7 +29,7 @@ import sys
 
 import pytest
 
-from repro.chaos import random_schedule
+from repro.chaos import Fault, FaultSchedule, random_schedule
 from repro.core.adaptive_ttl import adaptive_ttl
 from repro.core.invalidation import invalidation
 from repro.core.leases import lease_invalidation, two_tier_lease
@@ -48,6 +55,30 @@ PROTOCOLS = {
 
 PROXIES = [f"proxy-{i}" for i in range(4)]
 
+#: Two overlapping warm proxy outages: with ``max_retries=2`` the
+#: INVALIDATEs owed to both proxies are abandoned and flushed on contact.
+_TWO_PROXY_OUTAGES = FaultSchedule(
+    seed=0,
+    horizon=1500.0,
+    faults=(
+        Fault("proxy_crash", 50.0, 400.0, target="proxy-1"),
+        Fault("proxy_crash", 60.0, 390.0, target="proxy-2"),
+    ),
+)
+
+#: A server crash inside a proxy outage: recovery's INVALIDATE-by-server
+#: to proxy-1 gives up and is re-sent when proxy-1 next makes contact.
+_SERVER_CRASH_IN_PROXY_OUTAGE = FaultSchedule(
+    seed=0,
+    horizon=1500.0,
+    faults=(
+        Fault("proxy_crash", 50.0, 400.0, target="proxy-1"),
+        Fault("server_crash", 100.0, 150.0, target="server"),
+    ),
+)
+
+_GIVE_UP = {"retry_interval": 5.0, "max_retries": 2}
+
 
 def _cases():
     cases = {}
@@ -72,10 +103,52 @@ def _cases():
     )
     cases["invalidation-observed"] = ("invalidation", {"observation": "plain"})
     cases["invalidation-observed-deep"] = ("invalidation", {"observation": "deep"})
+    cases["invalidation-multicast-audit"] = (
+        "invalidation",
+        {"audit": True, "protocol_kwargs": {"multicast": True}},
+    )
+    cases["invalidation-giveup"] = (
+        "invalidation",
+        {"audit": True, "protocol_kwargs": _GIVE_UP,
+         "fault_schedule": _TWO_PROXY_OUTAGES},
+    )
+    cases["invalidation-giveup-shards4"] = (
+        "invalidation",
+        {"audit": True, "protocol_kwargs": _GIVE_UP,
+         "fault_schedule": _TWO_PROXY_OUTAGES, "shards": 4, "batch_max": 32},
+    )
+    cases["invalidation-recovery-giveup"] = (
+        "invalidation",
+        {"audit": True, "protocol_kwargs": _GIVE_UP,
+         "fault_schedule": _SERVER_CRASH_IN_PROXY_OUTAGE},
+    )
     return cases
 
 
 CASES = _cases()
+
+
+def _abandoned(result) -> int:
+    return result.chaos["network"]["invalidations_abandoned"]
+
+
+def _recovered_server(result) -> bool:
+    return any(e["kind"] == "server-recover" for e in result.chaos["fault_log"])
+
+
+#: Per-case check that the run took the path the case exists to pin.
+REACHES = {
+    "invalidation-multicast-audit": lambda r: (
+        r.protocol == "invalidation-multicast" and r.invalidations_sent > 0
+    ),
+    "invalidation-giveup": lambda r: _abandoned(r) > 0,
+    "invalidation-giveup-shards4": lambda r: (
+        _abandoned(r) > 0 and r.cluster["batches_delivered"] > 0
+    ),
+    "invalidation-recovery-giveup": lambda r: (
+        _abandoned(r) > 0 and _recovered_server(r)
+    ),
+}
 
 _TRACE = []
 
@@ -88,8 +161,8 @@ def _trace():
     return _TRACE[0]
 
 
-def digest(case: str) -> str:
-    """SHA-256 of one case's serialized result (wall-clock fields removed)."""
+def run_case(case: str):
+    """Replay one case and return its :class:`ExperimentResult`."""
     protocol, overrides = CASES[case]
     overrides = dict(overrides)
     observation = overrides.pop("observation", None)
@@ -97,15 +170,21 @@ def digest(case: str) -> str:
         observation = Observation(deep=observation == "deep")
     config = ExperimentConfig(
         trace=_trace(),
-        protocol=PROTOCOLS[protocol](),
+        protocol=PROTOCOLS[protocol](**overrides.pop("protocol_kwargs", {})),
         mean_lifetime=7 * 86400.0,
         seed=overrides.pop("seed", 11),
         observation=observation,
         **overrides,
     )
-    data = result_to_dict(run_experiment(config))
+    result = run_experiment(config)
     if observation is not None:
         observation.close()
+    return result
+
+
+def digest(result) -> str:
+    """SHA-256 of a serialized result (wall-clock fields removed)."""
+    data = result_to_dict(result)
     data.pop("wall_seconds", None)
     data.pop("timestamp", None)
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -123,14 +202,17 @@ def test_golden_file_covers_every_case():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_digest_matches_golden(case):
-    assert digest(case) == _golden()[case]
+    result = run_case(case)
+    if case in REACHES:
+        assert REACHES[case](result), f"{case} did not reach its path"
+    assert digest(result) == _golden()[case]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_digests.py --write")
     with open(GOLDEN_PATH, "w") as handle:
-        json.dump({case: digest(case) for case in sorted(CASES)}, handle,
+        json.dump({case: digest(run_case(case)) for case in sorted(CASES)}, handle,
                   indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {len(CASES)} digests to {GOLDEN_PATH}")
