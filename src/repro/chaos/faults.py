@@ -45,6 +45,7 @@ the pre-cluster harness, so archived schedule seeds replay unchanged.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
@@ -106,6 +107,11 @@ class Fault:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        if not (math.isfinite(self.at) and math.isfinite(self.until)):
+            raise ValueError(f"fault window [{self.at}, {self.until}] must be finite")
+        for name, value in self.params.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"fault parameter {name}={value} must be finite")
         if self.until <= self.at:
             raise ValueError(f"fault window [{self.at}, {self.until}] is empty")
         if self.at < 0:

@@ -9,8 +9,10 @@ cares about:
   completed").
 * A send to a down node or across a partition fails with
   :class:`Unreachable` after ``connect_timeout`` seconds, mirroring a
-  refused/timed-out connection.  Fire-and-forget senders may ignore the
-  returned event; the failure is pre-defused so it never crashes the run.
+  refused/timed-out connection.  The failure is pre-defused so an ignored
+  event never crashes the run; fire-and-forget senders pass
+  ``wait=False`` and get no event at all.  Both forms take the same
+  delivery route, so ``wait`` changes nothing but the return value.
 * A crashed *sender* cannot transmit either: its sends fail the same way,
   so a process that outlives its host (e.g. an invalidation fan-out whose
   server died mid-loop) retries instead of teleporting messages.
@@ -30,6 +32,7 @@ Chaos extensions:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
@@ -74,6 +77,8 @@ class LinkFault:
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0 or not 0.0 <= self.dup_prob <= 1.0:
             raise ValueError("probabilities must be within [0, 1]")
+        if not (math.isfinite(self.extra_delay) and math.isfinite(self.jitter)):
+            raise ValueError("extra_delay and jitter must be finite")
         if self.extra_delay < 0 or self.jitter < 0:
             raise ValueError("extra_delay and jitter must be non-negative")
 
@@ -193,88 +198,50 @@ class Network:
 
     # -- transport ------------------------------------------------------------
 
-    def _deliver_nowait(self, message: Message) -> None:
-        """Delivery leg of the fire-and-forget route (no outcome event)."""
-        if message.dst in self._down:
-            self.stats.record_loss(message, "destination died in flight")
-            return
-        if not self.is_reachable(message.src, message.dst):
-            self.stats.record_loss(message, "partition formed in flight")
-            return
-        self.stats.record_delivery(message)
-        self._handlers[message.dst](message)
-
-    def _drop_nowait(self, message: Message) -> None:
-        """Connect-timeout leg of the fire-and-forget route."""
-        self.stats.record_drop(message)
-
     def send(self, message: Message, wait: bool = True) -> Optional[Event]:
-        """Send a message; returns an event tracking the outcome.
+        """Send a message; with ``wait`` returns an event tracking the outcome.
 
         The event succeeds with the message at delivery time, or fails with
-        :class:`Unreachable` after the connect timeout.  The failure is
-        pre-defused: senders that do not wait on the event are not crashed
-        by it (the channel layer is the place for retry logic).
+        :class:`Unreachable` after the connect timeout (or when the message
+        is lost in flight).  The failure is pre-defused: senders that do
+        not wait on the event are not crashed by it (the channel layer is
+        the place for retry logic).
 
         ``wait=False`` declares that the caller discards the outcome
-        (fire-and-forget).  When no link fault is attached the send then
-        takes a zero-allocation route — one pooled callback entry, no
-        :class:`Event` construction — and returns ``None``.  Stats,
-        delivery-time reachability re-checks and timing are identical to
-        the general path; only the no-op processing of the unobserved
-        outcome event disappears, so replay results are unchanged
-        event-for-event.
+        (fire-and-forget): no :class:`Event` is built and ``None`` is
+        returned.  Everything else is shared by both forms — reachability
+        checks, stats, latency, link-fault draws in the same RNG order and
+        delivery timing — so ``wait`` changes only the return value.
         """
-        if not wait and not self._link_faults:
-            if message.dst not in self._handlers or (
-                message.src in self._down
-                or message.dst in self._down
-                or not self.is_reachable(message.src, message.dst)
-            ):
-                self.sim.call_later(self.connect_timeout, self._drop_nowait, message)
-                return None
-            self.stats.record_send(message)
+        outcome = Event(self.sim) if wait else None
+        src, dst = message.src, message.dst
+        if dst not in self._handlers:
             self.sim.call_later(
-                self.latency.delay(message), self._deliver_nowait, message
+                self.connect_timeout, self._fail,
+                message, outcome, "unknown address", False,
             )
-            return None
-
-        outcome = Event(self.sim)
-
-        def fail(reason: str, delay: float, lost: bool = False) -> None:
-            def do_fail() -> None:
-                if lost:
-                    self.stats.record_loss(message, reason)
-                else:
-                    self.stats.record_drop(message)
-                outcome._defused = True
-                outcome.fail(Unreachable(message, reason))
-
-            self.sim.call_later(delay, do_fail)
-
-        if message.dst not in self._handlers:
-            fail("unknown address", self.connect_timeout)
             return outcome
-        if (
-            message.src in self._down
-            or message.dst in self._down
-            or not self.is_reachable(message.src, message.dst)
-        ):
-            fail("host unreachable", self.connect_timeout)
+        if src in self._down or dst in self._down or not self.is_reachable(src, dst):
+            self.sim.call_later(
+                self.connect_timeout, self._fail,
+                message, outcome, "host unreachable", False,
+            )
             return outcome
 
-        fault_hit = self._fault_for(message.src, message.dst)
         self.stats.record_send(message)
-
         delay = self.latency.delay(message)
         duplicate_delay: Optional[float] = None
+        fault_hit = self._fault_for(src, dst) if self._link_faults else None
         if fault_hit is not None:
             fault, rng = fault_hit
             if fault.drop_prob > 0 and rng.random() < fault.drop_prob:
                 # The segment vanished: the sender times out waiting for
                 # the ACK, exactly like a connect failure, but the loss is
                 # recorded as such for sent-vs-delivered reconciliation.
-                fail("link fault", self.connect_timeout, lost=True)
+                self.sim.call_later(
+                    self.connect_timeout, self._fail,
+                    message, outcome, "link fault", True,
+                )
                 return outcome
             delay += fault.extra_delay
             if fault.jitter > 0:
@@ -284,33 +251,50 @@ class Network:
                 if fault.jitter > 0:
                     duplicate_delay += rng.uniform(0.0, fault.jitter)
 
-        def in_flight_loss_reason() -> Optional[str]:
-            if message.dst in self._down:
-                return "destination died in flight"
-            if not self.is_reachable(message.src, message.dst):
-                return "partition formed in flight"
-            return None
-
-        def deliver() -> None:
-            # Re-check at delivery time: the destination may have crashed or
-            # been partitioned away while the message was in flight.
-            reason = in_flight_loss_reason()
-            if reason is not None:
-                self.stats.record_loss(message, reason)
-                outcome._defused = True
-                outcome.fail(Unreachable(message, "lost in flight"))
-                return
-            self.stats.record_delivery(message)
-            outcome.succeed(message)
-            self._handlers[message.dst](message)
-
-        def deliver_duplicate() -> None:
-            if in_flight_loss_reason() is not None:
-                return  # the duplicate just vanishes; nobody tracks it
-            self.stats.record_duplicate(message)
-            self._handlers[message.dst](message)
-
-        self.sim.call_later(delay, deliver)
+        self.sim.call_later(delay, self._deliver, message, outcome, False)
         if duplicate_delay is not None:
-            self.sim.call_later(duplicate_delay, deliver_duplicate)
+            self.sim.call_later(duplicate_delay, self._deliver, message, None, True)
         return outcome
+
+    def _fail(
+        self, message: Message, outcome: Optional[Event], reason: str, lost: bool
+    ) -> None:
+        """Record a failed send and fail its outcome event, if any.
+
+        ``lost`` marks a message that was sent and then vanished (counted
+        as a loss with ``reason``); otherwise it was refused at connect
+        time (counted as a drop).
+        """
+        if lost:
+            self.stats.record_loss(message, reason)
+        else:
+            self.stats.record_drop(message)
+        if outcome is not None:
+            outcome._defused = True
+            outcome.fail(Unreachable(message, reason))
+
+    def _deliver(
+        self, message: Message, outcome: Optional[Event], duplicate: bool
+    ) -> None:
+        """Hand ``message`` to its destination's handler, if still reachable.
+
+        Reachability is re-checked here: the destination may have crashed
+        or been partitioned away while the message was in flight.  A lost
+        duplicate just vanishes; nobody tracks it.
+        """
+        dst = message.dst
+        if dst in self._down:
+            reason = "destination died in flight"
+        elif not self.is_reachable(message.src, dst):
+            reason = "partition formed in flight"
+        else:
+            if duplicate:
+                self.stats.record_duplicate(message)
+            else:
+                self.stats.record_delivery(message)
+                if outcome is not None:
+                    outcome.succeed(message)
+            self._handlers[dst](message)
+            return
+        if not duplicate:
+            self._fail(message, outcome, reason, True)

@@ -472,7 +472,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # Browser-based detection: the author views the page a bit
             # later; the accelerator then compares mtimes.
             delay = config.browser_view_delay * browser_rng.uniform(0.5, 1.5)
-            sim.call_later(delay, lambda u=url: server.check_document(u))
+            sim.call_later(delay, server.check_document, url)
 
     modifier = Modifier(
         sim,

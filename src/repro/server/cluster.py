@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..http import HttpRequest, make_invalidate_batch
 from ..http.wire import DEFAULT_WIRE, WireCosts
-from ..net import DeliveryFailed, Message, Network
+from ..net import Message, Network
 from ..sim import Simulator
 from .accelerator import AcceleratorConfig
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
@@ -138,7 +138,11 @@ class AcceleratorShard(ServerSite):
     Otherwise same-proxy invalidations buffer and flush as one batched
     INVALIDATE when the buffer reaches ``batch_max`` pairs or
     ``batch_window`` simulated seconds after the buffer opened —
-    whichever comes first.
+    whichever comes first.  A batch is sent by the parent's
+    :meth:`~repro.server.httpd.ServerSite._invalidate`, like every other
+    INVALIDATE: its obligations close per ``(url, client)`` pair on
+    delivery, and a give-up hands every pair to ``_abandon`` for
+    flush-on-contact.
     """
 
     def __init__(
@@ -202,9 +206,7 @@ class AcceleratorShard(ServerSite):
             self._flush_batch(proxy)
         elif proxy not in self._batch_timer_armed:
             self._batch_timer_armed.add(proxy)
-            self.sim.call_later(
-                self.batch_window, lambda p=proxy: self._batch_timer_fired(p)
-            )
+            self.sim.call_later(self.batch_window, self._batch_timer_fired, proxy)
 
     def _batch_timer_fired(self, proxy: str) -> None:
         self._batch_timer_armed.discard(proxy)
@@ -232,38 +234,29 @@ class AcceleratorShard(ServerSite):
         for url, client_id in pairs:
             by_url.setdefault(url, {})[client_id] = None
         grouped = tuple((url, tuple(cids)) for url, cids in by_url.items())
-        total = sum(len(cids) for _url, cids in grouped)
+        unique = [(url, cid) for url, cids in grouped for cid in cids]
 
         hold = self.accept_lock.request() if self.accel.blocking_send else None
         if hold is not None:
             yield hold
         try:
-            # One CPU charge per batch — the point of coalescing.
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
+            # One message, so one CPU charge, per batch — the point of
+            # coalescing.
             message = make_invalidate_batch(
                 self.address, proxy, grouped, wire=self.wire
             )
-            try:
-                yield from self.channel.deliver(message)
-            except DeliveryFailed:
+            if (yield from self._invalidate(message, unique)):
+                self.batches_sent += 1
+                self.batched_invalidations += len(unique)
+            else:
                 for url, cids in grouped:
                     self._abandon(url, proxy, cids)
-            else:
-                self.invalidations_sent += 1
-                self.batches_sent += 1
-                self.batched_invalidations += total
-                for url, cids in grouped:
-                    self.table.clear_after_invalidation(url, cids)
-                    for cid in cids:
-                        self._pending_inval.pop((url, cid), None)
         finally:
             if hold is not None:
                 self.accept_lock.release(hold)
         self.invalidation_times.append(sim.now - opened)
         if self.fanout_listener is not None:
-            self.fanout_listener(grouped[0][0], opened, sim.now, total)
+            self.fanout_listener(grouped[0][0], opened, sim.now, len(unique))
 
     # -- crash override -----------------------------------------------------
 

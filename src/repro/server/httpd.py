@@ -372,44 +372,61 @@ class ServerSite:
                 for entry in entries:
                     by_proxy.setdefault(entry.proxy, []).append(entry.client_id)
                 for proxy, client_ids in by_proxy.items():
-                    with self.cpu.request() as cpu:
-                        yield cpu
-                        yield sim.sleep(self.costs.cpu_invalidate_msg)
                     message = make_invalidate_multi(
                         self.address, proxy, url, client_ids, wire=self.wire
                     )
-                    try:
-                        yield from self.channel.deliver(message)
-                    except DeliveryFailed:
+                    pairs = [(url, cid) for cid in client_ids]
+                    if not (yield from self._invalidate(message, pairs)):
                         self._abandon(url, proxy, client_ids)
-                        continue
-                    self.invalidations_sent += 1
-                    self.table.clear_after_invalidation(url, client_ids)
-                    for cid in client_ids:
-                        self._pending_inval.pop((url, cid), None)
             else:
                 for entry in entries:
-                    with self.cpu.request() as cpu:
-                        yield cpu
-                        yield sim.sleep(self.costs.cpu_invalidate_msg)
                     message = make_invalidate_url(
                         self.address, entry.proxy, url, entry.client_id,
                         wire=self.wire,
                     )
-                    try:
-                        yield from self.channel.deliver(message)
-                    except DeliveryFailed:
+                    pairs = [(url, entry.client_id)]
+                    if not (yield from self._invalidate(message, pairs)):
                         self._abandon(url, entry.proxy, [entry.client_id])
-                        continue
-                    self.invalidations_sent += 1
-                    self.table.clear_after_invalidation(url, [entry.client_id])
-                    self._pending_inval.pop((url, entry.client_id), None)
         finally:
             if hold is not None:
                 self.accept_lock.release(hold)
         self.invalidation_times.append(sim.now - started)
         if self.fanout_listener is not None:
             self.fanout_listener(url, started, sim.now, len(entries))
+
+    def _invalidate(self, message: Message, pairs: Iterable[Tuple[str, str]]):
+        """Send one INVALIDATE reliably (generator; True when delivered).
+
+        Every sender goes through here: it charges the CPU for building
+        the message, then delivers it over the reliable channel (TCP plus
+        periodic retry).  On delivery it counts the send and, for each
+        ``(url, client_id)`` in ``pairs``, drops the site-list entry and
+        closes the pending obligation — the only place those close.
+        Returns False when ``max_retries`` gave up; every obligation then
+        stays open and the caller decides how the INVALIDATE is still owed.
+        """
+        with self.cpu.request() as cpu:
+            yield cpu
+            yield self.sim.sleep(self.costs.cpu_invalidate_msg)
+        try:
+            yield from self.channel.deliver(message)
+        except DeliveryFailed:
+            return False
+        self.invalidations_sent += 1
+        for url, client_id in pairs:
+            self.table.clear_after_invalidation(url, [client_id])
+            self._pending_inval.pop((url, client_id), None)
+        return True
+
+    def _invalidate_server(self, proxy: str):
+        """INVALIDATE-by-server to ``proxy``; closes its recovery obligation."""
+        message = make_invalidate_server(
+            self.address, proxy, server=self.address, wire=self.wire
+        )
+        delivered = yield from self._invalidate(message, ())
+        if delivered:
+            self._pending_server_inval.discard(proxy)
+        return delivered
 
     def _abandon(self, url: str, proxy: str, client_ids: Iterable[str]) -> None:
         """Record an abandoned INVALIDATE and queue it for flush-on-contact.
@@ -427,39 +444,17 @@ class ServerSite:
 
     def _flush_dirty(self, proxy: str):
         """Re-send abandoned invalidations now that ``proxy`` is in touch."""
-        sim = self.sim
         pairs = list(self._dirty_by_proxy.pop(proxy, {}))
-        server_inval = proxy in self._dirty_server_inval
-        self._dirty_server_inval.discard(proxy)
-        if server_inval:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
-            message = make_invalidate_server(
-                self.address, proxy, server=self.address, wire=self.wire
-            )
-            try:
-                yield from self.channel.deliver(message)
-            except DeliveryFailed:
+        if proxy in self._dirty_server_inval:
+            self._dirty_server_inval.discard(proxy)
+            if not (yield from self._invalidate_server(proxy)):
                 self._dirty_server_inval.add(proxy)
-            else:
-                self.invalidations_sent += 1
-                self._pending_server_inval.discard(proxy)
         for url, cid in pairs:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
             message = make_invalidate_url(
                 self.address, proxy, url, cid, wire=self.wire
             )
-            try:
-                yield from self.channel.deliver(message)
-            except DeliveryFailed:
+            if not (yield from self._invalidate(message, [(url, cid)])):
                 self._dirty_by_proxy.setdefault(proxy, {})[(url, cid)] = None
-            else:
-                self.invalidations_sent += 1
-                self.table.clear_after_invalidation(url, [cid])
-                self._pending_inval.pop((url, cid), None)
 
     # ------------------------------------------------------------------
     # consistency obligations (queried by the chaos auditor)
@@ -526,22 +521,10 @@ class ServerSite:
         return self.sim.process(self._recovery_fanout(sorted(targets)))
 
     def _recovery_fanout(self, proxies: List[str]):
-        sim = self.sim
         # One INVALIDATE-by-server per proxy host is enough: the proxy
         # marks every cached document from this server questionable.
         for proxy in proxies:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
-            message = make_invalidate_server(
-                self.address, proxy, server=self.address, wire=self.wire
-            )
-            try:
-                yield from self.channel.deliver(message)
-            except DeliveryFailed:
+            if not (yield from self._invalidate_server(proxy)):
                 # Still owed: re-sent on the proxy's next contact.
                 self.invalidations_abandoned += 1
                 self._dirty_server_inval.add(proxy)
-                continue
-            self.invalidations_sent += 1
-            self._pending_server_inval.discard(proxy)

@@ -55,6 +55,25 @@ class TestFaultValidation:
         with pytest.raises(ValueError):
             Fault(kind="proxy_crash", at=-1.0, until=2.0)
 
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"kind": "proxy_crash", "at": 1.0, "until": float("nan")},
+            {"kind": "proxy_crash", "at": float("nan"), "until": 2.0},
+            {"kind": "proxy_crash", "at": 1.0, "until": float("inf")},
+            {"kind": "link_fault", "at": 1.0, "until": 2.0,
+             "params": {"src": "server", "dst": "*", "jitter": float("nan")}},
+            {"kind": "link_fault", "at": 1.0, "until": 2.0,
+             "params": {"src": "server", "dst": "*", "extra_delay": float("inf")}},
+        ],
+        ids=["until-nan", "at-nan", "until-inf", "jitter-nan", "extra-delay-inf"],
+    )
+    def test_non_finite_fault_rejected_from_json(self, fault):
+        # json.dumps writes NaN/Infinity, which json.loads accepts.
+        text = json.dumps({"seed": 1, "horizon": 10.0, "faults": [fault]})
+        with pytest.raises(ValueError, match="finite"):
+            FaultSchedule.from_json(text)
+
 
 class TestScheduleSampling:
     def test_deterministic_in_seed(self):
