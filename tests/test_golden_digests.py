@@ -17,6 +17,13 @@ up and is re-sent on contact.  They were recorded with the code that
 still had a separate send routine per sender, and each asserts that its
 run really took the path it pins (:data:`REACHES`).
 
+``invalidation-audit-shards4-window1`` is the one case whose batch
+buffers flush on the ``batch_window`` timer rather than on ``batch_max``
+fill.  It was recorded while batching still lived in a separate shard
+class; none of its site-list entries is registered while an INVALIDATE
+for it is in flight, so neither folding batching into ``ServerSite`` nor
+the registered-at rule for clearing entries may move it.
+
 Regenerate only for an intended behaviour change::
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -91,6 +98,10 @@ def _cases():
         "invalidation",
         {"audit": True, "shards": 4, "batch_max": 32},
     )
+    cases["invalidation-audit-shards4-window1"] = (
+        "invalidation",
+        {"audit": True, "shards": 4, "batch_window": 1.0, "batch_max": 32},
+    )
     cases["invalidation-hierarchy2"] = ("invalidation", {"hierarchy_parents": 2})
     cases["invalidation-chaos"] = (
         "invalidation",
@@ -140,6 +151,9 @@ def _recovered_server(result) -> bool:
 REACHES = {
     "invalidation-multicast-audit": lambda r: (
         r.protocol == "invalidation-multicast" and r.invalidations_sent > 0
+    ),
+    "invalidation-audit-shards4-window1": lambda r: (
+        r.cluster["batches_delivered"] > 0
     ),
     "invalidation-giveup": lambda r: _abandoned(r) > 0,
     "invalidation-giveup-shards4": lambda r: (
