@@ -1,7 +1,7 @@
 """Origin-server substrate: file store, costs, site lists, server site."""
 
 from .accelerator import AcceleratorConfig
-from .cluster import AcceleratorCluster, AcceleratorShard, ClusterTable, HashRing
+from .cluster import AcceleratorCluster, ClusterTable, HashRing
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import Document, FileStore
 from .httpd import ServerSite
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_SERVER_COSTS",
     "AcceleratorConfig",
     "ServerSite",
-    "AcceleratorShard",
     "AcceleratorCluster",
     "ClusterTable",
     "HashRing",

@@ -1,4 +1,4 @@
-"""Sharded accelerator tier: consistent hashing + batched fan-out.
+"""Sharded accelerator tier: consistent hashing over ``ServerSite`` shards.
 
 The paper's accelerator is one process; its per-document site lists and
 serial INVALIDATE fan-out are the scalability ceiling Sections 6-7
@@ -9,24 +9,20 @@ consistency story intact:
   partition across N accelerator shards; adding/removing a shard moves
   only ~K/N keys (the classic rebalance property, tested in
   ``tests/test_cluster.py``).
-* :class:`AcceleratorShard` — a :class:`~repro.server.httpd.ServerSite`
-  that can coalesce same-proxy invalidations into batched INVALIDATE
-  messages (:func:`repro.http.make_invalidate_batch`), flushed when a
-  size cap (``batch_max``) or a flush window (``batch_window``) is hit.
-  Consistency obligations stay open while a pair sits in a buffer: a
-  write completes only when its INVALIDATE is *delivered*, exactly as in
-  the unbatched protocol, so the chaos auditor's rules are unchanged.
 * :class:`AcceleratorCluster` — the facade the replay harness talks to.
-  It registers the public ``server`` address, routes each request to the
-  owning shard in-process (no extra wire hop: the shards and the router
-  are one tier sharing a LAN-attached fleet), and mirrors the single
-  ``ServerSite`` surface (counters, obligations ledger queries, crash /
-  recovery) so every existing layer — iostat, observability, the
-  auditor — works unmodified.  ``shards=1`` is routed through the plain
-  ``ServerSite`` by the experiment runner, so the legacy path stays
-  bit-identical.
+  Each shard is a plain :class:`~repro.server.httpd.ServerSite`, built
+  with the cluster's ``batch_window``/``batch_max``, so the shards
+  batch their INVALIDATE fan-out through the same one fan-out routine
+  the single accelerator uses.  The cluster registers the public
+  ``server`` address, routes each request to the owning shard
+  in-process (no extra wire hop: the shards and the router are one tier
+  sharing a LAN-attached fleet), and mirrors the single ``ServerSite``
+  surface (counters, obligations ledger queries, crash / recovery) so
+  every existing layer — iostat, observability, the auditor — works
+  unmodified.  ``shards=1`` is routed through the plain ``ServerSite``
+  by the experiment runner, so the legacy path stays bit-identical.
 
-Failover reuses PR 2's recovery semantics.  When a shard crashes, the
+Failover reuses the single accelerator's recovery semantics.  When a shard crashes, the
 hash ring routes its documents to the surviving shards (they share the
 one :class:`~repro.server.filestore.FileStore`); the cluster reports
 ``up=False`` while degraded, which the auditor treats as the
@@ -45,7 +41,7 @@ import bisect
 import hashlib
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..http import HttpRequest, make_invalidate_batch
+from ..http import HttpRequest
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network
 from ..sim import Simulator
@@ -54,7 +50,7 @@ from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
 from .httpd import ServerSite
 
-__all__ = ["HashRing", "AcceleratorShard", "AcceleratorCluster", "ClusterTable"]
+__all__ = ["HashRing", "AcceleratorCluster", "ClusterTable"]
 
 
 class HashRing:
@@ -130,148 +126,6 @@ class HashRing:
         return None
 
 
-class AcceleratorShard(ServerSite):
-    """One accelerator shard: a ``ServerSite`` with batched fan-out.
-
-    With ``batch_window == 0 and batch_max == 0`` the shard behaves
-    exactly like its parent (per-entry or multicast INVALIDATEs).
-    Otherwise same-proxy invalidations buffer and flush as one batched
-    INVALIDATE when the buffer reaches ``batch_max`` pairs or
-    ``batch_window`` simulated seconds after the buffer opened —
-    whichever comes first.  A batch is sent by the parent's
-    :meth:`~repro.server.httpd.ServerSite._invalidate`, like every other
-    INVALIDATE: its obligations close per ``(url, client)`` pair on
-    delivery, and a give-up hands every pair to ``_abandon`` for
-    flush-on-contact.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        address: str,
-        filestore: FileStore,
-        accel: Optional[AcceleratorConfig] = None,
-        costs: ServerCosts = DEFAULT_SERVER_COSTS,
-        wire: WireCosts = DEFAULT_WIRE,
-        batch_window: float = 0.0,
-        batch_max: int = 0,
-    ) -> None:
-        super().__init__(
-            sim, network, address, filestore, accel=accel, costs=costs, wire=wire
-        )
-        if batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
-        if batch_max < 0:
-            raise ValueError("batch_max must be non-negative")
-        self.batch_window = batch_window
-        self.batch_max = batch_max
-        #: Per-proxy coalescing buffers: proxy -> [(url, client_id), ...].
-        self._batch_buffers: Dict[str, List[Tuple[str, str]]] = {}
-        #: When each proxy's open buffer started filling (for the
-        #: invalidation-time statistic: obligation open -> delivered).
-        self._batch_opened: Dict[str, float] = {}
-        #: Proxies with a flush timer in flight (timers are not
-        #: cancelled; a fired timer on an empty buffer is a no-op).
-        self._batch_timer_armed: Set[str] = set()
-        self.batches_sent = 0
-        self.batched_invalidations = 0
-
-    @property
-    def batching(self) -> bool:
-        """True when fan-out coalescing is enabled."""
-        return self.batch_window > 0 or self.batch_max > 0
-
-    # -- fan-out override ---------------------------------------------------
-
-    def _start_invalidation(self, url: str) -> None:
-        if not self.batching:
-            super()._start_invalidation(url)
-            return
-        entries = self.table.note_modification(
-            url, self.sim.now - self.accel.lease_grace
-        )
-        # Obligations open synchronously at detection time, exactly like
-        # the unbatched path — buffering delays the send, not the debt.
-        for entry in entries:
-            self._pending_inval[(url, entry.client_id)] = entry.proxy
-            self._enqueue(entry.proxy, url, entry.client_id)
-
-    def _enqueue(self, proxy: str, url: str, client_id: str) -> None:
-        buffer = self._batch_buffers.setdefault(proxy, [])
-        if not buffer:
-            self._batch_opened[proxy] = self.sim.now
-        buffer.append((url, client_id))
-        if self.batch_max and len(buffer) >= self.batch_max:
-            self._flush_batch(proxy)
-        elif proxy not in self._batch_timer_armed:
-            self._batch_timer_armed.add(proxy)
-            self.sim.call_later(self.batch_window, self._batch_timer_fired, proxy)
-
-    def _batch_timer_fired(self, proxy: str) -> None:
-        self._batch_timer_armed.discard(proxy)
-        if self._batch_buffers.get(proxy):
-            self._flush_batch(proxy)
-
-    def _flush_batch(self, proxy: str) -> None:
-        pairs = self._batch_buffers.pop(proxy, [])
-        opened = self._batch_opened.pop(proxy, self.sim.now)
-        if not pairs:
-            return
-        self.sim.process(self._send_batch(proxy, pairs, opened))
-
-    def flush_all_batches(self) -> None:
-        """Flush every open buffer immediately (end-of-run drain)."""
-        for proxy in list(self._batch_buffers):
-            self._flush_batch(proxy)
-
-    def _send_batch(self, proxy: str, pairs, opened: float):
-        """Deliver one batched INVALIDATE; obligations close per pair."""
-        sim = self.sim
-        # Group pairs by URL, deduplicating clients (two modifications of
-        # one document inside a window need only one invalidation).
-        by_url: Dict[str, Dict[str, None]] = {}
-        for url, client_id in pairs:
-            by_url.setdefault(url, {})[client_id] = None
-        grouped = tuple((url, tuple(cids)) for url, cids in by_url.items())
-        unique = [(url, cid) for url, cids in grouped for cid in cids]
-
-        hold = self.accept_lock.request() if self.accel.blocking_send else None
-        if hold is not None:
-            yield hold
-        try:
-            # One message, so one CPU charge, per batch — the point of
-            # coalescing.
-            message = make_invalidate_batch(
-                self.address, proxy, grouped, wire=self.wire
-            )
-            if (yield from self._invalidate(message, unique)):
-                self.batches_sent += 1
-                self.batched_invalidations += len(unique)
-            else:
-                for url, cids in grouped:
-                    self._abandon(url, proxy, cids)
-        finally:
-            if hold is not None:
-                self.accept_lock.release(hold)
-        self.invalidation_times.append(sim.now - opened)
-        if self.fanout_listener is not None:
-            self.fanout_listener(grouped[0][0], opened, sim.now, len(unique))
-
-    # -- crash override -----------------------------------------------------
-
-    def crash(self, lose_sitelog: bool = False) -> None:
-        """Crash the shard; open batch buffers die with the process.
-
-        The buffered pairs' obligations stay open (``_pending_inval`` is
-        volatile-but-owed state, as in the parent class); the recovery
-        INVALIDATE-by-server broadcast is what discharges them.
-        """
-        super().crash(lose_sitelog=lose_sitelog)
-        self._batch_buffers.clear()
-        self._batch_opened.clear()
-
-
 class ClusterTable:
     """Aggregate invalidation-table view over every shard.
 
@@ -281,7 +135,7 @@ class ClusterTable:
     reflected automatically.
     """
 
-    def __init__(self, shards: List[AcceleratorShard]) -> None:
+    def __init__(self, shards: List[ServerSite]) -> None:
         self._shards = shards
 
     def purge_expired(self, now: float) -> int:
@@ -338,7 +192,7 @@ class AcceleratorCluster:
     Mirrors the :class:`~repro.server.httpd.ServerSite` surface the rest
     of the testbed expects — request receive, modification check-in,
     obligations-ledger queries, crash/recovery, counters — while
-    partitioning documents across :class:`AcceleratorShard` instances by
+    partitioning documents across :class:`ServerSite` shards by
     consistent hashing and routing in-process (the router adds no wire
     messages; replies carry the shard's source address and proxies match
     them by ``reply_to``).
@@ -367,11 +221,9 @@ class AcceleratorCluster:
         self.accel = accel or AcceleratorConfig()
         self.costs = costs
         self.wire = wire
-        self.batch_window = batch_window
-        self.batch_max = batch_max
 
-        self.shards: List[AcceleratorShard] = [
-            AcceleratorShard(
+        self.shards: List[ServerSite] = [
+            ServerSite(
                 sim,
                 network,
                 f"shard-{i}",
@@ -561,7 +413,7 @@ class AcceleratorCluster:
     # -- site-list handoff --------------------------------------------------
 
     def _transfer_url(
-        self, source: AcceleratorShard, target: AcceleratorShard, url: str
+        self, source: ServerSite, target: ServerSite, url: str
     ) -> None:
         table = source.table
         site_list = table._lists.pop(url, None)
@@ -681,7 +533,3 @@ class AcceleratorCluster:
         self._rebalance()
         return processes
 
-    def flush_all_batches(self) -> None:
-        """Flush every shard's open batch buffers (end-of-run drain)."""
-        for shard in self.shards:
-            shard.flush_all_batches()
