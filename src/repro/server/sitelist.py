@@ -69,9 +69,16 @@ class SiteList:
         self._entries[client_id] = entry
         return entry
 
-    def remove(self, client_id: str) -> None:
-        """Forget a site (after its invalidation was delivered)."""
-        self._entries.pop(client_id, None)
+    def remove(self, client_id: str, registered_by: float = math.inf) -> None:
+        """Forget a site (after its invalidation was delivered).
+
+        Only an entry registered no later than ``registered_by`` goes: a
+        site that registered again after that fetched a newer copy, which
+        the next modification still has to invalidate.
+        """
+        entry = self._entries.get(client_id)
+        if entry is not None and entry.registered_at <= registered_by:
+            del self._entries[client_id]
 
     def mark_dirty(self, client_id: str) -> None:
         """Flag a site whose invalidation was abandoned (no-op if absent)."""
@@ -146,11 +153,17 @@ class InvalidationTable:
         self._lengths_at_modification.append(len(live))
         return live
 
-    def clear_after_invalidation(self, url: str, client_ids: Iterable[str]) -> None:
-        """Forget sites whose invalidations were delivered."""
+    def clear_after_invalidation(
+        self, url: str, client_ids: Iterable[str], opened: float = math.inf
+    ) -> None:
+        """Forget sites whose invalidations were delivered.
+
+        ``opened`` is when the delivered INVALIDATE's obligation opened;
+        entries registered after it are kept (see :meth:`SiteList.remove`).
+        """
         lst = self.site_list(url)
         for cid in client_ids:
-            lst.remove(cid)
+            lst.remove(cid, opened)
 
     def purge_expired(self, now: float) -> int:
         """Purge expired leases everywhere; returns total dropped."""

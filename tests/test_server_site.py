@@ -11,16 +11,16 @@ from repro.http import (
     make_get,
     make_ims,
 )
-from repro.net import FixedLatency, Network
+from repro.net import FixedLatency, LinkFault, Network
 from repro.server import AcceleratorConfig, FileStore, ServerSite
 from repro.sim import Simulator
 
 
-def setup_site(accel=None, docs=None, latency=0.001):
+def setup_site(accel=None, docs=None, latency=0.001, **batching):
     sim = Simulator()
     net = Network(sim, latency=FixedLatency(latency), connect_timeout=0.5)
     fs = FileStore.from_catalog(docs or {"/a": 1000, "/b": 5000})
-    site = ServerSite(sim, net, "server", fs, accel=accel)
+    site = ServerSite(sim, net, "server", fs, accel=accel, **batching)
     inbox = []
     net.register("proxy", inbox.append)
     return sim, net, fs, site, inbox
@@ -154,6 +154,58 @@ class TestInvalidation:
         site.check_in("/a")
         sim.run()
         assert site.invalidations_sent == 50
+
+
+class TestInFlightInvalidation:
+    """An INVALIDATE in flight covers only the change it was opened for.
+
+    The server->proxy link is slowed by five seconds, so each INVALIDATE
+    spends that long between its send and its delivery.  The send does
+    not hold the accept lock, so requests are served meanwhile.
+    """
+
+    def _slow_site(self, **batching):
+        accel = AcceleratorConfig(invalidation=True, blocking_send=False)
+        sim, net, fs, site, inbox = setup_site(accel=accel, **batching)
+        net.send(make_get("proxy", "server", "/a", client_id="c1"))
+        sim.run()
+        net.set_link_fault("server", "proxy", LinkFault(extra_delay=5.0))
+        return sim, net, fs, site, inbox
+
+    def test_fetch_registered_in_flight_gets_next_invalidation(self):
+        sim, net, fs, site, inbox = self._slow_site()
+        fs.modify("/a", now=sim.now)
+        site.check_in("/a")
+        sim.run(until=sim.now + 1.0)
+        assert invalidates(inbox) == []  # still in flight
+        # c1 fetches the new version; the server registers it again
+        # before the first INVALIDATE lands.
+        net.send(make_ims("proxy", "server", "/a", client_id="c1", ims_timestamp=0.0))
+        sim.run()
+        assert len(invalidates(inbox)) == 1
+        assert "c1" in site.table.site_list("/a")  # the newer registration
+        net.clear_link_fault("server", "proxy")
+        fs.modify("/a", now=sim.now)
+        site.check_in("/a")
+        sim.run()
+        assert len(invalidates(inbox)) == 2
+        assert site.invalidations_sent == 2
+
+    def test_older_delivery_keeps_newer_buffered_obligation(self):
+        sim, net, fs, site, inbox = self._slow_site(batch_window=2.0)
+        t0 = sim.now
+        fs.modify("/a", now=t0)
+        site.check_in("/a")  # buffered; flushed at t0 + 2, lands at t0 + 7
+        sim.run(until=t0 + 6.0)
+        fs.modify("/a", now=sim.now)
+        site.check_in("/a")  # c1 is still listed: buffered until t0 + 8
+        sim.run(until=t0 + 7.5)
+        assert len(invalidates(inbox)) == 1
+        # The first batch must not close the second change's obligation.
+        assert site.write_pending("/a", "c1")
+        sim.run()
+        assert len(invalidates(inbox)) == 2
+        assert not site.write_pending("/a", "c1")
 
 
 class TestLeases:
