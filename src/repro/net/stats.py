@@ -119,11 +119,6 @@ class NetworkStats:
         """Delivered messages that carried a batched payload."""
         return sum(self._batches.values())
 
-    @property
-    def batched_payloads_delivered(self) -> int:
-        """Individual payload items delivered inside batched messages."""
-        return sum(self._batched_payloads.values())
-
     def batches(self, category: str) -> int:
         """Delivered batched-message count for one category."""
         return self._batches[category]

@@ -36,7 +36,7 @@ with many abandoned reply timers keep a bounded queue.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = [
     "Event",
@@ -377,18 +377,6 @@ class Simulator:
         from .process import Process
 
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Event that triggers when all ``events`` have succeeded."""
-        from .process import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Event that triggers when any of ``events`` triggers."""
-        from .process import AnyOf
-
-        return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
 
