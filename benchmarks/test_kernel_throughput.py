@@ -52,7 +52,7 @@ def test_resource_contention_throughput(benchmark):
 
 
 def test_condition_fanin_throughput(benchmark):
-    """AllOf over many events (the coordinator's barrier pattern)."""
+    """AllOf over many events (a wide fan-in join)."""
 
     def run():
         sim = Simulator()

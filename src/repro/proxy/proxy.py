@@ -246,23 +246,19 @@ class ProxyCache:
     # client request path
     # ------------------------------------------------------------------
 
-    def submit(self, client_id: str, url: str, on_done, on_handoff) -> None:
-        """Start one browser request on the callback chain.
+    def submit(self, client_id: str, url: str, on_done) -> None:
+        """Run one browser request; ``on_done(outcome)`` ends it.
 
         The lookup runs ``cpu_lookup`` seconds from now on a pooled
-        callback entry.  A cache hit pays the serve delay on a second one
-        and finishes with ``on_done(outcome)``; so does a request to a
-        down proxy, failed at lookup time.  A request that needs the
-        network calls ``on_handoff(entry, action, outcome)`` at the
-        decision point, and the caller runs :meth:`finish` in a process
-        for the outcome.  This is the only request route, so the auditor
-        (:attr:`observer`), the hit meter and an event tracer all see
-        every request.
+        callback entry.  A cache hit pays the serve delay on a second
+        one; a request to a down proxy fails at lookup time.  A fill or
+        validation starts the network leg as a process of its own, which
+        calls ``on_done`` when the reply has been handled.  This is the
+        only request route, so the auditor (:attr:`observer`), the hit
+        meter and an event tracer all see every request.
         """
         outcome = RequestOutcome(url=url, client_id=client_id, started=self.sim.now)
-        self.sim.call_later(
-            self.costs.cpu_lookup, self._on_lookup, outcome, on_done, on_handoff
-        )
+        self.sim.call_later(self.costs.cpu_lookup, self._on_lookup, outcome, on_done)
 
     def request(self, client_id: str, url: str):
         """Generator adapter over :meth:`submit` for ``yield from`` callers::
@@ -270,12 +266,8 @@ class ProxyCache:
             outcome = yield from proxy.request("client-7", "/doc")
         """
         wake = Event(self.sim)
-        self.submit(client_id, url, lambda outcome: wake.succeed(outcome, URGENT),
-                    lambda *item: wake.succeed(item, URGENT))
-        item = yield wake
-        if isinstance(item, RequestOutcome):
-            return item
-        return (yield from self.finish(*item))
+        self.submit(client_id, url, lambda outcome: wake.succeed(outcome, URGENT))
+        return (yield wake)
 
     def _lookup(self, client_id: str, url: str):
         """Post-lookup-delay decision: ``(entry, action)``.
@@ -299,7 +291,7 @@ class ProxyCache:
             raise ValueError(f"policy returned unknown action {action!r}")
         return entry, action
 
-    def _on_lookup(self, outcome: RequestOutcome, on_done, on_handoff) -> None:
+    def _on_lookup(self, outcome: RequestOutcome, on_done) -> None:
         entry, action = self._lookup(outcome.client_id, outcome.url)
         outcome.had_cached_copy = entry is not None
         if action == "serve":
@@ -311,14 +303,14 @@ class ProxyCache:
             self.failed_requests += 1
             on_done(self._complete(outcome))
         else:
-            on_handoff(entry, action, outcome)
+            self.sim.process(self._network_leg(entry, action, outcome, on_done))
 
     def _on_served(self, entry: CacheEntry, outcome: RequestOutcome, on_done) -> None:
         self._complete_serve(entry, outcome)
         on_done(self._complete(outcome))
 
-    def finish(self, entry, action: str, outcome: RequestOutcome):
-        """Network leg of a handed-off ``"fill"``/``"validate"`` (generator)."""
+    def _network_leg(self, entry, action: str, outcome: RequestOutcome, on_done):
+        """Process body of a ``"fill"`` or ``"validate"`` request."""
         try:
             if action == "fill":
                 yield from self._fill(outcome.client_id, outcome.url, outcome)
@@ -329,7 +321,7 @@ class ProxyCache:
         except RequestFailed:
             outcome.failed = True
             self.failed_requests += 1
-        return self._complete(outcome)
+        on_done(self._complete(outcome))
 
     def _complete(self, outcome: RequestOutcome) -> RequestOutcome:
         """Request epilogue shared by every way a request ends."""
@@ -348,10 +340,6 @@ class ProxyCache:
     def serve_delay(self, entry: CacheEntry) -> float:
         """CPU seconds to push a cached copy to the browser."""
         return self.costs.cpu_serve_per_kb * entry.size / 1024.0
-
-    def _serve_cached(self, entry: CacheEntry, outcome: RequestOutcome):
-        yield self.sim.sleep(self.serve_delay(entry))
-        self._complete_serve(entry, outcome)
 
     def _complete_serve(self, entry: CacheEntry, outcome: RequestOutcome) -> None:
         outcome.served_from_cache = True
@@ -414,7 +402,8 @@ class ProxyCache:
             # TTL policies extend entry.expires in place: tell the cache
             # so expired-first replacement keeps seeing this entry.
             self.cache.note_expiry_update(entry.key)
-            yield from self._serve_cached(entry, outcome)
+            yield self.sim.sleep(self.serve_delay(entry))
+            self._complete_serve(entry, outcome)
         else:
             # New version: replace the cached copy and serve the new body.
             self.cache.remove(entry.key)

@@ -18,9 +18,9 @@ utilisations are wall-clock quantities, exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
-from ..sim import AllOf, Simulator
+from ..sim import Event, Simulator
 
 __all__ = ["TimeCoordinator", "CoordinatorError"]
 
@@ -33,9 +33,11 @@ class CoordinatorError(RuntimeError):
         self.trace_start = trace_start
         self.trace_end = trace_end
 
-#: A participant factory: called with (trace_start, trace_end) for each
-#: interval and returning a generator that performs that interval's work.
-Participant = Callable[[float, float], object]
+#: A participant: called with (trace_start, trace_end) for each interval;
+#: starts that interval's work and returns an event firing when it is
+#: done, or returns ``None`` when it has nothing due in the interval (so
+#: an interval in which no participant has work schedules no event).
+Participant = Callable[[float, float], Optional[Event]]
 
 
 class TimeCoordinator:
@@ -59,6 +61,9 @@ class TimeCoordinator:
         """Coordinator process: replay ``duration`` seconds of trace time.
 
         Start with ``sim.process(coordinator.run(trace.duration))``.
+        Replies are awaited in registration order; a failed reply aborts
+        the run with :class:`CoordinatorError` once the barrier reaches
+        it.
         """
         if not self._participants:
             raise ValueError("no participants registered")
@@ -72,21 +77,22 @@ class TimeCoordinator:
                     f"interval {self.interval!r} is too small to advance "
                     f"trace time from {start!r}", start, end,
                 )
-            processes = [
-                self.sim.process(participant(start, end))
-                for participant in self._participants
-            ]
+            replies = []
+            for participant in self._participants:
+                reply = participant(start, end)
+                if reply is not None:
+                    # The barrier owns every reply's failure, including
+                    # one that fails while it still waits on another.
+                    reply.defuse()
+                    replies.append(reply)
             try:
-                # Barrier: wait for every participant's reply.
-                yield AllOf(self.sim, processes)
-            except BaseException as exc:
-                # A participant raised mid-interval.  The interval did
+                # Barrier: wait for every busy participant's reply.
+                for reply in replies:
+                    yield reply
+            except Exception as exc:
+                # A participant failed mid-interval.  The interval did
                 # not complete: trace_time/intervals_completed stay at
-                # the last finished interval.  Defuse the surviving
-                # participants so their later completion (or failure)
-                # cannot crash the simulator with nobody waiting.
-                for process in processes:
-                    process.defuse()
+                # the last finished interval.
                 raise CoordinatorError(
                     f"participant failed in trace interval "
                     f"[{start:g}, {end:g}): {exc!r}", start, end,

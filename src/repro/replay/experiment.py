@@ -45,6 +45,7 @@ from ..net import LanModel, LatencyModel, Network
 from ..proxy import Cache, ProxyCache, ProxyCosts
 from ..server import DEFAULT_SERVER_COSTS, FileStore, ServerCosts, ServerSite
 from ..sim import RngRegistry, Simulator
+from ..sim.core import _QueueEmpty
 from ..traces import Trace
 from ..workload import Modifier, generate_schedule
 from .coordinator import TimeCoordinator
@@ -517,7 +518,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     while not run_process.triggered:
         try:
             sim.step()
-        except IndexError:
+        except _QueueEmpty:
             raise RuntimeError("replay deadlocked before completing the trace")
     if not run_process.ok:
         raise RuntimeError(f"replay failed: {run_process.value!r}")

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from ..metrics import ReplayCounters
 from ..proxy import ProxyCache
-from ..sim.core import URGENT, Event
+from ..sim import Event
 from ..traces import TraceRecord
 
 __all__ = ["PseudoClient", "shard_for_client", "shard_records"]
@@ -47,12 +47,11 @@ def shard_records(
 class PseudoClient:
     """Replays one shard of trace records through one proxy.
 
-    Cache hits run entirely on the proxy's pooled callback entries
-    (:meth:`ProxyCache.submit`).  The :meth:`participant` generator only
-    wakes up for requests that need the network, through a handoff event
-    succeeded at URGENT priority: the network leg then resumes with
-    nothing processed in between, where an inline continuation would
-    have run.
+    Each request runs on :meth:`ProxyCache.submit`, which calls
+    :meth:`_on_done` however the request ends.  That records the
+    outcome, pays the driver overhead and issues the next record; the
+    interval's done event fires once no record is left before the
+    interval's end.
     """
 
     def __init__(
@@ -72,53 +71,43 @@ class PseudoClient:
         self.rng = rng or random.Random(0)
         self._next = 0
         self._interval_end = 0.0
-        self._handoff: Optional[Event] = None
+        self._done: Optional[Event] = None
 
-    @property
-    def remaining(self) -> int:
-        """Records not yet replayed."""
-        return len(self.records) - self._next
-
-    def participant(self, trace_start: float, trace_end: float):
+    def participant(self, trace_start: float, trace_end: float) -> Optional[Event]:
         """Coordinator participant: replay records in [start, end).
 
-        Issues each request, waits for the reply, records the outcome,
-        then pays the driver overhead before the next request.
+        Returns an event that fires when the last of them has completed
+        and paid its driver overhead, or ``None`` when no record falls
+        in the interval.
         """
-        sim = self.proxy.sim
         self._interval_end = trace_end
-        while True:
-            self._handoff = Event(sim)
-            self._issue_next()
-            item = yield self._handoff
-            if item is None:
-                return
-            outcome = yield from self.proxy.finish(*item)
-            self.counters.record(outcome)
-            if self.think_time > 0:
-                yield sim.sleep(self.rng.uniform(0.5, 1.5) * self.think_time)
+        if not self._due():
+            return None
+        self._done = Event(self.proxy.sim)
+        self._issue_next()
+        return self._done
+
+    def _due(self) -> bool:
+        """True when the next record falls in the current interval."""
+        return (
+            self._next < len(self.records)
+            and self.records[self._next].timestamp < self._interval_end
+        )
 
     def _issue_next(self) -> None:
         """Start the next record's request, or end the interval."""
-        if self._next < len(self.records):
+        if self._due():
             record = self.records[self._next]
-            if record.timestamp < self._interval_end:
-                self._next += 1
-                self.proxy.submit(
-                    record.client, record.url, self._on_done, self._on_handoff
-                )
-                return
-        self._handoff.succeed(None, URGENT)
+            self._next += 1
+            self.proxy.submit(record.client, record.url, self._on_done)
+        else:
+            self._done.succeed()
 
     def _on_done(self, outcome) -> None:
-        """A request completed on the callback chain (hit or down)."""
+        """A request completed: record it, then think before the next."""
         self.counters.record(outcome)
         if self.think_time > 0:
             delay = self.rng.uniform(0.5, 1.5) * self.think_time
             self.proxy.sim.call_later(delay, self._issue_next)
         else:
             self._issue_next()
-
-    def _on_handoff(self, *item) -> None:
-        """A request needs the network: wake :meth:`participant` for it."""
-        self._handoff.succeed(item, URGENT)

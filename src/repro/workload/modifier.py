@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..sim import Simulator
+from ..sim import Event, Simulator
 from .lifetime import modification_interval
 
 __all__ = ["Modification", "generate_schedule", "Modifier"]
@@ -83,18 +83,27 @@ class Modifier:
         #: How many schedule entries have fired so far.
         self.modifications_applied = 0
 
-    def participant(self, trace_start: float, trace_end: float):
+    def participant(self, trace_start: float, trace_end: float) -> Optional[Event]:
         """Coordinator participant: apply modifications before ``trace_end``.
 
         Each modification is a touch followed by the optional check-in,
-        then the per-touch ``overhead`` sleep.
+        then the per-touch ``overhead`` sleep.  Returns the process
+        applying them, or ``None`` when none is due.
         """
-        schedule = self.schedule
-        while (
-            self.modifications_applied < len(schedule)
-            and schedule[self.modifications_applied].time < trace_end
-        ):
-            mod = schedule[self.modifications_applied]
+        if not self._due(trace_end):
+            return None
+        return self.sim.process(self._apply(trace_end))
+
+    def _due(self, trace_end: float) -> bool:
+        """True when the next scheduled modification precedes ``trace_end``."""
+        return (
+            self.modifications_applied < len(self.schedule)
+            and self.schedule[self.modifications_applied].time < trace_end
+        )
+
+    def _apply(self, trace_end: float):
+        while self._due(trace_end):
+            mod = self.schedule[self.modifications_applied]
             self.modifications_applied += 1
             self.touch(mod.url)
             if self.check_in is not None:

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.replay import CoordinatorError, TimeCoordinator
-from repro.sim import Simulator
+from repro.core import invalidation
+from repro.metrics import ReplayCounters
+from repro.net import FixedLatency, Network
+from repro.proxy import ProxyCache
+from repro.replay import CoordinatorError, PseudoClient, TimeCoordinator
+from repro.server import FileStore, ServerSite
+from repro.sim import EventTracer, Simulator
+from repro.traces import TraceRecord
+from repro.workload import Modification, Modifier
 
 
 def test_interval_validation():
@@ -27,7 +34,7 @@ def test_intervals_cover_duration():
 
     def participant(start, end):
         windows.append((start, end))
-        yield sim.timeout(1.0)
+        return sim.timeout(1.0)
 
     coord.register(participant)
     sim.process(coord.run(1000.0))
@@ -44,11 +51,11 @@ def test_barrier_waits_for_slowest_participant():
 
     def fast(start, end):
         starts.append(("fast", start, sim.now))
-        yield sim.timeout(1.0)
+        return sim.timeout(1.0)
 
     def slow(start, end):
         starts.append(("slow", start, sim.now))
-        yield sim.timeout(10.0)
+        return sim.timeout(10.0)
 
     coord.register(fast)
     coord.register(slow)
@@ -67,7 +74,7 @@ def test_final_partial_interval_counts():
 
     def participant(start, end):
         windows.append((start, end))
-        yield sim.timeout(1.0)
+        return sim.timeout(1.0)
 
     coord.register(participant)
     sim.process(coord.run(750.0))
@@ -84,7 +91,7 @@ def test_duration_shorter_than_interval():
 
     def participant(start, end):
         windows.append((start, end))
-        yield sim.timeout(1.0)
+        return sim.timeout(1.0)
 
     coord.register(participant)
     sim.process(coord.run(10.0))
@@ -101,13 +108,16 @@ def test_participant_failure_mid_interval():
     coord = TimeCoordinator(sim, interval=100.0)
 
     def healthy(start, end):
-        yield sim.timeout(1.0)
+        return sim.timeout(1.0)
 
-    def flaky(start, end):
+    def flaky_body(start):
         yield sim.timeout(0.5)
         if start >= 100.0:  # fails during the second interval
             raise RuntimeError("driver lost its trace shard")
         yield sim.timeout(0.5)
+
+    def flaky(start, end):
+        return sim.process(flaky_body(start))
 
     coord.register(healthy)
     coord.register(flaky)
@@ -129,16 +139,12 @@ def test_two_participants_failing_same_interval():
     sim = Simulator()
     coord = TimeCoordinator(sim, interval=100.0)
 
-    def fail_fast(start, end):
-        yield sim.timeout(0.5)
-        raise RuntimeError("first")
+    def failing(delay, message):
+        yield sim.timeout(delay)
+        raise RuntimeError(message)
 
-    def fail_slow(start, end):
-        yield sim.timeout(1.0)
-        raise RuntimeError("second")
-
-    coord.register(fail_fast)
-    coord.register(fail_slow)
+    coord.register(lambda start, end: sim.process(failing(0.5, "first")))
+    coord.register(lambda start, end: sim.process(failing(1.0, "second")))
     sim.process(coord.run(300.0))
     with pytest.raises(CoordinatorError, match="first"):
         sim.run()
@@ -152,7 +158,7 @@ def test_interval_too_small_to_advance():
     sim = Simulator(start_time=0.0)
     coord = TimeCoordinator(sim, interval=1e-13)
     coord.trace_time = 1e16  # resume far into a huge trace
-    coord.register(lambda start, end: iter(()))
+    coord.register(lambda start, end: None)
     sim.process(coord.run(1e16 + 10.0))
     with pytest.raises(CoordinatorError, match="too small"):
         sim.run()
@@ -163,7 +169,7 @@ def test_wall_clock_decoupled_from_trace_time():
     coord = TimeCoordinator(sim, interval=300.0)
 
     def quick(start, end):
-        yield sim.timeout(2.0)
+        return sim.timeout(2.0)
 
     coord.register(quick)
     sim.process(coord.run(3000.0))
@@ -171,3 +177,68 @@ def test_wall_clock_decoupled_from_trace_time():
     # 10 intervals x 2s wall each: trace time 3000, wall time 20.
     assert coord.trace_time == 3000.0
     assert sim.now == pytest.approx(20.0)
+
+
+def test_idle_intervals_schedule_no_events():
+    """Intervals in which every participant returns ``None`` cost no
+    kernel event: 1,000 intervals with one busy one run a handful."""
+    sim = Simulator()
+    tracer = EventTracer(sim)
+    coord = TimeCoordinator(sim, interval=100.0)
+    calls = []
+
+    def participant(start, end):
+        calls.append(start)
+        return sim.timeout(1.0) if start == 300.0 else None
+
+    coord.register(participant)
+    sim.process(coord.run(100_000.0))
+    sim.run()
+    assert len(calls) == 1000
+    assert coord.intervals_completed == 1000
+    assert coord.trace_time == 100_000.0
+    assert sim.now == 1.0
+    # Coordinator start, the busy interval's timeout, coordinator end.
+    assert tracer.total == 3
+
+
+def test_close_at_barrier_raises_nothing():
+    """Closing a run suspended at its barrier (for instance when an
+    aborted replay is garbage-collected) is not a participant failure."""
+    sim = Simulator()
+    coord = TimeCoordinator(sim, interval=100.0)
+    coord.register(lambda start, end: sim.timeout(1.0))
+    run = coord.run(300.0)
+    next(run)  # suspended at the first interval's barrier
+    run.close()
+    assert coord.intervals_completed == 0
+
+
+def test_pseudo_client_has_nothing_due():
+    sim = Simulator()
+    net = Network(sim, latency=FixedLatency(0.001))
+    protocol = invalidation()
+    ServerSite(sim, net, "server", FileStore.from_catalog({"/a": 1000}),
+               accel=protocol.accelerator)
+    proxy = ProxyCache(sim, net, "proxy-0", "server",
+                       policy=protocol.client_policy)
+    counters = ReplayCounters()
+    client = PseudoClient(proxy, [TraceRecord(150.0, "c1", "/a")], counters)
+    assert client.participant(0.0, 100.0) is None
+    assert sim.queue_depth == 0  # nothing started
+    done = client.participant(100.0, 200.0)
+    sim.run()
+    assert done.processed and counters.requests == 1
+    assert client.participant(200.0, 300.0) is None
+
+
+def test_modifier_has_nothing_due():
+    sim = Simulator()
+    touched = []
+    modifier = Modifier(sim, [Modification(5.0, "/a")], touch=touched.append)
+    assert modifier.participant(0.0, 5.0) is None
+    assert sim.queue_depth == 0  # no process started
+    done = modifier.participant(5.0, 10.0)
+    sim.run()
+    assert done.processed and touched == ["/a"]
+    assert modifier.participant(10.0, 15.0) is None

@@ -1,5 +1,7 @@
 """Integration tests: full trace replays on scaled-down workloads."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -256,6 +258,37 @@ class TestOneRequestRoute:
         observation.close()
         assert len(calls) == result.total_requests > 0
         assert observation.tracer.counts["Callback"] > 0
+
+    def test_kernel_events_per_request_pinned(self):
+        # SASK 14 d, the short-lived row with the most modifications per
+        # document: each request costs its own few events, not a share
+        # of the lock-step scaffolding (about 38 per request when every
+        # participant ran a process in every interval).
+        from repro.obs import Observation
+
+        trace = generate_trace(PROFILES["SASK"].scaled(0.025), RngRegistry(5))
+        observation = Observation(deep=True)
+        result = run_experiment(ExperimentConfig(
+            trace=trace, protocol=invalidation(), mean_lifetime=14 * DAYS,
+            seed=5, observation=observation,
+        ))
+        observation.close()
+        assert result.total_requests == 1287
+        assert observation.tracer.total / result.total_requests < 20
+
+
+def test_index_error_in_a_request_callback_reaches_the_caller():
+    """A callback's IndexError is not mistaken for an empty event queue."""
+    from repro.core.invalidation import InvalidationPolicy
+
+    class BuggyPolicy(InvalidationPolicy):
+        def action(self, entry, now):
+            raise IndexError("policy bug")
+
+    trace = generate_trace(PROFILES["EPA"].scaled(0.02), RngRegistry(seed=3))
+    protocol = dataclasses.replace(invalidation(), client_policy=BuggyPolicy())
+    with pytest.raises(IndexError, match="policy bug"):
+        run(trace, protocol, seed=3)
 
 
 def test_violations_prefers_a_strong_auditors_count():
