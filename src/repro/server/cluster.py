@@ -282,7 +282,7 @@ class AcceleratorCluster:
         owner = self.owner_of(message.url)
         # Cluster-wide flush-on-next-contact: any *other* shard owing
         # this proxy abandoned invalidations uses the contact to retry
-        # (the owner handles its own debt inside ``_handle_request``).
+        # (the owner handles its own debt when it receives the request).
         for shard in self.shards:
             if shard.address == owner or not shard.up:
                 continue

@@ -19,6 +19,12 @@ Key fidelity points, all from Section 4 of the paper:
   site ever seen is replayed as INVALIDATE-by-server-address messages.
 * Invalidations travel over the reliable channel (TCP + periodic retry).
 
+A request runs as a chain of callbacks, one per stage it holds the CPU
+or the disk for (:meth:`ServerSite._work`): accept, parse, the site-log
+write on a site's first contact, the document read, the reply and the
+request-log write.  A free resource is taken at once, a busy one queues
+FIFO with the INVALIDATE senders, which still run as processes.
+
 There is one INVALIDATE fan-out.  A modification opens one obligation
 per registered site, stamped with the time it opened, then groups the
 sites as ``(proxy, pairs)`` in one of three ways: one message per site
@@ -50,7 +56,7 @@ from ..http import (
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metering import UsageLedger
 from ..net import DeliveryFailed, Message, Network, ReliableChannel
-from ..sim import Resource, Simulator
+from ..sim import Claim, Resource, Simulator
 from .accelerator import AcceleratorConfig
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
@@ -171,102 +177,107 @@ class ServerSite:
     # ------------------------------------------------------------------
 
     def _receive(self, message: Message) -> None:
-        if not self.up:
-            return  # crashed host: the network normally blocks this
-        if isinstance(message, HttpRequest):
-            self.sim.process(self._handle_request(message))
-
-    def _handle_request(self, request: HttpRequest):
-        sim, costs = self.sim, self.costs
-
+        if not self.up or not isinstance(message, HttpRequest):
+            return  # a crashed host (the network normally blocks this)
+        src = message.src
         # A contact from a proxy we owe abandoned invalidations is the
         # retry opportunity: the proxy is provably reachable right now.
-        if (
-            request.src in self._dirty_by_proxy
-            or request.src in self._dirty_server_inval
-        ):
-            sim.process(self._flush_dirty(request.src))
-
+        flush = src in self._dirty_by_proxy or src in self._dirty_server_inval
+        if flush:
+            self.sim.process(self._flush_dirty(src))
         # Admission: the accept loop is a choke point shared with blocking
         # invalidation sends.
-        with self.accept_lock.request() as admit:
-            yield admit
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(costs.cpu_accept)
+        lock = self.accept_lock
+        lock.acquire(self._accept, message, flush and lock.count < lock.capacity)
 
+    def _work(self, resource: Resource, seconds: float, then, *args) -> None:
+        """One stage: hold ``resource`` for ``seconds``, then ``then(*args)``."""
+        resource.acquire(self._hold, seconds, then, args)
+
+    def _hold(self, claim: Claim, seconds: float, then, args: tuple) -> None:
+        self.sim.call_later(seconds, self._done, claim, then, args)
+
+    def _done(self, claim: Claim, then, args: tuple) -> None:
+        claim.resource.release(claim)
+        then(*args)
+
+    def _accept(self, admit: Claim, request: HttpRequest, defer: bool) -> None:
+        # When this contact started a flush and got the lock at once, claim
+        # the CPU one zero-delay callback later, so that the flush goes first.
+        if defer:
+            self.sim.call_later(0.0, self._accept, admit, request, False)
+        else:
+            self._work(self.cpu, self.costs.cpu_accept, self._parse, admit, request)
+
+    def _parse(self, admit: Claim, request: HttpRequest) -> None:
         # Parse + accelerator bookkeeping.
-        with self.cpu.request() as cpu:
-            yield cpu
-            cost = costs.cpu_parse
-            if self.accel.invalidation:
-                cost += costs.cpu_sitelist
-            yield sim.sleep(cost)
+        self.accept_lock.release(admit)
+        cost = self.costs.cpu_parse
+        if self.accel.invalidation:
+            cost += self.costs.cpu_sitelist
+        self._work(self.cpu, cost, self._register, request)
 
+    def _register(self, request: HttpRequest) -> None:
         self.ledger.record_request(request.url)
         if request.reported_hits:
             self.ledger.record_reported_hits(request.url, request.reported_hits)
-
-        lease_expires: Optional[float] = None
+        lease_expires = None
         if self.accel.invalidation:
-            lease_expires = yield from self._register_site(request)
+            lease_expires = self._register_site(request)
+            # Persistent every-site log: disk write only on first sight.
+            if self.known_sites.record(request.client_id, request.src):
+                cost = self.costs.disk_sitelog_write
+                self._work(self.disk, cost, self._fetch, request, lease_expires, 1)
+                return
+        self._fetch(request, lease_expires, 0)
 
+    def _fetch(self, request: HttpRequest, lease_expires, disk_writes: int) -> None:
+        self.disk_writes += disk_writes
         doc = self.filestore.get(request.url)
-        # The invalidation table remembers when each served document was
-        # last seen modified (browser-based change detection compares
-        # against this).
+        # Remember when each served document was last seen modified, for
+        # browser-based change detection to compare against.
         self._seen_mtime.setdefault(request.url, doc.last_modified)
-        modified = (
-            request.ims_timestamp is None
-            or doc.last_modified > request.ims_timestamp
-        )
-
-        if modified:
+        if request.ims_timestamp is None or doc.last_modified > request.ims_timestamp:
             # Full transfer: read the document from disk, build the reply.
-            with self.disk.request() as disk:
-                yield disk
-                yield sim.sleep(costs.disk_fetch(doc.size))
-            self.disk_reads += 1
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(costs.cpu_reply(doc.size))
+            cost = self.costs.disk_fetch(doc.size)
+            self._work(self.disk, cost, self._read, request, lease_expires, doc)
+        else:
+            cost = self.costs.cpu_reply(0)
+            self._work(self.cpu, cost, self._reply, request, lease_expires, doc, False)
+
+    def _read(self, request: HttpRequest, lease_expires, doc) -> None:
+        self.disk_reads += 1
+        cost = self.costs.cpu_reply(doc.size)
+        self._work(self.cpu, cost, self._reply, request, lease_expires, doc, True)
+
+    def _reply(self, request: HttpRequest, lease_expires, doc, modified: bool) -> None:
+        if modified:
             reply = make_reply_200(
-                request,
-                body_bytes=doc.size,
-                last_modified=doc.last_modified,
-                wire=self.wire,
-                lease_expires=lease_expires,
+                request, body_bytes=doc.size, last_modified=doc.last_modified,
+                wire=self.wire, lease_expires=lease_expires,
             )
             self.replies_200 += 1
         else:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(costs.cpu_reply(0))
             reply = make_reply_304(
-                request,
-                last_modified=doc.last_modified,
-                wire=self.wire,
-                lease_expires=lease_expires,
+                request, last_modified=doc.last_modified,
+                wire=self.wire, lease_expires=lease_expires,
             )
             self.replies_304 += 1
-
         if self.accel.piggyback:
             urls = self._piggyback_for(request.src, exclude_url=request.url)
             if urls:
                 reply.piggyback_invalidations = urls
                 reply.size += len(urls) * self.wire.piggyback_per_url
                 self.piggybacked_urls += len(urls)
-
         # All three approaches log incoming requests (paper Section 5.2).
-        with self.disk.request() as disk:
-            yield disk
-            yield sim.sleep(costs.disk_log_write)
-        self.disk_writes += 1
+        self._work(self.disk, self.costs.disk_log_write, self._send_reply, reply)
 
+    def _send_reply(self, reply: Message) -> None:
+        self.disk_writes += 1
         self.requests_handled += 1
         self.network.send(reply, wait=False)
 
-    def _register_site(self, request: HttpRequest):
+    def _register_site(self, request: HttpRequest) -> Optional[float]:
         """Record the requesting site in the invalidation table.
 
         Returns the lease expiry to advertise in the reply (or ``None``
@@ -297,21 +308,10 @@ class ServerSite:
         if duration > 0 or self.accel.lease_grace > 0:
             expiry = math.inf if math.isinf(duration) else now + duration
             self.table.register(
-                request.url,
-                request.client_id,
-                proxy=request.src,
-                now=now,
+                request.url, request.client_id, proxy=request.src, now=now,
                 lease_expires=expiry,
             )
-        # Persistent every-site log: disk write only on first sight.
-        if self.known_sites.record(request.client_id, request.src):
-            with self.disk.request() as disk:
-                yield disk
-                yield self.sim.sleep(self.costs.disk_sitelog_write)
-            self.disk_writes += 1
-        if not self.accel.grant_leases:
-            return None
-        if math.isinf(duration):
+        if not self.accel.grant_leases or math.isinf(duration):
             return None
         return now + duration
 

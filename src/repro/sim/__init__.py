@@ -25,7 +25,7 @@ from .core import (
     Timeout,
 )
 from .process import AllOf, AnyOf, ConditionValue, Process
-from .resources import Request, Resource, Store
+from .resources import Claim, Request, Resource, Store
 from .rng import RngRegistry
 from .tracing import EventTracer
 
@@ -43,6 +43,7 @@ __all__ = [
     "ConditionValue",
     "Resource",
     "Request",
+    "Claim",
     "Store",
     "RngRegistry",
     "EventTracer",

@@ -467,11 +467,11 @@ class Simulator:
 
         if type(event) is Callback:
             # Direct-callback fast path: no Event machinery at all.
+            if self._tracer is not None:
+                self._tracer.observe(self._now, event)
             fn = event.fn
             args = event.args
             self._recycle_callback(event)
-            if self._tracer is not None:
-                self._tracer.observe(self._now, event)
             fn(*args)
             return
 

@@ -4,7 +4,10 @@ Two primitives cover everything the reproduction needs:
 
 * :class:`Resource` — a counted resource (e.g. a server CPU, a disk arm)
   with FIFO queueing.  Used by the cost models to serialise work and to
-  measure utilisation.
+  measure utilisation.  A process waits for a unit with
+  :meth:`Resource.request`; a callback chain takes one with
+  :meth:`Resource.acquire`, which runs the callback at once when a unit
+  is free.
 * :class:`Store` — an unbounded FIFO mailbox of items.  Used for request
   queues and message inboxes.
 """
@@ -12,11 +15,11 @@ Two primitives cover everything the reproduction needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Union
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Request", "Store"]
+__all__ = ["Claim", "Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -41,6 +44,17 @@ class Request(Event):
         self.resource.release(self)
 
 
+class Claim:
+    """A callback's claim on a :class:`Resource` (see :meth:`Resource.acquire`)."""
+
+    __slots__ = ("resource", "fn", "args")
+
+    def __init__(self, resource: "Resource", fn: Callable[..., None], args: tuple):
+        self.resource = resource
+        self.fn = fn
+        self.args = args
+
+
 class Resource:
     """A counted resource with FIFO queueing.
 
@@ -49,6 +63,13 @@ class Resource:
         with resource.request() as req:
             yield req
             yield sim.timeout(work)
+
+    or, without a process::
+
+        def granted(claim):
+            sim.call_later(work, resource.release, claim)
+
+        resource.acquire(granted)
 
     Utilisation accounting: the resource records total busy time (summed
     over units in use), which :class:`repro.metrics.iostat.IostatSampler`
@@ -60,8 +81,8 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.sim = sim
         self.capacity = capacity
-        self._users: List[Request] = []
-        self._queue: Deque[Request] = deque()
+        self._users: List[Union[Request, Claim]] = []
+        self._queue: Deque[Union[Request, Claim]] = deque()
         self._busy_time = 0.0
         self._last_change = sim.now
 
@@ -92,8 +113,26 @@ class Resource:
         """Queue a claim for one unit; the returned event triggers on grant."""
         return Request(self)
 
-    def release(self, request: Request) -> None:
-        """Return a unit (or withdraw an un-granted request)."""
+    def acquire(self, fn: Callable[..., None], *args) -> Claim:
+        """Claim one unit for ``fn(claim, *args)``; release it with :meth:`release`.
+
+        A free unit is granted now and ``fn`` runs before this returns.
+        Otherwise the claim waits in the same FIFO queue as the
+        :class:`Request` events, and its grant calls ``fn`` from the queue
+        slot a request's grant would take.  Either way the busy time is
+        accounted at the same instant as a :meth:`request` grant.
+        """
+        claim = Claim(self, fn, args)
+        if len(self._users) < self.capacity:
+            self._account()
+            self._users.append(claim)
+            fn(claim, *args)
+        else:
+            self._queue.append(claim)
+        return claim
+
+    def release(self, request: Union[Request, Claim]) -> None:
+        """Return a unit (or withdraw an un-granted request or claim)."""
         if request in self._users:
             self._account()
             self._users.remove(request)
@@ -109,7 +148,10 @@ class Resource:
             request = self._queue.popleft()
             self._account()
             self._users.append(request)
-            request.succeed()
+            if type(request) is Claim:
+                self.sim.call_later(0.0, request.fn, request, *request.args)
+            else:
+                request.succeed()
 
 
 class Store:

@@ -5,6 +5,12 @@ records what the event loop processes — event counts by type, processing
 rate over simulated time, and (optionally) a bounded tail of recent
 events for post-mortem debugging of stuck or runaway models.
 
+With ``owners=True`` the tracer also counts each event under the code
+that owns it (:attr:`EventTracer.owners`): a ``Callback`` belongs to the
+qualified name of its function, any other event to the generator of the
+process it resumes.  A process that ends with no process waiting owns
+its own end; any other event belongs to its first callback.
+
 Tracing is strictly opt-in and adds a single attribute check to the hot
 loop when disabled.  It never changes how a run is scheduled: pooled
 timers stay pooled while traced, so the per-kind counts show them as
@@ -24,7 +30,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, List, Optional, Tuple
 
-from .core import Event, Simulator
+from .core import Callback, Event, Simulator
+from .process import Process
 
 __all__ = ["EventTracer"]
 
@@ -36,9 +43,14 @@ class EventTracer:
         sim: the simulator to attach to (one tracer per simulator).
         keep_last: size of the recent-event ring buffer; 0 disables
             recording and keeps only counters.
+        owners: also count events per owning function or generator in
+            :attr:`owners` (off by default; the counts add up to
+            :attr:`total`).
     """
 
-    def __init__(self, sim: Simulator, keep_last: int = 0) -> None:
+    def __init__(
+        self, sim: Simulator, keep_last: int = 0, owners: bool = False
+    ) -> None:
         if getattr(sim, "_tracer", None) is not None:
             raise ValueError("simulator already has a tracer")
         self.sim = sim
@@ -49,6 +61,8 @@ class EventTracer:
         self._ring: Optional[Deque[Tuple[float, str]]] = (
             deque(maxlen=keep_last) if keep_last > 0 else None
         )
+        #: Events per owner's qualified name, or ``None`` when not asked for.
+        self.owners: Optional[Counter] = Counter() if owners else None
         sim._tracer = self
 
     # Called by Simulator.step for every processed event.
@@ -61,6 +75,8 @@ class EventTracer:
         self.last_time = now
         if self._ring is not None:
             self._ring.append((now, kind))
+        if self.owners is not None:
+            self.owners[_owner(event)] += 1
 
     def detach(self) -> None:
         """Stop tracing."""
@@ -100,3 +116,22 @@ class EventTracer:
         for kind, count in self.counts.most_common():
             lines.append(f"  {kind:16s} {count}")
         return "\n".join(lines)
+
+
+def _owner(event) -> str:
+    """Qualified name of the code an event runs (see :class:`EventTracer`)."""
+    if type(event) is Callback:
+        return _qualname(event.fn)
+    for callback in event.callbacks:
+        process = getattr(callback, "__self__", None)
+        if type(process) is Process:
+            return _qualname(process._generator)
+    if type(event) is Process:
+        return _qualname(event._generator)
+    if event.callbacks:
+        return _qualname(event.callbacks[0])
+    return type(event).__name__
+
+
+def _qualname(obj) -> str:
+    return getattr(obj, "__qualname__", None) or type(obj).__name__

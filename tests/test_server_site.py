@@ -288,3 +288,51 @@ class TestCrashRecovery:
         sim.run()
         assert replies(inbox) == []
         assert net.stats.total_dropped == 1
+
+
+class TestFlushOnContact:
+    """A contact from a proxy owed an abandoned INVALIDATE re-sends it first.
+
+    The flush claims the CPU before the contacting request's accept
+    stage, so the INVALIDATE leaves after one ``cpu_invalidate_msg`` and
+    the request waits for it.  Were admission to claim the CPU at once,
+    the INVALIDATE would leave one ``cpu_accept`` (15 ms) later; the
+    reply leaves at the same instant either way.
+    """
+
+    def test_flushed_invalidate_takes_the_cpu_before_the_request(self):
+        accel = AcceleratorConfig(invalidation=True, max_retries=0)
+        sim, net, fs, site, inbox = setup_site(accel=accel)
+        arrivals = []
+        net.register("p2", lambda message: arrivals.append((sim.now, message)))
+        net.send(make_get("p2", "server", "/a", client_id="c1"))
+        sim.run()
+        net.set_down("p2")
+        fs.modify("/a", now=sim.now)
+        site.check_in("/a")
+        sim.run()
+        assert site.invalidations_abandoned == 1
+        net.set_up("p2")
+        del arrivals[:]
+
+        start = sim.now
+        net.send(make_get("p2", "server", "/b", client_id="c2"))
+        sim.run()
+        (inval_at, inval), (reply_at, reply) = arrivals
+        assert isinstance(inval, Invalidate) and inval.url == "/a"
+        assert isinstance(reply, HttpResponse) and reply.url == "/b"
+        costs = site.costs
+        arrived = start + 0.001
+        assert inval_at == pytest.approx(arrived + costs.cpu_invalidate_msg + 0.001)
+        reply_sent = (
+            arrived
+            + costs.cpu_invalidate_msg
+            + costs.cpu_accept
+            + costs.cpu_parse + costs.cpu_sitelist
+            + costs.disk_sitelog_write
+            + costs.disk_fetch(5000)
+            + costs.cpu_reply(5000)
+            + costs.disk_log_write
+        )
+        assert reply_at == pytest.approx(reply_sent + 0.001)
+        assert not site.write_pending("/a", "c1")

@@ -109,6 +109,101 @@ def test_resource_release_unknown_request_is_noop():
     assert res.count == 0
 
 
+class TestAcquire:
+    """The callback form of a claim, :meth:`Resource.acquire`."""
+
+    def test_free_grant_runs_inline_and_queues_nothing(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        calls = []
+        claim = res.acquire(lambda granted, tag: calls.append((granted, tag)), 7)
+        assert calls == [(claim, 7)]
+        assert res.count == 1
+        assert res.queue_length == 0
+        assert sim.queue_depth == 0
+
+    def test_claims_and_requests_share_one_fifo_queue(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def hold(claim, name):
+            log.append((name, sim.now))
+            sim.call_later(1.0, res.release, claim)
+
+        def waiter(name):
+            with res.request() as req:
+                yield req
+                log.append((name, sim.now))
+                yield sim.sleep(1.0)
+
+        res.acquire(hold, "claim-0")
+        sim.process(waiter("request-1"))
+        sim.run(until=0.5)
+        res.acquire(hold, "claim-2")
+        sim.process(waiter("request-3"))
+        sim.run(until=0.6)
+        res.acquire(hold, "claim-4")
+        sim.run()
+        assert log == [
+            ("claim-0", 0.0),
+            ("request-1", 1.0),
+            ("claim-2", 2.0),
+            ("request-3", 3.0),
+            ("claim-4", 4.0),
+        ]
+
+    def test_busy_time_matches_the_request_form(self):
+        arrivals = [(0.0, 1.0), (0.3, 0.25), (0.35, 0.7), (2.0, 0.1), (2.1, 3.3)]
+
+        def with_requests():
+            sim = Simulator()
+            res = Resource(sim, capacity=1)
+
+            def user(hold):
+                with res.request() as req:
+                    yield req
+                    yield sim.sleep(hold)
+
+            for at, hold in arrivals:
+                sim.call_later(at, lambda hold=hold: sim.process(user(hold)))
+            return sim, res
+
+        def with_claims():
+            sim = Simulator()
+            res = Resource(sim, capacity=1)
+
+            def granted(claim, hold):
+                sim.call_later(hold, res.release, claim)
+
+            for at, hold in arrivals:
+                sim.call_later(at, res.acquire, granted, hold)
+            return sim, res
+
+        runs = [with_requests(), with_claims()]
+        for until in (0.2, 0.4, 1.3, 2.05, 2.6, 9.0):
+            busy = []
+            for sim, res in runs:
+                sim.run(until=until)
+                busy.append(res.busy_time())
+            assert busy[0] == busy[1]
+        assert busy[1] == pytest.approx(5.35)
+
+    def test_releasing_an_ungranted_claim_withdraws_it(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        calls = []
+        holder = res.acquire(lambda claim: None)
+        waiting = res.acquire(lambda claim: calls.append(claim))
+        assert res.queue_length == 1
+        res.release(waiting)
+        assert res.queue_length == 0
+        res.release(holder)
+        sim.run()
+        assert calls == []
+        assert res.count == 0
+
+
 def test_store_put_then_get():
     sim = Simulator()
     store = Store(sim)

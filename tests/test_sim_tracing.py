@@ -99,3 +99,42 @@ def test_pooled_entries_are_traced_as_themselves():
     assert tracer.counts["_Sleep"] == 1
     assert tracer.counts["Timeout"] == 0
     assert tracer.last_time == 2.0
+
+
+class TestOwners:
+    def test_off_by_default(self):
+        sim = Simulator()
+        tracer = EventTracer(sim)
+        sim.timeout(1.0)
+        sim.run()
+        assert tracer.owners is None
+
+    def test_callbacks_and_processes_are_owned_by_their_code(self):
+        sim = Simulator()
+        tracer = EventTracer(sim, owners=True)
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+
+        def child():
+            yield sim.sleep(1.0)
+
+        def parent():
+            yield sim.process(child())
+            yield sim.timeout(1.0)
+
+        sim.call_later(0.5, tick)
+        sim.process(parent())
+        sim.timeout(3.0)
+        sim.run()
+        qual = "TestOwners.test_callbacks_and_processes_are_owned_by_their_code"
+        assert tracer.owners == {
+            f"{qual}.<locals>.tick": 1,
+            # parent: its start, child's end (a join), its timeout, its end
+            f"{qual}.<locals>.parent": 4,
+            # child: its start and its sleep
+            f"{qual}.<locals>.child": 2,
+            "Timeout": 1,  # nobody waits on it
+        }
+        assert sum(tracer.owners.values()) == tracer.total
