@@ -2,7 +2,7 @@
 
 from .cache import Cache
 from .entry import CacheEntry, entry_key
-from .proxy import ProxyCache, ProxyCosts, RequestFailed, RequestOutcome
+from .proxy import ProxyCache, ProxyCosts, RequestOutcome
 
 __all__ = [
     "Cache",
@@ -11,5 +11,4 @@ __all__ = [
     "ProxyCache",
     "ProxyCosts",
     "RequestOutcome",
-    "RequestFailed",
 ]
