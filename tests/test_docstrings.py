@@ -3,8 +3,9 @@
 An AST-level equivalent of pydocstyle's missing-docstring rules
 (D100–D104), scoped — like the ruff configuration in pyproject.toml —
 to the packages whose public API the docs promise is documented:
-``repro.replay``, ``repro.chaos`` and ``repro.sim.core``.  It runs from
-the source alone, so the gate holds even where ruff is not installed.
+``repro.replay``, ``repro.chaos``, ``repro.proxy``, ``repro.hierarchy``
+and ``repro.sim.core``.  It runs from the source alone, so the gate
+holds even where ruff is not installed.
 """
 
 import ast
@@ -20,6 +21,8 @@ SRC = os.path.join(REPO, "src")
 AUDITED = (
     os.path.join("repro", "replay"),
     os.path.join("repro", "chaos"),
+    os.path.join("repro", "proxy"),
+    os.path.join("repro", "hierarchy"),
     os.path.join("repro", "sim", "core.py"),
 )
 
