@@ -24,6 +24,10 @@ an INVALIDATE that leaves later while every counter stays the same
 still fails.  They were recorded with the code that still ran the
 origin server's request path as a generator process.
 
+``invalidation-decoupled-audit`` is the one case whose fan-out does not
+hold the accept lock (``blocking=False``, the paper's proposed fix); it
+was recorded while the fan-out still ran as a generator process.
+
 ``invalidation-audit-shards4-window1`` is the one case whose batch
 buffers flush on the ``batch_window`` timer rather than on ``batch_max``
 fill.  It was recorded while batching still lived in a separate shard
@@ -126,6 +130,10 @@ def _cases():
     )
     cases["invalidation-observed"] = ("invalidation", {"observation": "plain"})
     cases["invalidation-observed-deep"] = ("invalidation", {"observation": "deep"})
+    cases["invalidation-decoupled-audit"] = (
+        "invalidation",
+        {"audit": True, "protocol_kwargs": {"blocking": False}},
+    )
     cases["invalidation-multicast-audit"] = (
         "invalidation",
         {"audit": True, "protocol_kwargs": {"multicast": True}},
@@ -161,6 +169,7 @@ def _recovered_server(result) -> bool:
 
 #: Per-case check that the run took the path the case exists to pin.
 REACHES = {
+    "invalidation-decoupled-audit": lambda r: r.invalidations_sent > 0,
     "invalidation-multicast-audit": lambda r: (
         r.protocol == "invalidation-multicast" and r.invalidations_sent > 0
     ),
