@@ -40,6 +40,7 @@ class FixedLatency(LatencyModel):
         self.seconds = seconds
 
     def delay(self, message: Message) -> float:
+        """The constant delay, whatever the message."""
         return self.seconds
 
 
@@ -71,6 +72,7 @@ class LanModel(LatencyModel):
         self.size_scale = size_scale
 
     def delay(self, message: Message) -> float:
+        """Propagation plus the (scaled) message's transmission time."""
         bits = 8.0 * message.size / self.size_scale
         return self.propagation + bits / self.bandwidth_bps
 
@@ -107,6 +109,7 @@ class WanModel(LatencyModel):
         self.size_scale = size_scale
 
     def delay(self, message: Message) -> float:
+        """Base delay, one exponential jitter draw and transmission time."""
         bits = 8.0 * message.size / self.size_scale
         jitter = self.rng.expovariate(1.0 / self.jitter) if self.jitter > 0 else 0.0
         return self.base_delay + jitter + bits / self.bandwidth_bps
@@ -142,6 +145,7 @@ class PerturbedLatency(LatencyModel):
         self.rng = rng or random.Random(0)
 
     def delay(self, message: Message) -> float:
+        """The base model's delay plus the spike and one jitter draw."""
         extra = self.extra_delay
         if self.jitter > 0:
             extra += self.rng.uniform(0.0, self.jitter)

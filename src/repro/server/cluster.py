@@ -387,6 +387,7 @@ class AcceleratorCluster:
 
     @fanout_listener.setter
     def fanout_listener(self, listener) -> None:
+        """Give every shard the same fan-out hook."""
         for shard in self.shards:
             shard.fanout_listener = listener
 
@@ -397,6 +398,7 @@ class AcceleratorCluster:
 
     @proxy_roster.setter
     def proxy_roster(self, roster: Set[str]) -> None:
+        """Give every shard its own copy of the roster."""
         for shard in self.shards:
             shard.proxy_roster = set(roster)
 
@@ -407,6 +409,7 @@ class AcceleratorCluster:
 
     @lease_override.setter
     def lease_override(self, value: Optional[float]) -> None:
+        """Set the override on every shard."""
         for shard in self.shards:
             shard.lease_override = value
 

@@ -65,8 +65,8 @@ class EventTracer:
         self.owners: Optional[Counter] = Counter() if owners else None
         sim._tracer = self
 
-    # Called by Simulator.step for every processed event.
     def observe(self, now: float, event: Event) -> None:
+        """Count one processed event; :meth:`Simulator.step` calls this."""
         kind = type(event).__name__
         self.counts[kind] += 1
         self.total += 1

@@ -3,8 +3,8 @@
 An AST-level equivalent of pydocstyle's missing-docstring rules
 (D100–D104), scoped — like the ruff configuration in pyproject.toml —
 to the packages whose public API the docs promise is documented:
-``repro.replay``, ``repro.chaos``, ``repro.proxy``, ``repro.hierarchy``
-and ``repro.sim.core``.  It runs from the source alone, so the gate
+``repro.replay``, ``repro.chaos``, ``repro.proxy``, ``repro.hierarchy``,
+``repro.server``, ``repro.net`` and ``repro.sim``.  It runs from the source alone, so the gate
 holds even where ruff is not installed.
 """
 
@@ -17,13 +17,15 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
-#: Audited files: every module under these packages plus the kernel.
+#: Audited files: every module under these packages.
 AUDITED = (
     os.path.join("repro", "replay"),
     os.path.join("repro", "chaos"),
     os.path.join("repro", "proxy"),
     os.path.join("repro", "hierarchy"),
-    os.path.join("repro", "sim", "core.py"),
+    os.path.join("repro", "server"),
+    os.path.join("repro", "net"),
+    os.path.join("repro", "sim"),
 )
 
 
