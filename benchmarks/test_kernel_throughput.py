@@ -36,15 +36,21 @@ def test_resource_contention_throughput(benchmark):
         cpu = Resource(sim, capacity=2)
         done = [0]
 
-        def worker(sim):
-            for _ in range(50):
-                with cpu.request() as req:
-                    yield req
-                    yield sim.timeout(0.001)
-            done[0] += 1
+        def worker(left):
+            if left:
+                cpu.acquire(granted, left)
+            else:
+                done[0] += 1
+
+        def granted(claim, left):
+            sim.call_later(0.001, finished, claim, left)
+
+        def finished(claim, left):
+            cpu.release(claim)
+            worker(left - 1)
 
         for _ in range(40):
-            sim.process(worker(sim))
+            worker(50)
         sim.run()
         return done[0]
 

@@ -123,7 +123,7 @@ class ParentProxy:
             self._end_wait(message.reply_to, message)
         elif isinstance(message, Invalidate):
             self.invalidations_received += 1
-            self.sim.process(self._propagate(message))
+            self._propagate(message)
 
     # ------------------------------------------------------------------
     # request path (child -> parent -> server)
@@ -249,35 +249,54 @@ class ParentProxy:
     # invalidation propagation (server -> parent -> children)
     # ------------------------------------------------------------------
 
-    def _propagate(self, message: Invalidate):
-        sim = self.sim
+    def _propagate(self, message: Invalidate) -> None:
         if message.url is not None:
             # Drop our shared copy and invalidate interested children.
             self.cache.remove(f"{message.url}@{_SHARED}")
-            entries = self.interest.note_modification(message.url, sim.now)
-            for entry in entries:
-                child_msg = make_invalidate_url(
+            entries = self.interest.note_modification(message.url, self.sim.now)
+            forwards = [
+                make_invalidate_url(
                     self.address,
                     entry.proxy,
                     message.url,
                     entry.client_id,
                     wire=self.wire,
                 )
-                yield from self.channel.deliver(child_msg)
-                self.invalidations_forwarded += 1
-                self.interest.clear_after_invalidation(
-                    message.url, [entry.client_id]
-                )
+                for entry in entries
+            ]
         else:
             # Server recovered: everything we hold is questionable, and
             # every child must hear the same.
             self.cache.mark_all_questionable()
-            for child in sorted(self._known_children):
-                child_msg = make_invalidate_server(
-                    self.address, child, server=message.server, wire=self.wire
-                )
-                yield from self.channel.deliver(child_msg)
-                self.invalidations_forwarded += 1
+            forwards = self._server_messages(message.server)
+        self._forward(forwards, 0, None)
+
+    def _server_messages(self, server: str) -> list:
+        """One INVALIDATE-by-server for every child ever seen."""
+        return [
+            make_invalidate_server(self.address, child, server=server, wire=self.wire)
+            for child in sorted(self._known_children)
+        ]
+
+    def _forward(self, messages: list, index: int, done) -> None:
+        """Deliver ``messages[index:]`` one after another, then trigger ``done``.
+
+        The channel retries each until it lands.  A delivered
+        INVALIDATE for a URL forgets its child's interest.
+        """
+        if index < len(messages):
+            self.channel.deliver(
+                messages[index], self._forwarded, messages, index, done
+            )
+        elif done is not None:
+            done.succeed()
+
+    def _forwarded(self, _delivered: bool, messages: list, index: int, done) -> None:
+        message = messages[index]
+        self.invalidations_forwarded += 1
+        if message.url is not None:
+            self.interest.clear_after_invalidation(message.url, [message.client_id])
+        self._forward(messages, index + 1, done)
 
     # ------------------------------------------------------------------
     # failures
@@ -297,7 +316,7 @@ class ParentProxy:
             waiter.succeed(None)
         self._pending.clear()
 
-    def recover(self):
+    def recover(self) -> Event:
         """Restart: our copies *and the children's* become questionable.
 
         While the parent was down its children missed every invalidation
@@ -305,17 +324,11 @@ class ParentProxy:
         server's crash recovery — it sends an INVALIDATE carrying the
         server address to every child it has ever seen (the child log,
         like the server's site log, survives the crash on disk).
-        Returns the recovery process.
+        Returns an event that triggers when that broadcast ends.
         """
         self.up = True
         self.network.set_up(self.address)
         self.cache.mark_all_questionable()
-        return self.sim.process(self._recovery_fanout())
-
-    def _recovery_fanout(self):
-        for child in sorted(self._known_children):
-            message = make_invalidate_server(
-                self.address, child, server=self.server_address, wire=self.wire
-            )
-            yield from self.channel.deliver(message)
-            self.invalidations_forwarded += 1
+        done = Event(self.sim)
+        self._forward(self._server_messages(self.server_address), 0, done)
+        return done

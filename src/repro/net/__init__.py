@@ -1,6 +1,6 @@
 """Simulated network substrate: fabric, latency models, reliable channel."""
 
-from .channel import DeliveryFailed, DeliveryReport, ReliableChannel
+from .channel import Delivery, ReliableChannel
 from .latency import FixedLatency, LanModel, LatencyModel, PerturbedLatency, WanModel
 from .message import Address, Message
 from .network import LinkFault, Network, Unreachable
@@ -19,6 +19,5 @@ __all__ = [
     "FixedLatency",
     "PerturbedLatency",
     "ReliableChannel",
-    "DeliveryReport",
-    "DeliveryFailed",
+    "Delivery",
 ]

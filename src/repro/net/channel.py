@@ -2,37 +2,73 @@
 
 The paper sends invalidation messages over TCP "and when the TCP message
 fails, use periodic retry" (Section 4, failure handling).
-:class:`ReliableChannel` packages exactly that: a generator helper that a
-simulation process yields from until the message is finally delivered.
+:class:`ReliableChannel` packages exactly that as a callback chain:
+:meth:`ReliableChannel.deliver` hangs a continuation on the send's
+outcome event, re-sends a failed message ``retry_interval`` seconds
+later, and ends in ``on_done(delivered, *args)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
+from ..sim import Event
 from .message import Message
-from .network import Network, Unreachable
+from .network import Network
 
-__all__ = ["ReliableChannel", "DeliveryReport", "DeliveryFailed"]
+__all__ = ["ReliableChannel", "Delivery"]
 
 
-class DeliveryFailed(Exception):
-    """Raised when ``max_retries`` is exhausted without a delivery."""
+class Delivery:
+    """One reliable send in progress (see :meth:`ReliableChannel.deliver`)."""
 
-    def __init__(self, message: Message, attempts: int) -> None:
-        super().__init__(f"{message!r} undelivered after {attempts} attempts")
+    __slots__ = ("channel", "message", "on_done", "args", "attempts", "_timer",
+                 "_cancelled")
+
+    def __init__(
+        self,
+        channel: "ReliableChannel",
+        message: Message,
+        on_done: Callable[..., None],
+        args: tuple,
+    ) -> None:
+        self.channel = channel
         self.message = message
-        self.attempts = attempts
+        self.on_done = on_done
+        self.args = args
+        #: Sends made so far, the first one included.
+        self.attempts = 0
+        self._timer = None
+        self._cancelled = False
 
+    def cancel(self) -> None:
+        """Stop retrying; ``on_done`` is never called.
 
-@dataclass
-class DeliveryReport:
-    """Outcome of a reliable send."""
+        A message already in flight still lands: cancelling only drops
+        the outcome and any retry not yet sent.
+        """
+        self._cancelled = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    message: Message
-    attempts: int
-    delivered_at: float
+    def _attempt(self) -> None:
+        self._timer = None
+        self.attempts += 1
+        self.channel.network.send(self.message).callbacks.append(self._sent)
+
+    def _sent(self, outcome: Event) -> None:
+        if self._cancelled:
+            return
+        channel = self.channel
+        if outcome.ok:
+            self.on_done(True, *self.args)
+        elif channel.max_retries is not None and self.attempts > channel.max_retries:
+            self.on_done(False, *self.args)
+        else:
+            self._timer = channel.network.sim.call_later(
+                channel.retry_interval, self._attempt
+            )
 
 
 class ReliableChannel:
@@ -40,9 +76,9 @@ class ReliableChannel:
 
     Args:
         network: the fabric to send over.
-        retry_interval: seconds between attempts after a failure.
-        max_retries: give up (raise :class:`DeliveryFailed`) after this many
-            *re*-tries; ``None`` retries forever, matching the paper.
+        retry_interval: seconds between a failed send and the next attempt.
+        max_retries: give up after this many *re*-tries; ``None`` retries
+            forever, matching the paper.
     """
 
     def __init__(
@@ -57,22 +93,16 @@ class ReliableChannel:
         self.retry_interval = retry_interval
         self.max_retries = max_retries
 
-    def deliver(self, message: Message):
-        """Generator: yield from inside a process to send reliably.
+    def deliver(
+        self, message: Message, on_done: Callable[..., None], *args
+    ) -> Delivery:
+        """Send ``message`` until it lands, then call ``on_done(True, *args)``.
 
-        Returns a :class:`DeliveryReport` once the message lands.
+        The message is sent now.  ``on_done`` runs in the queue slot of the
+        outcome event of the send that landed, or with ``False`` in the
+        slot of the last failure once ``max_retries`` re-tries failed.
+        The returned :class:`Delivery` can be cancelled.
         """
-        sim = self.network.sim
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                yield self.network.send(message)
-            except Unreachable:
-                if self.max_retries is not None and attempts > self.max_retries:
-                    raise DeliveryFailed(message, attempts)
-                yield sim.timeout(self.retry_interval)
-                continue
-            return DeliveryReport(
-                message=message, attempts=attempts, delivered_at=sim.now
-            )
+        delivery = Delivery(self, message, on_done, args)
+        delivery._attempt()
+        return delivery

@@ -284,13 +284,8 @@ class AcceleratorCluster:
         # this proxy abandoned invalidations uses the contact to retry
         # (the owner handles its own debt when it receives the request).
         for shard in self.shards:
-            if shard.address == owner or not shard.up:
-                continue
-            if (
-                message.src in shard._dirty_by_proxy
-                or message.src in shard._dirty_server_inval
-            ):
-                self.sim.process(shard._flush_dirty(message.src))
+            if shard.address != owner:
+                shard.note_contact(message.src)
         self.requests_routed[owner] += 1
         shard = self._by_address[owner]
         message.dst = shard.address
@@ -489,9 +484,9 @@ class AcceleratorCluster:
             return None
         self._crashed.discard(address)
         self._refresh_excluded()
-        process = shard.recover()
+        done = shard.recover()
         self._rebalance()
-        return process
+        return done
 
     def drain_shard(self, address: str) -> None:
         """Planned rebalance: move a live shard's documents off it."""
@@ -524,15 +519,15 @@ class AcceleratorCluster:
         self.network.set_down(self.address)
 
     def recover(self) -> list:
-        """Recover every crashed shard; returns their recovery processes."""
+        """Recover every crashed shard; returns their recovery events."""
         self.network.set_up(self.address)
-        processes = []
+        events = []
         recovered = [s for s in self.shards if not s.up]
         for shard in recovered:
             self._crashed.discard(shard.address)
         self._refresh_excluded()
         for shard in recovered:
-            processes.append(shard.recover())
+            events.append(shard.recover())
         self._rebalance()
-        return processes
+        return events
 

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..http import (
     HttpRequest,
+    Invalidate,
     make_invalidate_batch,
     make_invalidate_multi,
     make_invalidate_server,
@@ -55,8 +56,8 @@ from ..http import (
 )
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metering import UsageLedger
-from ..net import DeliveryFailed, Message, Network, ReliableChannel
-from ..sim import Claim, Resource, Simulator
+from ..net import Delivery, Message, Network, ReliableChannel
+from ..sim import Claim, Event, Resource, Simulator
 from .accelerator import AcceleratorConfig
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
@@ -67,6 +68,27 @@ __all__ = ["ServerSite"]
 #: ``(url, client_id) -> when that obligation opened``: the obligations
 #: one INVALIDATE discharges, or that are still owed.
 Pairs = Dict[Tuple[str, str], float]
+
+#: One INVALIDATE of a fan-out, the pairs its delivery discharges, and
+#: ``undelivered(message, pairs)``, run when ``max_retries`` gives up.
+Step = Tuple[Invalidate, Pairs, Callable[[Invalidate, Pairs], None]]
+
+
+class _Fanout:
+    """One run of :meth:`ServerSite._run`: its steps and where it is."""
+
+    __slots__ = ("steps", "index", "on_end", "args", "hold", "delivery")
+
+    def __init__(self, steps: List[Step], on_end, args: tuple) -> None:
+        self.steps = steps
+        #: The step being sent (``len(steps)`` once all are done).
+        self.index = 0
+        self.on_end = on_end
+        self.args = args
+        #: A blocking fan-out's claim on the accept lock.
+        self.hold: Optional[Claim] = None
+        #: The current step's INVALIDATE on the reliable channel.
+        self.delivery: Optional[Delivery] = None
 
 
 class ServerSite:
@@ -128,6 +150,9 @@ class ServerSite:
         #: re-send on the target proxy's next contact with the server.
         self._dirty_by_proxy: Dict[str, Pairs] = {}
         self._dirty_server_inval: Set[str] = set()
+        #: Fan-outs, flushes and recovery broadcasts in flight, in start
+        #: order (a dict used as an ordered set); a crash ends them all.
+        self._fanouts: Dict[_Fanout, None] = {}
         #: Operator-configured fleet membership: every proxy host that may
         #: front this server.  Used as the recovery broadcast target when a
         #: crash also destroys the persistent known-sites log.
@@ -179,16 +204,10 @@ class ServerSite:
     def _receive(self, message: Message) -> None:
         if not self.up or not isinstance(message, HttpRequest):
             return  # a crashed host (the network normally blocks this)
-        src = message.src
-        # A contact from a proxy we owe abandoned invalidations is the
-        # retry opportunity: the proxy is provably reachable right now.
-        flush = src in self._dirty_by_proxy or src in self._dirty_server_inval
-        if flush:
-            self.sim.process(self._flush_dirty(src))
+        self.note_contact(message.src)
         # Admission: the accept loop is a choke point shared with blocking
         # invalidation sends.
-        lock = self.accept_lock
-        lock.acquire(self._accept, message, flush and lock.count < lock.capacity)
+        self.accept_lock.acquire(self._accept, message)
 
     def _work(self, resource: Resource, seconds: float, then, *args) -> None:
         """One stage: hold ``resource`` for ``seconds``, then ``then(*args)``."""
@@ -201,13 +220,8 @@ class ServerSite:
         claim.resource.release(claim)
         then(*args)
 
-    def _accept(self, admit: Claim, request: HttpRequest, defer: bool) -> None:
-        # When this contact started a flush and got the lock at once, claim
-        # the CPU one zero-delay callback later, so that the flush goes first.
-        if defer:
-            self.sim.call_later(0.0, self._accept, admit, request, False)
-        else:
-            self._work(self.cpu, self.costs.cpu_accept, self._parse, admit, request)
+    def _accept(self, admit: Claim, request: HttpRequest) -> None:
+        self._work(self.cpu, self.costs.cpu_accept, self._parse, admit, request)
 
     def _parse(self, admit: Claim, request: HttpRequest) -> None:
         # Parse + accelerator bookkeeping.
@@ -397,7 +411,7 @@ class ServerSite:
             grouped = [
                 (entry.proxy, {(url, entry.client_id): now}) for entry in entries
             ]
-        self.sim.process(self._send_invalidations(url, now, grouped))
+        self._send_invalidations(url, now, grouped)
 
     def _enqueue(self, proxy: str, url: str, client_id: str) -> None:
         buffer = self._batch_buffers.setdefault(proxy, [])
@@ -428,9 +442,9 @@ class ServerSite:
         }
         # The fan-out is timed from when the buffer opened.
         url, _client_id, started = buffer[0]
-        self.sim.process(self._send_invalidations(url, started, [(proxy, pairs)]))
+        self._send_invalidations(url, started, [(proxy, pairs)])
 
-    def _send_invalidations(self, url: str, started: float, groups):
+    def _send_invalidations(self, url: str, started: float, groups) -> None:
         """Send one INVALIDATE per ``(proxy, pairs)`` group, serially.
 
         A group is one site-list entry (the per-site form), one proxy's
@@ -440,26 +454,20 @@ class ServerSite:
         is queued for re-send on the proxy's next contact — its
         obligations stay open either way.
         """
-        sim = self.sim
-        hold = self.accept_lock.request() if self.accel.blocking_send else None
-        if hold is not None:
-            yield hold
-        try:
-            for proxy, pairs in groups:
-                message = self._invalidate_message(proxy, pairs)
-                if not (yield from self._invalidate(message, pairs)):
-                    self._abandon(proxy, pairs)
-                elif message.pairs is not None:
-                    self.batches_sent += 1
-                    self.batched_invalidations += len(pairs)
-        finally:
-            if hold is not None:
-                self.accept_lock.release(hold)
-        self.invalidation_times.append(sim.now - started)
+        steps = [
+            (self._invalidate_message(proxy, pairs), pairs, self._abandon)
+            for proxy, pairs in groups
+        ]
+        entries = sum(len(pairs) for _proxy, pairs in groups)
+        self._run(
+            steps, self.accel.blocking_send, self._fanout_done, url, started, entries
+        )
+
+    def _fanout_done(self, url: str, started: float, entries: int) -> None:
+        now = self.sim.now
+        self.invalidation_times.append(now - started)
         if self.fanout_listener is not None:
-            self.fanout_listener(
-                url, started, sim.now, sum(len(pairs) for _proxy, pairs in groups)
-            )
+            self.fanout_listener(url, started, now, entries)
 
     def _invalidate_message(self, proxy: str, pairs: Pairs) -> Message:
         """Build the INVALIDATE for one fan-out group."""
@@ -480,71 +488,134 @@ class ServerSite:
             self.address, proxy, url, client_id, wire=self.wire
         )
 
-    def _invalidate(self, message: Message, pairs: Pairs):
-        """Send one INVALIDATE reliably (generator; True when delivered).
+    def _server_message(self, proxy: str) -> Invalidate:
+        """Build the INVALIDATE-by-server for ``proxy``."""
+        return make_invalidate_server(
+            self.address, proxy, server=self.address, wire=self.wire
+        )
 
-        Every sender goes through here: it charges the CPU for building
-        the message, then delivers it over the reliable channel (TCP plus
-        periodic retry).  On delivery it counts the send and, for each
-        ``(url, client_id)`` in ``pairs``, drops the site-list entry and
-        closes the pending obligation — the only place those close.
-        The message covers only what was known when its obligation
-        opened: an entry registered after that is a newer fetch and is
-        kept, and an obligation re-opened by a later modification stays
-        open for that modification's own INVALIDATE.
-        Returns False when ``max_retries`` gave up; every obligation then
-        stays open and the caller decides how the INVALIDATE is still owed.
+    def _run(self, steps: List[Step], blocking: bool, on_end, *args) -> None:
+        """Send ``steps`` one after another, then call ``on_end(*args)``.
+
+        This one chain runs every fan-out, flush and recovery broadcast.
+        A step charges the CPU for building its INVALIDATE, then delivers
+        it over the reliable channel (TCP plus periodic retry).  On
+        delivery :meth:`_discharge` closes what it covers; when
+        ``max_retries`` gives up, the step's own handler records how the
+        INVALIDATE is still owed.  A ``blocking`` run holds the accept
+        lock from before its first step until after its last.
+        :meth:`crash` ends every run.
         """
-        with self.cpu.request() as cpu:
-            yield cpu
-            yield self.sim.sleep(self.costs.cpu_invalidate_msg)
-        try:
-            yield from self.channel.deliver(message)
-        except DeliveryFailed:
-            return False
+        fanout = _Fanout(steps, on_end, args)
+        self._fanouts[fanout] = None
+        if blocking:
+            fanout.hold = self.accept_lock.acquire(self._held, fanout)
+        else:
+            self._step(fanout)
+
+    def _held(self, claim: Claim, fanout: "_Fanout") -> None:
+        if fanout in self._fanouts:  # not ended by a crash since its grant
+            fanout.hold = claim
+            self._step(fanout)
+
+    def _step(self, fanout: "_Fanout") -> None:
+        if fanout.index < len(fanout.steps):
+            cost = self.costs.cpu_invalidate_msg
+            self._work(self.cpu, cost, self._send_step, fanout)
+            return
+        del self._fanouts[fanout]
+        if fanout.hold is not None:
+            self.accept_lock.release(fanout.hold)
+        if fanout.on_end is not None:
+            fanout.on_end(*fanout.args)
+
+    def _send_step(self, fanout: "_Fanout") -> None:
+        if fanout in self._fanouts:  # not ended by a crash during the CPU stage
+            message = fanout.steps[fanout.index][0]
+            fanout.delivery = self.channel.deliver(message, self._stepped, fanout)
+
+    def _stepped(self, delivered: bool, fanout: "_Fanout") -> None:
+        message, pairs, undelivered = fanout.steps[fanout.index]
+        fanout.index += 1
+        if delivered:
+            self._discharge(message, pairs)
+        else:
+            undelivered(message, pairs)
+        self._step(fanout)
+
+    def _discharge(self, message: Invalidate, pairs: Pairs) -> None:
+        """Count a delivered INVALIDATE and close what it covers.
+
+        This is the only place site-list entries and obligations close.
+        For each ``(url, client_id)`` in ``pairs`` the entry is dropped
+        and the pending obligation closed; an INVALIDATE-by-server closes
+        its proxy's recovery obligation.  The message covers only what
+        was known when its obligation opened: an entry registered after
+        that is a newer fetch and is kept, and an obligation re-opened by
+        a later modification stays open for that modification's own
+        INVALIDATE.
+        """
         self.invalidations_sent += 1
+        if message.server is not None:
+            self._pending_server_inval.discard(message.dst)
+        elif message.pairs is not None:
+            self.batches_sent += 1
+            self.batched_invalidations += len(pairs)
         for (url, client_id), opened in pairs.items():
             self.table.clear_after_invalidation(url, [client_id], opened)
             if self._pending_inval.get((url, client_id), math.inf) <= opened:
                 del self._pending_inval[(url, client_id)]
-        return True
 
-    def _invalidate_server(self, proxy: str):
-        """INVALIDATE-by-server to ``proxy``; closes its recovery obligation."""
-        message = make_invalidate_server(
-            self.address, proxy, server=self.address, wire=self.wire
-        )
-        delivered = yield from self._invalidate(message, {})
-        if delivered:
-            self._pending_server_inval.discard(proxy)
-        return delivered
-
-    def _abandon(self, proxy: str, pairs: Pairs) -> None:
+    def _abandon(self, message: Invalidate, pairs: Pairs) -> None:
         """Record an abandoned INVALIDATE and queue it for flush-on-contact.
 
         Keeps the site-list entries (marked dirty) and the pending
         obligations: the copies out there are still stale and still owed
-        an invalidation, just via a different channel.
+        an invalidation, just via a different channel.  An abandoned
+        INVALIDATE-by-server (``pairs`` is empty) is owed whole.
         """
+        proxy = message.dst
+        if message.server is not None:
+            self.invalidations_abandoned += 1
+            self._dirty_server_inval.add(proxy)
+            return
         queue = self._dirty_by_proxy.setdefault(proxy, {})
         for (url, cid), opened in pairs.items():
             self.invalidations_abandoned += 1
             queue[(url, cid)] = opened
             self.table.site_list(url).mark_dirty(cid)
 
-    def _flush_dirty(self, proxy: str):
-        """Re-send abandoned invalidations now that ``proxy`` is in touch."""
-        pairs = self._dirty_by_proxy.pop(proxy, {})
+    def _requeue(self, message: Invalidate, pairs: Pairs) -> None:
+        """Owe a flushed INVALIDATE that failed again to the next contact."""
+        if message.server is not None:
+            self._dirty_server_inval.add(message.dst)
+        else:
+            self._dirty_by_proxy.setdefault(message.dst, {}).update(pairs)
+
+    def note_contact(self, proxy: str) -> None:
+        """Re-send the abandoned INVALIDATEs owed to ``proxy``, if any.
+
+        A contact from a proxy we owe is the retry opportunity: the proxy
+        is provably reachable right now.  The flush claims the CPU at
+        once, so it goes before the contacting request's accept stage.
+        Both this site's own receive path and the sharded cluster's
+        router call it; only this module knows how the debt is stored.
+        """
+        if not self.up or (
+            proxy not in self._dirty_by_proxy
+            and proxy not in self._dirty_server_inval
+        ):
+            return
+        steps: List[Step] = []
         if proxy in self._dirty_server_inval:
             self._dirty_server_inval.discard(proxy)
-            if not (yield from self._invalidate_server(proxy)):
-                self._dirty_server_inval.add(proxy)
-        for (url, cid), opened in pairs.items():
+            steps.append((self._server_message(proxy), {}, self._requeue))
+        for (url, cid), opened in self._dirty_by_proxy.pop(proxy, {}).items():
             message = make_invalidate_url(
                 self.address, proxy, url, cid, wire=self.wire
             )
-            if not (yield from self._invalidate(message, {(url, cid): opened})):
-                self._dirty_by_proxy.setdefault(proxy, {})[(url, cid)] = opened
+            steps.append((message, {(url, cid): opened}, self._requeue))
+        self._run(steps, False, None)
 
     # ------------------------------------------------------------------
     # consistency obligations (queried by the chaos auditor)
@@ -594,15 +665,18 @@ class ServerSite:
             self.known_sites = KnownSitesLog()
             self._sitelog_lost = True
 
-    def recover(self):
-        """Restart; returns the recovery process (INVALIDATE-by-server).
+    def recover(self) -> Event:
+        """Restart; returns an event that triggers when recovery's broadcast ends.
 
         The persistent :class:`KnownSitesLog` survives the crash; every
         site in it receives an INVALIDATE carrying the server address,
         which makes proxies mark our documents questionable.  When the log
         was lost too, the :attr:`proxy_roster` is the broadcast target.
-        The recovery obligations are opened synchronously, before the
-        fan-out process runs, so the auditor sees them immediately.
+        One INVALIDATE-by-server per proxy host is enough: the proxy marks
+        every cached document from this server questionable.  The recovery
+        obligations are opened synchronously, before the broadcast starts,
+        so the auditor sees them immediately.  A proxy the broadcast gives
+        up on is owed the message on its next contact.
         """
         self.up = True
         self.network.set_up(self.address)
@@ -611,13 +685,10 @@ class ServerSite:
             targets |= self.proxy_roster
             self._sitelog_lost = False
         self._pending_server_inval |= targets
-        return self.sim.process(self._recovery_fanout(sorted(targets)))
-
-    def _recovery_fanout(self, proxies: List[str]):
-        # One INVALIDATE-by-server per proxy host is enough: the proxy
-        # marks every cached document from this server questionable.
-        for proxy in proxies:
-            if not (yield from self._invalidate_server(proxy)):
-                # Still owed: re-sent on the proxy's next contact.
-                self.invalidations_abandoned += 1
-                self._dirty_server_inval.add(proxy)
+        done = Event(self.sim)
+        steps = [
+            (self._server_message(proxy), {}, self._abandon)
+            for proxy in sorted(targets)
+        ]
+        self._run(steps, False, done.succeed)
+        return done

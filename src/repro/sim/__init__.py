@@ -25,7 +25,7 @@ from .core import (
     Timeout,
 )
 from .process import AllOf, AnyOf, ConditionValue, Process
-from .resources import Claim, Request, Resource, Store
+from .resources import Claim, Resource, Store
 from .rng import RngRegistry
 from .tracing import EventTracer
 
@@ -42,7 +42,6 @@ __all__ = [
     "AnyOf",
     "ConditionValue",
     "Resource",
-    "Request",
     "Claim",
     "Store",
     "RngRegistry",

@@ -4,10 +4,9 @@ Two primitives cover everything the reproduction needs:
 
 * :class:`Resource` — a counted resource (e.g. a server CPU, a disk arm)
   with FIFO queueing.  Used by the cost models to serialise work and to
-  measure utilisation.  A process waits for a unit with
-  :meth:`Resource.request`; a callback chain takes one with
-  :meth:`Resource.acquire`, which runs the callback at once when a unit
-  is free.
+  measure utilisation.  A unit is claimed with :meth:`Resource.acquire`,
+  which runs the claim's callback at once when a unit is free, and
+  returned with :meth:`Resource.release`.
 * :class:`Store` — an unbounded FIFO mailbox of items.  Used for request
   queues and message inboxes.
 """
@@ -15,33 +14,11 @@ Two primitives cover everything the reproduction needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Union
+from typing import Any, Callable, Deque, List, Optional
 
 from .core import Event, Simulator
 
-__all__ = ["Claim", "Resource", "Request", "Store"]
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource`; usable as a context manager."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._grant()
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an un-granted request (used on interrupt)."""
-        self.resource.release(self)
+__all__ = ["Claim", "Resource", "Store"]
 
 
 class Claim:
@@ -60,12 +37,6 @@ class Resource:
 
     Usage::
 
-        with resource.request() as req:
-            yield req
-            yield sim.timeout(work)
-
-    or, without a process::
-
         def granted(claim):
             sim.call_later(work, resource.release, claim)
 
@@ -81,8 +52,8 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.sim = sim
         self.capacity = capacity
-        self._users: List[Union[Request, Claim]] = []
-        self._queue: Deque[Union[Request, Claim]] = deque()
+        self._users: List[Claim] = []
+        self._queue: Deque[Claim] = deque()
         self._busy_time = 0.0
         self._last_change = sim.now
 
@@ -95,7 +66,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a unit."""
+        """Number of claims waiting for a unit."""
         return len(self._queue)
 
     def busy_time(self) -> float:
@@ -109,18 +80,13 @@ class Resource:
 
     # -- protocol -----------------------------------------------------------
 
-    def request(self) -> Request:
-        """Queue a claim for one unit; the returned event triggers on grant."""
-        return Request(self)
-
     def acquire(self, fn: Callable[..., None], *args) -> Claim:
         """Claim one unit for ``fn(claim, *args)``; release it with :meth:`release`.
 
         A free unit is granted now and ``fn`` runs before this returns.
-        Otherwise the claim waits in the same FIFO queue as the
-        :class:`Request` events, and its grant calls ``fn`` from the queue
-        slot a request's grant would take.  Either way the busy time is
-        accounted at the same instant as a :meth:`request` grant.
+        Otherwise the claim waits in a FIFO queue, and a release grants it
+        by scheduling ``fn`` as a zero-delay callback.  Busy time is
+        accounted from the instant of the grant.
         """
         claim = Claim(self, fn, args)
         if len(self._users) < self.capacity:
@@ -131,27 +97,24 @@ class Resource:
             self._queue.append(claim)
         return claim
 
-    def release(self, request: Union[Request, Claim]) -> None:
-        """Return a unit (or withdraw an un-granted request or claim)."""
-        if request in self._users:
+    def release(self, claim: Claim) -> None:
+        """Return a unit (or withdraw an un-granted claim)."""
+        if claim in self._users:
             self._account()
-            self._users.remove(request)
+            self._users.remove(claim)
             self._grant()
         else:
             try:
-                self._queue.remove(request)
+                self._queue.remove(claim)
             except ValueError:
                 pass  # releasing twice is a no-op
 
     def _grant(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            request = self._queue.popleft()
+            claim = self._queue.popleft()
             self._account()
-            self._users.append(request)
-            if type(request) is Claim:
-                self.sim.call_later(0.0, request.fn, request, *request.args)
-            else:
-                request.succeed()
+            self._users.append(claim)
+            self.sim.call_later(0.0, claim.fn, claim, *claim.args)
 
 
 class Store:

@@ -131,13 +131,10 @@ class TestIostatSampler:
         server = ServerSite(sim, net, "server", fs)
         sampler = IostatSampler(sim, server, period=10.0)
 
-        def load(sim):
-            # Hold the CPU for 30 of the first 60 seconds.
-            with server.cpu.request() as req:
-                yield req
-                yield sim.timeout(30.0)
-
-        sim.process(load(sim))
+        # Hold the CPU for 30 of the first 60 seconds.
+        server.cpu.acquire(
+            lambda claim: sim.call_later(30.0, server.cpu.release, claim)
+        )
         sim.run(until=60.0)
         assert sampler.cpu_utilization() == pytest.approx(0.5)
         assert len(sampler.samples) == 6

@@ -11,20 +11,29 @@ def test_resource_capacity_validation():
         Resource(sim, capacity=0)
 
 
+def hold_for(res, hold, log=None, name=None):
+    """Claim ``res``; on the grant log ``name``, then release ``hold`` later."""
+    sim = res.sim
+
+    def granted(claim):
+        if log is not None:
+            log.append((name, "start", sim.now))
+        sim.call_later(hold, release, claim)
+
+    def release(claim):
+        if log is not None:
+            log.append((name, "end", sim.now))
+        res.release(claim)
+
+    return res.acquire(granted)
+
+
 def test_resource_serialises_users():
     sim = Simulator()
     res = Resource(sim, capacity=1)
     log = []
-
-    def user(sim, name, hold):
-        with res.request() as req:
-            yield req
-            log.append((name, "start", sim.now))
-            yield sim.timeout(hold)
-            log.append((name, "end", sim.now))
-
-    sim.process(user(sim, "a", 2.0))
-    sim.process(user(sim, "b", 3.0))
+    hold_for(res, 2.0, log, "a")
+    hold_for(res, 3.0, log, "b")
     sim.run()
     assert log == [
         ("a", "start", 0.0),
@@ -37,30 +46,18 @@ def test_resource_serialises_users():
 def test_resource_parallel_capacity():
     sim = Simulator()
     res = Resource(sim, capacity=2)
-    ends = []
-
-    def user(sim):
-        with res.request() as req:
-            yield req
-            yield sim.timeout(1.0)
-            ends.append(sim.now)
-
+    log = []
     for _ in range(4):
-        sim.process(user(sim))
+        hold_for(res, 1.0, log)
     sim.run()
+    ends = [at for _name, what, at in log if what == "end"]
     assert ends == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_resource_busy_time_accounting():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-
-    def user(sim):
-        with res.request() as req:
-            yield req
-            yield sim.timeout(3.0)
-
-    sim.process(user(sim))
+    hold_for(res, 3.0)
     sim.run(until=10.0)
     assert res.busy_time() == pytest.approx(3.0)
 
@@ -68,13 +65,7 @@ def test_resource_busy_time_accounting():
 def test_resource_busy_time_counts_in_flight_use():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-
-    def user(sim):
-        with res.request() as req:
-            yield req
-            yield sim.timeout(8.0)
-
-    sim.process(user(sim))
+    hold_for(res, 8.0)
     sim.run(until=4.0)
     assert res.busy_time() == pytest.approx(4.0)
 
@@ -82,18 +73,8 @@ def test_resource_busy_time_counts_in_flight_use():
 def test_resource_queue_length_and_count():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-
-    def holder(sim):
-        with res.request() as req:
-            yield req
-            yield sim.timeout(5.0)
-
-    def waiter(sim):
-        with res.request() as req:
-            yield req
-
-    sim.process(holder(sim))
-    sim.process(waiter(sim))
+    hold_for(res, 5.0)
+    res.acquire(lambda claim: None)
     sim.run(until=1.0)
     assert res.count == 1
     assert res.queue_length == 1
@@ -102,15 +83,15 @@ def test_resource_queue_length_and_count():
 def test_resource_release_unknown_request_is_noop():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    req = res.request()
+    claim = res.acquire(lambda claim: None)
     sim.run()
-    res.release(req)
-    res.release(req)  # double release tolerated
+    res.release(claim)
+    res.release(claim)  # double release tolerated
     assert res.count == 0
 
 
 class TestAcquire:
-    """The callback form of a claim, :meth:`Resource.acquire`."""
+    """Claims on a :class:`Resource`, made with :meth:`Resource.acquire`."""
 
     def test_free_grant_runs_inline_and_queues_nothing(self):
         sim = Simulator()
@@ -122,7 +103,7 @@ class TestAcquire:
         assert res.queue_length == 0
         assert sim.queue_depth == 0
 
-    def test_claims_and_requests_share_one_fifo_queue(self):
+    def test_busy_claims_are_granted_fifo(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
         log = []
@@ -131,63 +112,48 @@ class TestAcquire:
             log.append((name, sim.now))
             sim.call_later(1.0, res.release, claim)
 
-        def waiter(name):
-            with res.request() as req:
-                yield req
-                log.append((name, sim.now))
-                yield sim.sleep(1.0)
-
         res.acquire(hold, "claim-0")
-        sim.process(waiter("request-1"))
+        res.acquire(hold, "claim-1")
         sim.run(until=0.5)
         res.acquire(hold, "claim-2")
-        sim.process(waiter("request-3"))
-        sim.run(until=0.6)
-        res.acquire(hold, "claim-4")
+        res.acquire(hold, "claim-3")
+        assert log == [("claim-0", 0.0)]
+        assert res.queue_length == 3
+        sim.run(until=1.0)
+        # The release at 1.0 granted claim-1 at once, but its callback
+        # runs from the queue, not inside the release.
+        assert res.count == 1 and res.queue_length == 2
         sim.run()
         assert log == [
             ("claim-0", 0.0),
-            ("request-1", 1.0),
+            ("claim-1", 1.0),
             ("claim-2", 2.0),
-            ("request-3", 3.0),
-            ("claim-4", 4.0),
+            ("claim-3", 3.0),
         ]
 
     def test_busy_time_matches_the_request_form(self):
+        # Recorded while a process could still claim a unit by waiting on
+        # a request event; both forms gave these values at each instant.
         arrivals = [(0.0, 1.0), (0.3, 0.25), (0.35, 0.7), (2.0, 0.1), (2.1, 3.3)]
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
 
-        def with_requests():
-            sim = Simulator()
-            res = Resource(sim, capacity=1)
+        def granted(claim, hold):
+            sim.call_later(hold, res.release, claim)
 
-            def user(hold):
-                with res.request() as req:
-                    yield req
-                    yield sim.sleep(hold)
-
-            for at, hold in arrivals:
-                sim.call_later(at, lambda hold=hold: sim.process(user(hold)))
-            return sim, res
-
-        def with_claims():
-            sim = Simulator()
-            res = Resource(sim, capacity=1)
-
-            def granted(claim, hold):
-                sim.call_later(hold, res.release, claim)
-
-            for at, hold in arrivals:
-                sim.call_later(at, res.acquire, granted, hold)
-            return sim, res
-
-        runs = [with_requests(), with_claims()]
-        for until in (0.2, 0.4, 1.3, 2.05, 2.6, 9.0):
-            busy = []
-            for sim, res in runs:
-                sim.run(until=until)
-                busy.append(res.busy_time())
-            assert busy[0] == busy[1]
-        assert busy[1] == pytest.approx(5.35)
+        for at, hold in arrivals:
+            sim.call_later(at, res.acquire, granted, hold)
+        expected = [
+            (0.2, 0.2),
+            (0.4, 0.4),
+            (1.3, 1.3),
+            (2.05, 1.9999999999999998),
+            (2.6, 2.55),
+            (9.0, 5.35),
+        ]
+        for until, busy in expected:
+            sim.run(until=until)
+            assert res.busy_time() == busy
 
     def test_releasing_an_ungranted_claim_withdraws_it(self):
         sim = Simulator()
