@@ -661,6 +661,14 @@ class ServerSite:
         # Open batch buffers die with the process; their obligations stay
         # open, and the recovery INVALIDATE-by-server discharges them.
         self._batch_buffers.clear()
+        # So do the fan-outs, flushes and recovery broadcasts in flight,
+        # with any accept-lock hold; their obligations stay open too.
+        for fanout in self._fanouts:
+            if fanout.delivery is not None:
+                fanout.delivery.cancel()
+            if fanout.hold is not None:
+                self.accept_lock.release(fanout.hold)
+        self._fanouts.clear()
         if lose_sitelog:
             self.known_sites = KnownSitesLog()
             self._sitelog_lost = True

@@ -281,7 +281,6 @@ class TestCrashRecovery:
         assert len(invs1) == 1
         assert len(invs2) == 1
 
-    @pytest.mark.xfail(strict=True, reason="a crash does not end the fan-out")
     def test_crash_ends_a_blocking_fanout_and_its_accept_lock_hold(self):
         """A fan-out the crash interrupted must not stall requests after it.
 
@@ -313,6 +312,22 @@ class TestCrashRecovery:
         # INVALIDATE's obligation stays open, covered by that broadcast.
         assert not site.recovery_pending("proxy")
         assert site.write_pending("/a", "c1")
+
+    def test_crash_stops_the_retries_of_a_recovery_broadcast(self):
+        accel = AcceleratorConfig(invalidation=True)
+        sim, net, fs, site, inbox = setup_site(accel=accel)
+        net.send(make_get("proxy", "server", "/a", client_id="c1"))
+        sim.run()
+        net.set_down("proxy")
+        site.crash()
+        recovery = site.recover()
+        sim.run(until=sim.now + 1.0)  # the first attempt failed at 0.5 s
+        dropped = net.stats.total_dropped
+        site.crash()
+        sim.run(until=sim.now + 300.0)
+        assert net.stats.total_dropped == dropped
+        assert not recovery.processed
+        assert site.recovery_pending("proxy")
 
     def test_crashed_server_unreachable(self):
         sim, net, fs, site, inbox = setup_site()
