@@ -32,7 +32,7 @@ A :class:`ParentProxy` is a network-served shared cache:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Iterator, Set
 
 from ..http import (
     NOT_MODIFIED,
@@ -254,49 +254,38 @@ class ParentProxy:
             # Drop our shared copy and invalidate interested children.
             self.cache.remove(f"{message.url}@{_SHARED}")
             entries = self.interest.note_modification(message.url, self.sim.now)
-            forwards = [
+            self._forward(
                 make_invalidate_url(
-                    self.address,
-                    entry.proxy,
-                    message.url,
-                    entry.client_id,
+                    self.address, entry.proxy, message.url, entry.client_id,
                     wire=self.wire,
                 )
                 for entry in entries
-            ]
+            )
         else:
             # Server recovered: everything we hold is questionable, and
             # every child must hear the same.
             self.cache.mark_all_questionable()
-            forwards = self._server_messages(message.server)
-        self._forward(forwards, 0, None)
+            self._forward(self._server_messages(message.server))
 
-    def _server_messages(self, server: str) -> list:
-        """One INVALIDATE-by-server for every child ever seen."""
-        return [
+    def _server_messages(self, server: str) -> Iterator[Invalidate]:
+        return (
             make_invalidate_server(self.address, child, server=server, wire=self.wire)
             for child in sorted(self._known_children)
-        ]
+        )
 
-    def _forward(self, messages: list, index: int, done) -> None:
-        """Deliver ``messages[index:]`` one after another, then trigger ``done``.
-
-        The channel retries each until it lands.  A delivered
-        INVALIDATE for a URL forgets its child's interest.
-        """
-        if index < len(messages):
-            self.channel.deliver(
-                messages[index], self._forwarded, messages, index, done
-            )
+    def _forward(self, messages: Iterator[Invalidate], done: Event = None) -> None:
+        """Deliver ``messages`` one after another, then trigger ``done``."""
+        message = next(messages, None)
+        if message is not None:
+            self.channel.deliver(message, self._forwarded, message, messages, done)
         elif done is not None:
             done.succeed()
 
-    def _forwarded(self, _delivered: bool, messages: list, index: int, done) -> None:
-        message = messages[index]
+    def _forwarded(self, _delivered: bool, message, messages, done) -> None:
         self.invalidations_forwarded += 1
         if message.url is not None:
             self.interest.clear_after_invalidation(message.url, [message.client_id])
-        self._forward(messages, index + 1, done)
+        self._forward(messages, done)
 
     # ------------------------------------------------------------------
     # failures
@@ -330,5 +319,5 @@ class ParentProxy:
         self.network.set_up(self.address)
         self.cache.mark_all_questionable()
         done = Event(self.sim)
-        self._forward(self._server_messages(self.server_address), 0, done)
+        self._forward(self._server_messages(self.server_address), done)
         return done

@@ -2,10 +2,9 @@
 
 The paper sends invalidation messages over TCP "and when the TCP message
 fails, use periodic retry" (Section 4, failure handling).
-:class:`ReliableChannel` packages exactly that as a callback chain:
-:meth:`ReliableChannel.deliver` hangs a continuation on the send's
-outcome event, re-sends a failed message ``retry_interval`` seconds
-later, and ends in ``on_done(delivered, *args)``.
+:class:`ReliableChannel` packages exactly that as a callback: it re-sends
+a failed message every ``retry_interval`` seconds and then calls
+``on_done(delivered, *args)``.
 """
 
 from __future__ import annotations
@@ -22,32 +21,19 @@ __all__ = ["ReliableChannel", "Delivery"]
 class Delivery:
     """One reliable send in progress (see :meth:`ReliableChannel.deliver`)."""
 
-    __slots__ = ("channel", "message", "on_done", "args", "attempts", "_timer",
-                 "_cancelled")
+    __slots__ = ("channel", "message", "on_done", "args", "attempts", "_timer")
 
-    def __init__(
-        self,
-        channel: "ReliableChannel",
-        message: Message,
-        on_done: Callable[..., None],
-        args: tuple,
-    ) -> None:
+    def __init__(self, channel, message: Message, on_done, args: tuple) -> None:
         self.channel = channel
         self.message = message
-        self.on_done = on_done
+        self.on_done: Optional[Callable[..., None]] = on_done
         self.args = args
-        #: Sends made so far, the first one included.
         self.attempts = 0
         self._timer = None
-        self._cancelled = False
 
     def cancel(self) -> None:
-        """Stop retrying; ``on_done`` is never called.
-
-        A message already in flight still lands: cancelling only drops
-        the outcome and any retry not yet sent.
-        """
-        self._cancelled = True
+        """Stop retrying; ``on_done`` is not called (a send in flight lands)."""
+        self.on_done = None
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -58,13 +44,12 @@ class Delivery:
         self.channel.network.send(self.message).callbacks.append(self._sent)
 
     def _sent(self, outcome: Event) -> None:
-        if self._cancelled:
-            return
+        if self.on_done is None:
+            return  # cancelled
         channel = self.channel
-        if outcome.ok:
-            self.on_done(True, *self.args)
-        elif channel.max_retries is not None and self.attempts > channel.max_retries:
-            self.on_done(False, *self.args)
+        limit = channel.max_retries
+        if outcome.ok or (limit is not None and self.attempts > limit):
+            self.on_done(outcome.ok, *self.args)
         else:
             self._timer = channel.network.sim.call_later(
                 channel.retry_interval, self._attempt
@@ -93,15 +78,12 @@ class ReliableChannel:
         self.retry_interval = retry_interval
         self.max_retries = max_retries
 
-    def deliver(
-        self, message: Message, on_done: Callable[..., None], *args
-    ) -> Delivery:
-        """Send ``message`` until it lands, then call ``on_done(True, *args)``.
+    def deliver(self, message: Message, on_done, *args) -> Delivery:
+        """Send ``message`` now, retrying until it lands or ``max_retries``.
 
-        The message is sent now.  ``on_done`` runs in the queue slot of the
-        outcome event of the send that landed, or with ``False`` in the
-        slot of the last failure once ``max_retries`` re-tries failed.
-        The returned :class:`Delivery` can be cancelled.
+        ``on_done(delivered, *args)`` runs in the queue slot of the last
+        send's outcome event: ``True`` when it landed, ``False`` when the
+        channel gave up.  The returned :class:`Delivery` can be cancelled.
         """
         delivery = Delivery(self, message, on_done, args)
         delivery._attempt()

@@ -14,8 +14,8 @@ cares about:
   ``wait=False`` and get no event at all.  Both forms take the same
   delivery route, so ``wait`` changes nothing but the return value.
 * A crashed *sender* cannot transmit either: its sends fail the same way,
-  so a process that outlives its host (e.g. an invalidation fan-out whose
-  server died mid-loop) retries instead of teleporting messages.
+  so work that outlives its host (e.g. a parent cache's INVALIDATE
+  forwarding) retries instead of teleporting messages.
 * Reachability is also re-checked at delivery time, so a node that dies (or
   a partition that forms) while a message is in flight loses the message.
 

@@ -284,7 +284,7 @@ class AcceleratorCluster:
         # this proxy abandoned invalidations uses the contact to retry
         # (the owner handles its own debt when it receives the request).
         for shard in self.shards:
-            if shard.address != owner:
+            if shard.address != owner and shard.up:
                 shard.note_contact(message.src)
         self.requests_routed[owner] += 1
         shard = self._by_address[owner]

@@ -23,7 +23,7 @@ A request runs as a chain of callbacks, one per stage it holds the CPU
 or the disk for (:meth:`ServerSite._work`): accept, parse, the site-log
 write on a site's first contact, the document read, the reply and the
 request-log write.  A free resource is taken at once, a busy one queues
-FIFO with the INVALIDATE senders, which still run as processes.
+FIFO with the INVALIDATE senders.
 
 There is one INVALIDATE fan-out.  A modification opens one obligation
 per registered site, stamped with the time it opened, then groups the
@@ -31,8 +31,10 @@ sites as ``(proxy, pairs)`` in one of three ways: one message per site
 (the paper's form), one per proxy covering its clients (``multicast``),
 or one per proxy's batch buffer, flushed when ``batch_max`` pairs
 accumulate or ``batch_window`` seconds after the buffer opened.  Every
-group goes out through :meth:`ServerSite._invalidate`, the one place
-entries and obligations close.  A delivered INVALIDATE covers only the
+INVALIDATE — those groups, the flush of abandoned ones on a proxy's next
+contact and the recovery broadcast — is a step of one callback chain,
+:meth:`ServerSite._run`, and closes entries and obligations in
+:meth:`ServerSite._discharge`.  A delivered INVALIDATE covers only the
 copies fetched up to its obligation's open time: a site that registered
 again after that keeps its entry, so the next modification invalidates
 it too.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..http import (
     HttpRequest,
@@ -69,26 +71,18 @@ __all__ = ["ServerSite"]
 #: one INVALIDATE discharges, or that are still owed.
 Pairs = Dict[Tuple[str, str], float]
 
-#: One INVALIDATE of a fan-out, the pairs its delivery discharges, and
-#: ``undelivered(message, pairs)``, run when ``max_retries`` gives up.
-Step = Tuple[Invalidate, Pairs, Callable[[Invalidate, Pairs], None]]
-
-
-class _Fanout:
+class _Run:
     """One run of :meth:`ServerSite._run`: its steps and where it is."""
 
     __slots__ = ("steps", "index", "on_end", "args", "hold", "delivery")
 
-    def __init__(self, steps: List[Step], on_end, args: tuple) -> None:
+    def __init__(self, steps: list, on_end, args: tuple) -> None:
         self.steps = steps
-        #: The step being sent (``len(steps)`` once all are done).
-        self.index = 0
+        self.index = 0  # the step being sent
         self.on_end = on_end
         self.args = args
-        #: A blocking fan-out's claim on the accept lock.
-        self.hold: Optional[Claim] = None
-        #: The current step's INVALIDATE on the reliable channel.
-        self.delivery: Optional[Delivery] = None
+        self.hold: Optional[Claim] = None  # a blocking run's accept lock
+        self.delivery: Optional[Delivery] = None  # the step on the channel
 
 
 class ServerSite:
@@ -150,9 +144,8 @@ class ServerSite:
         #: re-send on the target proxy's next contact with the server.
         self._dirty_by_proxy: Dict[str, Pairs] = {}
         self._dirty_server_inval: Set[str] = set()
-        #: Fan-outs, flushes and recovery broadcasts in flight, in start
-        #: order (a dict used as an ordered set); a crash ends them all.
-        self._fanouts: Dict[_Fanout, None] = {}
+        #: INVALIDATE runs in flight, in start order; a crash ends them.
+        self._runs: Dict[_Run, None] = {}
         #: Operator-configured fleet membership: every proxy host that may
         #: front this server.  Used as the recovery broadcast target when a
         #: crash also destroys the persistent known-sites log.
@@ -459,15 +452,13 @@ class ServerSite:
             for proxy, pairs in groups
         ]
         entries = sum(len(pairs) for _proxy, pairs in groups)
-        self._run(
-            steps, self.accel.blocking_send, self._fanout_done, url, started, entries
-        )
+        blocking = self.accel.blocking_send
+        self._run(steps, blocking, self._fanout_done, url, started, entries)
 
     def _fanout_done(self, url: str, started: float, entries: int) -> None:
-        now = self.sim.now
-        self.invalidation_times.append(now - started)
+        self.invalidation_times.append(self.sim.now - started)
         if self.fanout_listener is not None:
-            self.fanout_listener(url, started, now, entries)
+            self.fanout_listener(url, started, self.sim.now, entries)
 
     def _invalidate_message(self, proxy: str, pairs: Pairs) -> Message:
         """Build the INVALIDATE for one fan-out group."""
@@ -489,71 +480,61 @@ class ServerSite:
         )
 
     def _server_message(self, proxy: str) -> Invalidate:
-        """Build the INVALIDATE-by-server for ``proxy``."""
         return make_invalidate_server(
             self.address, proxy, server=self.address, wire=self.wire
         )
 
-    def _run(self, steps: List[Step], blocking: bool, on_end, *args) -> None:
+    def _run(self, steps: list, blocking: bool, on_end, *args) -> None:
         """Send ``steps`` one after another, then call ``on_end(*args)``.
 
-        This one chain runs every fan-out, flush and recovery broadcast.
-        A step charges the CPU for building its INVALIDATE, then delivers
-        it over the reliable channel (TCP plus periodic retry).  On
-        delivery :meth:`_discharge` closes what it covers; when
-        ``max_retries`` gives up, the step's own handler records how the
-        INVALIDATE is still owed.  A ``blocking`` run holds the accept
-        lock from before its first step until after its last.
-        :meth:`crash` ends every run.
+        A step ``(message, pairs, undelivered)`` is a CPU stage for the
+        message, then its delivery over the reliable channel (TCP plus
+        periodic retry).  :meth:`_discharge` closes what a delivered one
+        covers; ``undelivered(message, pairs)`` records how one that
+        ``max_retries`` gave up on is still owed.  A ``blocking`` run
+        holds the accept lock throughout.  :meth:`crash` ends every run.
         """
-        fanout = _Fanout(steps, on_end, args)
-        self._fanouts[fanout] = None
+        run = _Run(steps, on_end, args)
+        self._runs[run] = None
         if blocking:
-            fanout.hold = self.accept_lock.acquire(self._held, fanout)
+            run.hold = self.accept_lock.acquire(self._step, run)
         else:
-            self._step(fanout)
+            self._step(None, run)
 
-    def _held(self, claim: Claim, fanout: "_Fanout") -> None:
-        if fanout in self._fanouts:  # not ended by a crash since its grant
-            fanout.hold = claim
-            self._step(fanout)
-
-    def _step(self, fanout: "_Fanout") -> None:
-        if fanout.index < len(fanout.steps):
-            cost = self.costs.cpu_invalidate_msg
-            self._work(self.cpu, cost, self._send_step, fanout)
+    def _step(self, hold: Optional[Claim], run: _Run) -> None:
+        if run not in self._runs:
+            return  # ended by a crash while waiting for the accept lock
+        if hold is not None:
+            run.hold = hold
+        if run.index < len(run.steps):
+            self._work(self.cpu, self.costs.cpu_invalidate_msg, self._send, run)
             return
-        del self._fanouts[fanout]
-        if fanout.hold is not None:
-            self.accept_lock.release(fanout.hold)
-        if fanout.on_end is not None:
-            fanout.on_end(*fanout.args)
+        del self._runs[run]
+        if run.hold is not None:
+            self.accept_lock.release(run.hold)
+        if run.on_end is not None:
+            run.on_end(*run.args)
 
-    def _send_step(self, fanout: "_Fanout") -> None:
-        if fanout in self._fanouts:  # not ended by a crash during the CPU stage
-            message = fanout.steps[fanout.index][0]
-            fanout.delivery = self.channel.deliver(message, self._stepped, fanout)
+    def _send(self, run: _Run) -> None:
+        if run in self._runs:  # not ended by a crash during the CPU stage
+            message = run.steps[run.index][0]
+            run.delivery = self.channel.deliver(message, self._on_sent, run)
 
-    def _stepped(self, delivered: bool, fanout: "_Fanout") -> None:
-        message, pairs, undelivered = fanout.steps[fanout.index]
-        fanout.index += 1
+    def _on_sent(self, delivered: bool, run: _Run) -> None:
+        message, pairs, undelivered = run.steps[run.index]
+        run.index += 1
         if delivered:
             self._discharge(message, pairs)
         else:
             undelivered(message, pairs)
-        self._step(fanout)
+        self._step(None, run)
 
     def _discharge(self, message: Invalidate, pairs: Pairs) -> None:
         """Count a delivered INVALIDATE and close what it covers.
 
-        This is the only place site-list entries and obligations close.
-        For each ``(url, client_id)`` in ``pairs`` the entry is dropped
-        and the pending obligation closed; an INVALIDATE-by-server closes
-        its proxy's recovery obligation.  The message covers only what
-        was known when its obligation opened: an entry registered after
-        that is a newer fetch and is kept, and an obligation re-opened by
-        a later modification stays open for that modification's own
-        INVALIDATE.
+        The only place entries and obligations close, and only those known
+        when each obligation opened: a newer registration is kept, and an
+        obligation a later modification re-opened stays open.
         """
         self.invalidations_sent += 1
         if message.server is not None:
@@ -571,22 +552,15 @@ class ServerSite:
 
         Keeps the site-list entries (marked dirty) and the pending
         obligations: the copies out there are still stale and still owed
-        an invalidation, just via a different channel.  An abandoned
-        INVALIDATE-by-server (``pairs`` is empty) is owed whole.
+        an invalidation, just via a different channel.
         """
-        proxy = message.dst
-        if message.server is not None:
-            self.invalidations_abandoned += 1
-            self._dirty_server_inval.add(proxy)
-            return
-        queue = self._dirty_by_proxy.setdefault(proxy, {})
-        for (url, cid), opened in pairs.items():
-            self.invalidations_abandoned += 1
-            queue[(url, cid)] = opened
+        self.invalidations_abandoned += len(pairs) or 1  # by-server: once
+        self._requeue(message, pairs)
+        for url, cid in pairs:
             self.table.site_list(url).mark_dirty(cid)
 
     def _requeue(self, message: Invalidate, pairs: Pairs) -> None:
-        """Owe a flushed INVALIDATE that failed again to the next contact."""
+        """Owe an undelivered INVALIDATE to its proxy's next contact."""
         if message.server is not None:
             self._dirty_server_inval.add(message.dst)
         else:
@@ -595,22 +569,18 @@ class ServerSite:
     def note_contact(self, proxy: str) -> None:
         """Re-send the abandoned INVALIDATEs owed to ``proxy``, if any.
 
-        A contact from a proxy we owe is the retry opportunity: the proxy
-        is provably reachable right now.  The flush claims the CPU at
-        once, so it goes before the contacting request's accept stage.
-        Both this site's own receive path and the sharded cluster's
-        router call it; only this module knows how the debt is stored.
+        A contact is the retry opportunity: the proxy is provably
+        reachable right now.  The flush claims the CPU at once, so it
+        goes before the contacting request's accept stage.
         """
-        if not self.up or (
-            proxy not in self._dirty_by_proxy
-            and proxy not in self._dirty_server_inval
-        ):
-            return
-        steps: List[Step] = []
+        owed = self._dirty_by_proxy.pop(proxy, None)
+        if owed is None and proxy not in self._dirty_server_inval:
+            return  # the common case: nothing owed
+        steps = []
         if proxy in self._dirty_server_inval:
             self._dirty_server_inval.discard(proxy)
             steps.append((self._server_message(proxy), {}, self._requeue))
-        for (url, cid), opened in self._dirty_by_proxy.pop(proxy, {}).items():
+        for (url, cid), opened in (owed or {}).items():
             message = make_invalidate_url(
                 self.address, proxy, url, cid, wire=self.wire
             )
@@ -658,33 +628,29 @@ class ServerSite:
         self.network.set_down(self.address)
         self.table = InvalidationTable()
         self._seen_mtime.clear()
-        # Open batch buffers die with the process; their obligations stay
-        # open, and the recovery INVALIDATE-by-server discharges them.
+        # Open batch buffers and INVALIDATE runs die with the process; their
+        # obligations stay open, and the recovery INVALIDATE-by-server
+        # discharges them.
         self._batch_buffers.clear()
-        # So do the fan-outs, flushes and recovery broadcasts in flight,
-        # with any accept-lock hold; their obligations stay open too.
-        for fanout in self._fanouts:
-            if fanout.delivery is not None:
-                fanout.delivery.cancel()
-            if fanout.hold is not None:
-                self.accept_lock.release(fanout.hold)
-        self._fanouts.clear()
+        for run in self._runs:
+            if run.delivery is not None:
+                run.delivery.cancel()
+            if run.hold is not None:
+                self.accept_lock.release(run.hold)
+        self._runs.clear()
         if lose_sitelog:
             self.known_sites = KnownSitesLog()
             self._sitelog_lost = True
 
     def recover(self) -> Event:
-        """Restart; returns an event that triggers when recovery's broadcast ends.
+        """Restart; returns an event that triggers when the broadcast ends.
 
         The persistent :class:`KnownSitesLog` survives the crash; every
         site in it receives an INVALIDATE carrying the server address,
         which makes proxies mark our documents questionable.  When the log
         was lost too, the :attr:`proxy_roster` is the broadcast target.
-        One INVALIDATE-by-server per proxy host is enough: the proxy marks
-        every cached document from this server questionable.  The recovery
-        obligations are opened synchronously, before the broadcast starts,
-        so the auditor sees them immediately.  A proxy the broadcast gives
-        up on is owed the message on its next contact.
+        The recovery obligations are opened synchronously, before the
+        broadcast starts, so the auditor sees them immediately.
         """
         self.up = True
         self.network.set_up(self.address)
@@ -693,6 +659,8 @@ class ServerSite:
             targets |= self.proxy_roster
             self._sitelog_lost = False
         self._pending_server_inval |= targets
+        # One INVALIDATE-by-server per proxy host is enough: the proxy
+        # marks every cached document from this server questionable.
         done = Event(self.sim)
         steps = [
             (self._server_message(proxy), {}, self._abandon)

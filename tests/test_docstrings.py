@@ -4,8 +4,8 @@ An AST-level equivalent of pydocstyle's missing-docstring rules
 (D100–D104), scoped — like the ruff configuration in pyproject.toml —
 to the packages whose public API the docs promise is documented:
 ``repro.replay``, ``repro.chaos``, ``repro.proxy``, ``repro.hierarchy``,
-``repro.server``, ``repro.net`` and ``repro.sim``.  It runs from the source alone, so the gate
-holds even where ruff is not installed.
+``repro.server``, ``repro.net`` and ``repro.sim``.  It runs from the
+source alone, so the gate holds even where ruff is not installed.
 """
 
 import ast
