@@ -71,6 +71,7 @@ __all__ = ["ServerSite"]
 #: one INVALIDATE discharges, or that are still owed.
 Pairs = Dict[Tuple[str, str], float]
 
+
 class _Run:
     """One run of :meth:`ServerSite._run`: its steps and where it is."""
 
