@@ -28,6 +28,14 @@ origin server's request path as a generator process.
 hold the accept lock (``blocking=False``, the paper's proposed fix); it
 was recorded while the fan-out still ran as a generator process.
 
+``invalidation-sdsc-sparse-audit`` replays a sparse SDSC trace at a
+2.5-day lifetime.  Unlike the EPA cases, it has 300 s intervals in which
+the modifier is the only busy participant (checked by
+:func:`test_sparse_case_has_a_modification_only_interval`), so an
+interval that ends without waiting for the modifier's per-touch overhead
+moves it.  It was recorded while the time coordinator still ran
+as a generator process.
+
 ``invalidation-audit-shards4-window1`` is the one case whose batch
 buffers flush on the ``batch_window`` timer rather than on ``batch_max``
 fill.  It was recorded while batching still lived in a separate shard
@@ -59,6 +67,7 @@ from repro.replay.experiment import ExperimentConfig, run_experiment
 from repro.replay.serialize import result_to_dict
 from repro.sim import EventTracer, RngRegistry, tracing
 from repro.traces import generate_trace, profile
+from repro.workload import generate_schedule
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
 TIMELINE_PATH = os.path.join(
@@ -117,6 +126,10 @@ def _cases():
     cases["invalidation-audit-shards4-window1"] = (
         "invalidation",
         {"audit": True, "shards": 4, "batch_window": 1.0, "batch_max": 32},
+    )
+    cases["invalidation-sdsc-sparse-audit"] = (
+        "invalidation",
+        {"audit": True, "trace": "SDSC", "lifetime_days": 2.5},
     )
     cases["invalidation-hierarchy2"] = ("invalidation", {"hierarchy_parents": 2})
     cases["invalidation-chaos"] = (
@@ -185,35 +198,40 @@ REACHES = {
     ),
 }
 
-_TRACE = []
+_TRACES = {}
 
 
-def _trace():
-    if not _TRACE:
-        _TRACE.append(
-            generate_trace(profile("EPA").scaled(0.02), RngRegistry(seed=3))
+def _trace(name="EPA"):
+    if name not in _TRACES:
+        _TRACES[name] = generate_trace(
+            profile(name).scaled(0.02), RngRegistry(seed=3)
         )
-    return _TRACE[0]
+    return _TRACES[name]
 
 
-def run_case(case: str):
-    """Replay one case and return its :class:`ExperimentResult`."""
+def case_config(case: str) -> ExperimentConfig:
+    """The :class:`ExperimentConfig` one case replays."""
     protocol, overrides = CASES[case]
     overrides = dict(overrides)
     observation = overrides.pop("observation", None)
     if observation is not None:
         observation = Observation(deep=observation == "deep")
-    config = ExperimentConfig(
-        trace=_trace(),
+    return ExperimentConfig(
+        trace=_trace(overrides.pop("trace", "EPA")),
         protocol=PROTOCOLS[protocol](**overrides.pop("protocol_kwargs", {})),
-        mean_lifetime=7 * 86400.0,
+        mean_lifetime=overrides.pop("lifetime_days", 7) * 86400.0,
         seed=overrides.pop("seed", 11),
         observation=observation,
         **overrides,
     )
+
+
+def run_case(case: str):
+    """Replay one case and return its :class:`ExperimentResult`."""
+    config = case_config(case)
     result = run_experiment(config)
-    if observation is not None:
-        observation.close()
+    if config.observation is not None:
+        config.observation.close()
     return result
 
 
@@ -262,6 +280,21 @@ def test_digest_matches_golden(case):
     if case in REACHES:
         assert REACHES[case](result), f"{case} did not reach its path"
     assert digest(result) == _golden()[case]
+
+
+def test_sparse_case_has_a_modification_only_interval():
+    """Some interval of the sparse case holds a modification and no request."""
+    config = case_config("invalidation-sdsc-sparse-audit")
+    trace = config.trace
+    schedule = generate_schedule(
+        sorted(trace.documents),
+        duration=trace.duration,
+        mean_lifetime_seconds=config.mean_lifetime,
+        rng=RngRegistry(config.seed).stream("modifications"),
+    )
+    requested = {int(r.timestamp // config.interval) for r in trace.records}
+    modified = {int(m.time // config.interval) for m in schedule}
+    assert modified - requested
 
 
 def test_owner_breakdown_adds_up_and_moves_no_result(monkeypatch):
