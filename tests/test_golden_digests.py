@@ -249,12 +249,12 @@ def timeline_digest(case: str) -> str:
     sends = []
     send = Network.send
 
-    def recording_send(network, message, wait=True):
+    def recording_send(network, message, *args, **kwargs):
         sends.append(
             f"{network.sim.now!r} {type(message).__name__} {message.category} "
             f"{message.src} {message.dst} {message.size}\n"
         )
-        return send(network, message, wait)
+        return send(network, message, *args, **kwargs)
 
     Network.send = recording_send
     try:
