@@ -47,7 +47,7 @@ from ..http import (
     make_reply_304,
 )
 from ..http.wire import DEFAULT_WIRE, WireCosts
-from ..net import Message, Network, ReliableChannel, Unreachable
+from ..net import Message, Network, ReliableChannel
 from ..proxy.cache import Cache
 from ..proxy.entry import CacheEntry
 from ..proxy.proxy import ProxyCosts
@@ -147,8 +147,7 @@ class ParentProxy:
         self.requests_served += 1
         if request.is_ims and entry.last_modified <= request.ims_timestamp:
             self.network.send(
-                make_reply_304(request, entry.last_modified, wire=self.wire),
-                wait=False,
+                make_reply_304(request, entry.last_modified, wire=self.wire)
             )
         else:
             yield sim.sleep(self.costs.cpu_serve_per_kb * entry.size / 1024.0)
@@ -158,8 +157,7 @@ class ParentProxy:
                     body_bytes=entry.size,
                     last_modified=entry.last_modified,
                     wire=self.wire,
-                ),
-                wait=False,
+                )
             )
 
     def _refresh(self, url: str, stale_entry):
@@ -207,9 +205,9 @@ class ParentProxy:
         msg_id = upstream.msg_id
         waiter = Event(sim)
         self._pending[msg_id] = waiter
-        try:
-            yield self.network.send(upstream)
-        except Unreachable:
+        sent = Event(sim)
+        self.network.send(upstream, sent.succeed)
+        if not (yield sent):
             self._pending.pop(msg_id, None)
             return None
         if msg_id in self._pending:  # not ended by a crash or an early reply

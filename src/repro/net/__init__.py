@@ -3,14 +3,13 @@
 from .channel import Delivery, ReliableChannel
 from .latency import FixedLatency, LanModel, LatencyModel, PerturbedLatency, WanModel
 from .message import Address, Message
-from .network import LinkFault, Network, Unreachable
+from .network import LinkFault, Network
 from .stats import NetworkStats
 
 __all__ = [
     "Address",
     "Message",
     "Network",
-    "Unreachable",
     "LinkFault",
     "NetworkStats",
     "LatencyModel",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim import Event
 from .message import Message
 from .network import Network
 
@@ -41,15 +40,15 @@ class Delivery:
     def _attempt(self) -> None:
         self._timer = None
         self.attempts += 1
-        self.channel.network.send(self.message).callbacks.append(self._sent)
+        self.channel.network.send(self.message, self._sent)
 
-    def _sent(self, outcome: Event) -> None:
+    def _sent(self, delivered: bool) -> None:
         if self.on_done is None:
             return  # cancelled
         channel = self.channel
         limit = channel.max_retries
-        if outcome.ok or (limit is not None and self.attempts > limit):
-            self.on_done(outcome.ok, *self.args)
+        if delivered or (limit is not None and self.attempts > limit):
+            self.on_done(delivered, *self.args)
         else:
             self._timer = channel.network.sim.call_later(
                 channel.retry_interval, self._attempt
@@ -81,9 +80,9 @@ class ReliableChannel:
     def deliver(self, message: Message, on_done, *args) -> Delivery:
         """Send ``message`` now, retrying until it lands or ``max_retries``.
 
-        ``on_done(delivered, *args)`` runs in the queue slot of the last
-        send's outcome event: ``True`` when it landed, ``False`` when the
-        channel gave up.  The returned :class:`Delivery` can be cancelled.
+        ``on_done(delivered, *args)`` runs where the last send reports its
+        outcome: ``True`` right after the receiver's handler, ``False``
+        when the channel gave up.  The returned :class:`Delivery` can be cancelled.
         """
         delivery = Delivery(self, message, on_done, args)
         delivery._attempt()

@@ -4,15 +4,13 @@ Delivery semantics model a TCP connection at the granularity the paper
 cares about:
 
 * A send to a reachable, live node is delivered after the latency model's
-  one-way delay; the event returned by :meth:`Network.send` succeeds at the
-  moment of delivery (the sender can treat that as "the TCP send
-  completed").
-* A send to a down node or across a partition fails with
-  :class:`Unreachable` after ``connect_timeout`` seconds, mirroring a
-  refused/timed-out connection.  The failure is pre-defused so an ignored
-  event never crashes the run; fire-and-forget senders pass
-  ``wait=False`` and get no event at all.  Both forms take the same
-  delivery route, so ``wait`` changes nothing but the return value.
+  one-way delay.  A sender that passes ``on_sent`` to :meth:`Network.send`
+  hears ``on_sent(True, *args)`` right after the destination's handler
+  has run (the sender can treat that as "the TCP send completed").
+* A send to a down node or across a partition is refused after
+  ``connect_timeout`` seconds, mirroring a refused/timed-out connection:
+  ``on_sent(False, *args)``.  A sender that passes no ``on_sent`` is
+  fire-and-forget; every send takes the same delivery route either way.
 * A crashed *sender* cannot transmit either: its sends fail the same way,
   so work that outlives its host (e.g. a parent cache's INVALIDATE
   forwarding) retries instead of teleporting messages.
@@ -37,21 +35,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
-from ..sim import Event, Simulator
+from ..sim import Simulator
 from .latency import LanModel, LatencyModel
 from .message import Address, Message
 from .stats import NetworkStats
 
-__all__ = ["Network", "Unreachable", "LinkFault"]
-
-
-class Unreachable(Exception):
-    """Raised (via the send event) when a message cannot be delivered."""
-
-    def __init__(self, message: Message, reason: str) -> None:
-        super().__init__(f"{message!r} undeliverable: {reason}")
-        self.message = message
-        self.reason = reason
+__all__ = ["Network", "LinkFault"]
 
 
 @dataclass(frozen=True)
@@ -198,35 +187,36 @@ class Network:
 
     # -- transport ------------------------------------------------------------
 
-    def send(self, message: Message, wait: bool = True) -> Optional[Event]:
-        """Send a message; with ``wait`` returns an event tracking the outcome.
+    def send(
+        self,
+        message: Message,
+        on_sent: Optional[Callable[..., None]] = None,
+        *args,
+    ) -> None:
+        """Send a message; ``on_sent(delivered, *args)`` reports the outcome.
 
-        The event succeeds with the message at delivery time, or fails with
-        :class:`Unreachable` after the connect timeout (or when the message
-        is lost in flight).  The failure is pre-defused: senders that do
-        not wait on the event are not crashed by it (the channel layer is
-        the place for retry logic).
-
-        ``wait=False`` declares that the caller discards the outcome
-        (fire-and-forget): no :class:`Event` is built and ``None`` is
-        returned.  Everything else is shared by both forms — reachability
-        checks, stats, latency, link-fault draws in the same RNG order and
-        delivery timing — so ``wait`` changes only the return value.
+        ``on_sent(True, *args)`` runs at delivery time, right after the
+        destination's handler.  ``on_sent(False, *args)`` runs after the
+        connect timeout when the send is refused, or when the message is
+        lost in flight (the channel layer is the place for retry logic).
+        A duplicate delivery calls nobody.  With no ``on_sent`` the send is
+        fire-and-forget; reachability checks, stats, latency, link-fault
+        draws in the same RNG order and delivery timing are the same either
+        way.
         """
-        outcome = Event(self.sim) if wait else None
         src, dst = message.src, message.dst
         if dst not in self._handlers:
             self.sim.call_later(
                 self.connect_timeout, self._fail,
-                message, outcome, "unknown address", False,
+                message, "unknown address", False, on_sent, args,
             )
-            return outcome
+            return
         if src in self._down or dst in self._down or not self.is_reachable(src, dst):
             self.sim.call_later(
                 self.connect_timeout, self._fail,
-                message, outcome, "host unreachable", False,
+                message, "host unreachable", False, on_sent, args,
             )
-            return outcome
+            return
 
         self.stats.record_send(message)
         delay = self.latency.delay(message)
@@ -240,9 +230,9 @@ class Network:
                 # recorded as such for sent-vs-delivered reconciliation.
                 self.sim.call_later(
                     self.connect_timeout, self._fail,
-                    message, outcome, "link fault", True,
+                    message, "link fault", True, on_sent, args,
                 )
-                return outcome
+                return
             delay += fault.extra_delay
             if fault.jitter > 0:
                 delay += rng.uniform(0.0, fault.jitter)
@@ -251,15 +241,16 @@ class Network:
                 if fault.jitter > 0:
                     duplicate_delay += rng.uniform(0.0, fault.jitter)
 
-        self.sim.call_later(delay, self._deliver, message, outcome, False)
+        self.sim.call_later(delay, self._deliver, message, False, on_sent, args)
         if duplicate_delay is not None:
-            self.sim.call_later(duplicate_delay, self._deliver, message, None, True)
-        return outcome
+            self.sim.call_later(
+                duplicate_delay, self._deliver, message, True, None, ()
+            )
 
     def _fail(
-        self, message: Message, outcome: Optional[Event], reason: str, lost: bool
+        self, message: Message, reason: str, lost: bool, on_sent, args: tuple
     ) -> None:
-        """Record a failed send and fail its outcome event, if any.
+        """Record a failed send and report it to ``on_sent``, if any.
 
         ``lost`` marks a message that was sent and then vanished (counted
         as a loss with ``reason``); otherwise it was refused at connect
@@ -269,12 +260,11 @@ class Network:
             self.stats.record_loss(message, reason)
         else:
             self.stats.record_drop(message)
-        if outcome is not None:
-            outcome._defused = True
-            outcome.fail(Unreachable(message, reason))
+        if on_sent is not None:
+            on_sent(False, *args)
 
     def _deliver(
-        self, message: Message, outcome: Optional[Event], duplicate: bool
+        self, message: Message, duplicate: bool, on_sent, args: tuple
     ) -> None:
         """Hand ``message`` to its destination's handler, if still reachable.
 
@@ -292,9 +282,9 @@ class Network:
                 self.stats.record_duplicate(message)
             else:
                 self.stats.record_delivery(message)
-                if outcome is not None:
-                    outcome.succeed(message)
             self._handlers[dst](message)
+            if on_sent is not None:
+                on_sent(True, *args)
             return
         if not duplicate:
-            self._fail(message, outcome, reason, True)
+            self._fail(message, reason, True, on_sent, args)

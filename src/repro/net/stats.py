@@ -69,8 +69,8 @@ class NetworkStats:
     def record_loss(self, message: Message, reason: str) -> None:
         """Account one *sent* message that silently vanished in flight.
 
-        Also counted by :meth:`record_drop` (the send's outcome event still
-        fails), so ``total_dropped`` keeps meaning "all failed deliveries"
+        Also counted by :meth:`record_drop` (the sender still hears the
+        send fail), so ``total_dropped`` keeps meaning "all failed deliveries"
         while ``messages_lost`` isolates the silent, post-send subset chaos
         reports reconcile against ``messages_sent``.
         """

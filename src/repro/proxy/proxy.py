@@ -96,7 +96,8 @@ class _Leg:
         self.msg_id = msg_id
         #: Reply timer, armed once the request has been delivered.
         self.timer = None
-        #: A reply that overtook the send outcome (a duplicated request).
+        #: A reply that arrived before the request's own delivery (the
+        #: reply to a duplicate that overtook it).
         self.reply = None
 
 
@@ -264,22 +265,31 @@ class ProxyCache:
     # client request path
     # ------------------------------------------------------------------
 
-    def submit(self, client_id: str, url: str, on_done) -> None:
-        """Run one browser request; ``on_done(outcome)`` ends it.
+    def submit(
+        self, client_id: str, url: str, on_done, start: Optional[float] = None
+    ) -> None:
+        """Run one browser request issued at ``start``; ``on_done(outcome)`` ends it.
 
-        The lookup runs ``cpu_lookup`` seconds from now on a pooled
-        callback entry.  A cache hit pays the serve delay on a second
-        one; a request to a down proxy fails at lookup time.  A fill or
-        validation sends its GET or IMS from the lookup callback, arms the
-        reply timer when the request is delivered, applies the reply as it
-        arrives and pays the insert or serve delay on one more callback
-        before ``on_done``.  A refused send fails ``connect_timeout`` after
-        it, a missing reply ``reply_timeout`` after the delivery.  This is
-        the only request route, so the auditor (:attr:`observer`), the hit
-        meter and an event tracer all see every request.
+        ``start`` (default: now) may lie ahead, so a driver that knows
+        when its next request is due needs no timer of its own.  The
+        lookup runs ``cpu_lookup`` seconds after ``start`` on a pooled
+        callback entry.  A cache hit pays the serve delay on a second one;
+        a request to a down proxy fails at lookup time.  A fill or
+        validation sends its GET or IMS from the lookup callback; the
+        send's callback arms the reply timer when the request is delivered.
+        The reply is applied as it arrives, and one more callback pays the
+        insert or serve delay before ``on_done``.  A refused send fails
+        ``connect_timeout`` after it, a missing reply ``reply_timeout``
+        after the delivery.  This is the only request route, so the auditor
+        (:attr:`observer`), the hit meter and an event tracer all see every
+        request.
         """
-        outcome = RequestOutcome(url=url, client_id=client_id, started=self.sim.now)
-        self.sim.call_later(self.costs.cpu_lookup, self._on_lookup, outcome, on_done)
+        if start is None:
+            start = self.sim.now
+        outcome = RequestOutcome(url=url, client_id=client_id, started=start)
+        self.sim.call_at(
+            start + self.costs.cpu_lookup, self._on_lookup, outcome, on_done
+        )
 
     def request(self, client_id: str, url: str):
         """Generator adapter over :meth:`submit` for ``yield from`` callers::
@@ -399,13 +409,11 @@ class ProxyCache:
             request.reported_hits = self.meter.take(outcome.url)
         leg = _Leg(entry, outcome, on_done, request.msg_id)
         self._pending[request.msg_id] = leg
-        self.network.send(request).callbacks.append(
-            lambda sent: self._on_sent(leg, sent)
-        )
+        self.network.send(request, self._on_sent, leg)
 
-    def _on_sent(self, leg: _Leg, sent: Event) -> None:
+    def _on_sent(self, delivered: bool, leg: _Leg) -> None:
         """The request was delivered, or refused after the connect timeout."""
-        if not sent.ok:
+        if not delivered:
             self._pending.pop(leg.msg_id, None)
             self._fail(leg.outcome, leg.on_done)
         elif leg.reply is not None:

@@ -14,30 +14,40 @@ Note the two clocks: *trace time* (the timestamps in the trace, advanced
 300 s per step) and the testbed's *wall clock* (our simulator's ``now``),
 which advances only as fast as the work takes.  Latencies and iostat
 utilisations are wall-clock quantities, exactly as in the paper.
+
+The coordinator is a chain of plain callbacks, not a process.  Each
+participant reports the wall instant its interval's work ends through
+``arrive(t)``, often before that instant comes (a pseudo-client knows
+its last request's end plus think time as soon as the request ends).
+Once every busy participant has arrived, one timer at the latest of
+those instants starts the next interval.  Intervals with no busy
+participant cost no event at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
-from ..sim import Event, Simulator
+from ..sim import Simulator
 
 __all__ = ["TimeCoordinator", "CoordinatorError"]
 
 
 class CoordinatorError(RuntimeError):
-    """A participant failed mid-interval; carries the interval bounds."""
+    """The replay cannot advance; carries the interval bounds."""
 
     def __init__(self, message: str, trace_start: float, trace_end: float) -> None:
         super().__init__(message)
         self.trace_start = trace_start
         self.trace_end = trace_end
 
-#: A participant: called with (trace_start, trace_end) for each interval;
-#: starts that interval's work and returns an event firing when it is
-#: done, or returns ``None`` when it has nothing due in the interval (so
-#: an interval in which no participant has work schedules no event).
-Participant = Callable[[float, float], Optional[Event]]
+
+#: A participant: called as ``participant(trace_start, trace_end, arrive)``
+#: for each interval.  It starts that interval's work and returns True,
+#: then calls ``arrive(t)`` exactly once, possibly before returning, with
+#: the wall instant ``t >= now`` its work ends.  It returns False when it
+#: has nothing due in the interval and then never calls ``arrive``.
+Participant = Callable[[float, float, Callable[[float], None]], bool]
 
 
 class TimeCoordinator:
@@ -52,24 +62,42 @@ class TimeCoordinator:
         #: Trace time at the start of the current interval.
         self.trace_time = 0.0
         self.intervals_completed = 0
+        #: Trace time the replay ends at (set by :meth:`start`).
+        self.duration = 0.0
+        #: Trace time at the end of the current interval.
+        self._end = 0.0
+        #: Busy participants not yet arrived, plus one while calling them.
+        self._waiting = 0
+        #: Latest arrival instant of the current interval.
+        self._deadline = 0.0
 
     def register(self, participant: Participant) -> None:
         """Add a pseudo-client or modifier participant."""
         self._participants.append(participant)
 
-    def run(self, duration: float):
-        """Coordinator process: replay ``duration`` seconds of trace time.
+    @property
+    def finished(self) -> bool:
+        """True once every interval up to :attr:`duration` has completed."""
+        return self.trace_time >= self.duration
 
-        Start with ``sim.process(coordinator.run(trace.duration))``.
-        Replies are awaited in registration order; a failed reply aborts
-        the run with :class:`CoordinatorError` once the barrier reaches
-        it.
+    def start(self, duration: float) -> None:
+        """Replay ``duration`` seconds of trace time, starting now.
+
+        The first interval's participants are called before this returns;
+        the simulator runs the rest.  :attr:`finished` turns True in the
+        event that completes the last interval.
         """
         if not self._participants:
             raise ValueError("no participants registered")
-        while self.trace_time < duration:
+        self.duration = duration
+        self._next_interval()
+
+    def _next_interval(self) -> None:
+        """Start intervals until one has a busy participant or none is left."""
+        sim = self.sim
+        while self.trace_time < self.duration:
             start = self.trace_time
-            end = min(start + self.interval, duration)
+            end = min(start + self.interval, self.duration)
             if not end > start:
                 # Float underflow: start + interval == start.  Advancing
                 # would loop forever on zero-width intervals.
@@ -77,25 +105,37 @@ class TimeCoordinator:
                     f"interval {self.interval!r} is too small to advance "
                     f"trace time from {start!r}", start, end,
                 )
-            replies = []
+            self._end = end
+            self._deadline = sim.now
+            # Hold one count while calling, and count each participant
+            # before its call: one may arrive before it returns.
+            self._waiting = 1
+            busy = False
             for participant in self._participants:
-                reply = participant(start, end)
-                if reply is not None:
-                    # The barrier owns every reply's failure, including
-                    # one that fails while it still waits on another.
-                    reply.defuse()
-                    replies.append(reply)
-            try:
-                # Barrier: wait for every busy participant's reply.
-                for reply in replies:
-                    yield reply
-            except Exception as exc:
-                # A participant failed mid-interval.  The interval did
-                # not complete: trace_time/intervals_completed stay at
-                # the last finished interval.
-                raise CoordinatorError(
-                    f"participant failed in trace interval "
-                    f"[{start:g}, {end:g}): {exc!r}", start, end,
-                ) from exc
-            self.trace_time = end
-            self.intervals_completed += 1
+                self._waiting += 1
+                if participant(start, end, self._arrive):
+                    busy = True
+                else:
+                    self._waiting -= 1
+            if busy:
+                # Even when every arrival came inline, the interval ends
+                # at its deadline, in an event of its own.
+                self._arrive(self._deadline)
+                return
+            self._complete()
+
+    def _arrive(self, when: float) -> None:
+        """One busy participant's work ends at wall time ``when``."""
+        if when > self._deadline:
+            self._deadline = when
+        self._waiting -= 1
+        if not self._waiting:
+            self.sim.call_at(self._deadline, self._end_interval)
+
+    def _end_interval(self) -> None:
+        self._complete()
+        self._next_interval()
+
+    def _complete(self) -> None:
+        self.trace_time = self._end
+        self.intervals_completed += 1

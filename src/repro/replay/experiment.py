@@ -511,17 +511,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             state_budget_bytes=protocol.adaptive_lease_budget,
             initial_lease=protocol.accelerator.lease_get,
         )
-    run_process = sim.process(coordinator.run(trace.duration))
+    coordinator.start(trace.duration)
     # Run until the coordinator finishes (the sampler alone would keep the
     # queue alive forever), then stop sampling and drain stragglers
     # (in-flight invalidation fan-outs, last replies).
-    while not run_process.triggered:
+    while not coordinator.finished:
         try:
             sim.step()
         except _QueueEmpty:
             raise RuntimeError("replay deadlocked before completing the trace")
-    if not run_process.ok:
-        raise RuntimeError(f"replay failed: {run_process.value!r}")
     iostat.stop()
     if lease_controller is not None:
         lease_controller.stop()

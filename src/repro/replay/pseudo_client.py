@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..metrics import ReplayCounters
 from ..proxy import ProxyCache
-from ..sim import Event
 from ..traces import TraceRecord
 
 __all__ = ["PseudoClient", "shard_for_client", "shard_records"]
@@ -49,9 +48,9 @@ class PseudoClient:
 
     Each request runs on :meth:`ProxyCache.submit`, which calls
     :meth:`_on_done` however the request ends.  That records the
-    outcome, pays the driver overhead and issues the next record; the
-    interval's done event fires once no record is left before the
-    interval's end.
+    outcome, draws the driver overhead and submits the next record at
+    the end of it; once no record is left before the interval's end, it
+    tells the coordinator when that overhead ends instead.
     """
 
     def __init__(
@@ -71,21 +70,23 @@ class PseudoClient:
         self.rng = rng or random.Random(0)
         self._next = 0
         self._interval_end = 0.0
-        self._done: Optional[Event] = None
+        self._arrive: Optional[Callable[[float], None]] = None
 
-    def participant(self, trace_start: float, trace_end: float) -> Optional[Event]:
+    def participant(
+        self, trace_start: float, trace_end: float, arrive: Callable[[float], None]
+    ) -> bool:
         """Coordinator participant: replay records in [start, end).
 
-        Returns an event that fires when the last of them has completed
-        and paid its driver overhead, or ``None`` when no record falls
-        in the interval.
+        Returns False when no record falls in the interval.  Otherwise
+        the last of them calls ``arrive`` with the instant its driver
+        overhead ends.
         """
         self._interval_end = trace_end
         if not self._due():
-            return None
-        self._done = Event(self.proxy.sim)
-        self._issue_next()
-        return self._done
+            return False
+        self._arrive = arrive
+        self._submit(self.proxy.sim.now)
+        return True
 
     def _due(self) -> bool:
         """True when the next record falls in the current interval."""
@@ -94,20 +95,19 @@ class PseudoClient:
             and self.records[self._next].timestamp < self._interval_end
         )
 
-    def _issue_next(self) -> None:
-        """Start the next record's request, or end the interval."""
-        if self._due():
-            record = self.records[self._next]
-            self._next += 1
-            self.proxy.submit(record.client, record.url, self._on_done)
-        else:
-            self._done.succeed()
+    def _submit(self, start: float) -> None:
+        """Issue the next record's request at wall time ``start``."""
+        record = self.records[self._next]
+        self._next += 1
+        self.proxy.submit(record.client, record.url, self._on_done, start)
 
     def _on_done(self, outcome) -> None:
         """A request completed: record it, then think before the next."""
         self.counters.record(outcome)
+        issue = self.proxy.sim.now
         if self.think_time > 0:
-            delay = self.rng.uniform(0.5, 1.5) * self.think_time
-            self.proxy.sim.call_later(delay, self._issue_next)
+            issue += self.rng.uniform(0.5, 1.5) * self.think_time
+        if self._due():
+            self._submit(issue)
         else:
-            self._issue_next()
+            self._arrive(issue)

@@ -283,7 +283,7 @@ class ServerSite:
     def _send_reply(self, reply: Message) -> None:
         self.disk_writes += 1
         self.requests_handled += 1
-        self.network.send(reply, wait=False)
+        self.network.send(reply)
 
     def _register_site(self, request: HttpRequest) -> Optional[float]:
         """Record the requesting site in the invalidation table.

@@ -16,9 +16,10 @@ entries), so each push and pop costs a handful of comparisons.
 
 Allocation avoidance on the hot path:
 
-* :meth:`Simulator.call_later` schedules a plain function through a pooled
-  :class:`Callback` entry — no :class:`Event`, no callbacks list, no
-  generator resumption.
+* :meth:`Simulator.call_later` (relative delay) and
+  :meth:`Simulator.call_at` (absolute time) schedule a plain function
+  through a pooled :class:`Callback` entry — no :class:`Event`, no
+  callbacks list, no generator resumption.
 * :meth:`Simulator.sleep` returns a pooled one-shot timeout for the
   ubiquitous ``yield sim.sleep(delta)`` pattern; the event object is
   recycled as soon as its callbacks have run.
@@ -405,6 +406,32 @@ class Simulator:
         cb.args = args
         self._seq += 1
         heappush(self._queue, (self._now + delay, NORMAL, self._seq, cb))
+        return cb
+
+    def call_at(self, when: float, fn: Callable[..., None], *args) -> Any:
+        """Schedule ``fn(*args)`` at the absolute time ``when``.
+
+        The same pooled entry and queue slot as :meth:`call_later`, for a
+        caller that already holds the instant: no subtraction and
+        re-addition that could move it by a rounding step.  ``when`` must
+        be finite and not in the past.
+        """
+        if not self._now <= when < _INF:
+            raise ValueError(
+                f"callback time must be finite and >= now ({self._now!r}), "
+                f"got {when!r}"
+            )
+        # call_later's body, inlined in both: each is on the hot path.
+        pool = self._cb_pool
+        if pool:
+            cb = pool.pop()
+            cb._cancelled = False
+        else:
+            cb = Callback(self)
+        cb.fn = fn
+        cb.args = args
+        self._seq += 1
+        heappush(self._queue, (when, NORMAL, self._seq, cb))
         return cb
 
     # -- queue internals ---------------------------------------------------

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..sim import Event, Simulator
+from ..sim import Simulator
 from .lifetime import modification_interval
 
 __all__ = ["Modification", "generate_schedule", "Modifier"]
@@ -83,16 +83,20 @@ class Modifier:
         #: How many schedule entries have fired so far.
         self.modifications_applied = 0
 
-    def participant(self, trace_start: float, trace_end: float) -> Optional[Event]:
+    def participant(
+        self, trace_start: float, trace_end: float, arrive: Callable[[float], None]
+    ) -> bool:
         """Coordinator participant: apply modifications before ``trace_end``.
 
         Each modification is a touch followed by the optional check-in,
-        then the per-touch ``overhead`` sleep.  Returns the process
-        applying them, or ``None`` when none is due.
+        then the per-touch ``overhead``.  The first is applied before this
+        returns; ``arrive`` gets the instant the last one's overhead ends.
+        Returns False when none is due.
         """
         if not self._due(trace_end):
-            return None
-        return self.sim.process(self._apply(trace_end))
+            return False
+        self._apply(trace_end, arrive)
+        return True
 
     def _due(self, trace_end: float) -> bool:
         """True when the next scheduled modification precedes ``trace_end``."""
@@ -101,12 +105,17 @@ class Modifier:
             and self.schedule[self.modifications_applied].time < trace_end
         )
 
-    def _apply(self, trace_end: float):
-        while self._due(trace_end):
+    def _apply(self, trace_end: float, arrive: Callable[[float], None]) -> None:
+        """Apply the next due modification; the rest follow ``overhead`` apart."""
+        while True:
             mod = self.schedule[self.modifications_applied]
             self.modifications_applied += 1
             self.touch(mod.url)
             if self.check_in is not None:
                 self.check_in(mod.url)
+            if not self._due(trace_end):
+                arrive(self.sim.now + self.overhead)
+                return
             if self.overhead > 0:
-                yield self.sim.sleep(self.overhead)
+                self.sim.call_later(self.overhead, self._apply, trace_end, arrive)
+                return

@@ -4,7 +4,8 @@ An AST-level equivalent of pydocstyle's missing-docstring rules
 (D100–D104), scoped — like the ruff configuration in pyproject.toml —
 to the packages whose public API the docs promise is documented:
 ``repro.replay``, ``repro.chaos``, ``repro.proxy``, ``repro.hierarchy``,
-``repro.server``, ``repro.net`` and ``repro.sim``.  It runs from the
+``repro.server``, ``repro.net``, ``repro.sim``, ``repro.workload``,
+``repro.metrics`` and ``repro.obs``.  It runs from the
 source alone, so the gate holds even where ruff is not installed.
 """
 
@@ -26,6 +27,9 @@ AUDITED = (
     os.path.join("repro", "server"),
     os.path.join("repro", "net"),
     os.path.join("repro", "sim"),
+    os.path.join("repro", "workload"),
+    os.path.join("repro", "metrics"),
+    os.path.join("repro", "obs"),
 )
 
 

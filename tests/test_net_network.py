@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import FixedLatency, LinkFault, Message, Network, Unreachable
+from repro.net import FixedLatency, LinkFault, Message, Network
 from repro.sim import Simulator
 
 
@@ -33,33 +33,27 @@ def test_duplicate_registration_rejected():
 
 
 def test_send_event_succeeds_at_delivery_time():
+    """``on_sent(True, *args)`` runs at delivery, right after the handler."""
     sim, net = make_net(latency=2.0)
-    net.register("b", lambda m: None)
-    times = []
-
-    def sender(sim):
-        msg = Message(src="a", dst="b", size=10)
-        delivered = yield net.send(msg)
-        times.append((sim.now, delivered is msg))
-
-    sim.process(sender(sim))
+    calls = []
+    net.register("b", lambda m: calls.append(("handler", sim.now, m)))
+    msg = Message(src="a", dst="b", size=10)
+    net.send(msg, lambda ok, m: calls.append(("on_sent", sim.now, ok, m)), msg)
     sim.run()
-    assert times == [(2.0, True)]
+    assert calls == [("handler", 2.0, msg), ("on_sent", 2.0, True, msg)]
 
 
 def test_send_to_unknown_address_fails_after_timeout():
     sim, net = make_net(connect_timeout=3.0)
     outcomes = []
-
-    def sender(sim):
-        try:
-            yield net.send(Message(src="a", dst="ghost", size=10))
-        except Unreachable as exc:
-            outcomes.append((sim.now, exc.reason))
-
-    sim.process(sender(sim))
+    net.send(
+        Message(src="a", dst="ghost", size=10),
+        lambda ok: outcomes.append((sim.now, ok)),
+    )
     sim.run()
-    assert outcomes == [(3.0, "unknown address")]
+    assert outcomes == [(3.0, False)]
+    # Refused at connect time, not lost in flight.
+    assert net.stats.total_dropped == 1 and net.stats.messages_lost == 0
 
 
 def test_fire_and_forget_failure_does_not_crash_run():
@@ -74,14 +68,10 @@ def test_send_to_down_node_fails():
     net.register("b", lambda m: None)
     net.set_down("b")
     failures = []
-
-    def sender(sim):
-        try:
-            yield net.send(Message(src="a", dst="b", size=10))
-        except Unreachable:
-            failures.append(sim.now)
-
-    sim.process(sender(sim))
+    net.send(
+        Message(src="a", dst="b", size=10),
+        lambda ok: failures.append(sim.now) if not ok else None,
+    )
     sim.run()
     assert failures == [3.0]
     assert not net.is_up("b")
@@ -201,25 +191,34 @@ def test_message_ids_unique():
     assert m1.msg_id != m2.msg_id
 
 
-def _replay_sends(wait, fault):
-    """Send one fixed message sequence; return (stats summary, handler calls).
+def _replay_sends(callback, fault):
+    """Send one fixed message sequence; return (stats, handler calls, outcomes).
 
     The sequence covers every outcome a send can have: delivery, refusal
     at connect time (unknown, down and partitioned destinations), loss in
     flight (destination dies, partition forms) and, under ``fault``,
-    link-fault drops, jitter and duplicates.
+    link-fault drops, jitter and duplicates.  With ``callback`` each send
+    passes an ``on_sent`` that records ``(time, delivered, i)``.
     """
     sim, net = make_net(latency=0.5)
     calls = []
+    outcomes = []
     for name in ("b", "c", "d"):
         net.register(name, lambda m, name=name: calls.append((sim.now, name, m.size)))
     if fault is not None:
         net.set_link_fault("a", "*", fault, rng=random.Random(5))
     net.set_down("d")
 
+    def on_sent(delivered, i):
+        outcomes.append((sim.now, delivered, i))
+
     def send(i):
         dst = ("b", "c", "d", "ghost", "b")[i % 5]
-        net.send(Message(src="a", dst=dst, size=i + 1), wait=wait)
+        message = Message(src="a", dst=dst, size=i + 1)
+        if callback:
+            net.send(message, on_sent, i)
+        else:
+            net.send(message)
 
     for i in range(300):
         sim.call_later(i * 0.1, send, i)
@@ -238,7 +237,7 @@ def _replay_sends(wait, fault):
         stats.lost_by_reason(),
         stats.duplicates_delivered,
     )
-    return summary, calls
+    return summary, calls, outcomes
 
 
 @pytest.mark.parametrize(
@@ -246,14 +245,16 @@ def _replay_sends(wait, fault):
     [None, LinkFault(drop_prob=0.2, dup_prob=0.2, jitter=0.3)],
     ids=["no-fault", "drop-dup-jitter"],
 )
-def test_wait_changes_only_the_return_value(fault):
-    waited = _replay_sends(True, fault)
-    fire_and_forget = _replay_sends(False, fault)
-    assert fire_and_forget == waited
-    summary, _calls = waited
+def test_callback_changes_nothing_but_the_callback(fault):
+    summary, calls, outcomes = _replay_sends(True, fault)
+    assert _replay_sends(False, fault) == (summary, calls, [])
     lost_by_reason = summary[5]
     assert "destination died in flight" in lost_by_reason
     assert "partition formed in flight" in lost_by_reason
     if fault is not None:
         assert lost_by_reason["link fault"] > 0
         assert summary[6] > 0
+    # Every send reports once; a duplicate delivery reports nothing.
+    assert sorted(i for _t, _ok, i in outcomes) == list(range(300))
+    assert sum(ok for _t, ok, _i in outcomes) == summary[1]
+    assert len(outcomes) - summary[1] == summary[3]

@@ -332,10 +332,13 @@ class TestNetworkLegEdges:
 
 
 def test_fill_on_idle_server_is_a_chain_of_proxy_callbacks():
-    # Proxy-owned events of one fill: 3 (the lookup, the send outcome and
-    # the insert timer).  The generator leg owned 7: the lookup, five
-    # events of the `_network_leg` process (its start, the send outcome,
-    # the `AnyOf`, the insert sleep and its end) and the reply waiter.
+    # Proxy-owned events of one fill: 2 (the lookup and the insert
+    # timer); the send reports its outcome through a plain callback, in
+    # the network's delivery event.  The first callback chain owned 3
+    # (the send outcome was an event of its own) and the generator leg 7:
+    # the lookup, five events of the `_network_leg` process (its start,
+    # the send outcome, the `AnyOf`, the insert sleep and its end) and the
+    # reply waiter.
     sim, net, fs, server, proxy = build(poll_every_time())
     tracer = EventTracer(sim, owners=True)
     calls = []
@@ -353,7 +356,6 @@ def test_fill_on_idle_server_is_a_chain_of_proxy_callbacks():
     }
     assert proxy_owned == {
         "ProxyCache._on_lookup": 1,
-        "ProxyCache._send.<locals>.<lambda>": 1,
         "ProxyCache._finish": 1,
     }
 

@@ -267,7 +267,36 @@ def test_non_finite_delays_rejected(delay):
         sim.sleep(delay)
     with pytest.raises(ValueError):
         sim.call_later(delay, lambda: None)
+    with pytest.raises(ValueError):
+        sim.call_at(delay, lambda: None)
     assert sim.queue_depth == 0
+
+
+def test_call_at_in_the_past_rejected():
+    sim = Simulator()
+    sim.run(until=5.0)
+    with pytest.raises(ValueError, match="5.0"):
+        sim.call_at(4.999, lambda: None)
+    assert sim.queue_depth == 0
+    fired = []
+    sim.call_at(5.0, fired.append, sim.now)  # now itself is allowed
+    sim.run()
+    assert fired == [5.0]
+
+
+def test_call_at_keeps_fifo_order_with_call_later():
+    """At one instant, ``call_at`` and ``call_later`` entries run in the
+    order they were scheduled, whichever form scheduled them."""
+    sim = Simulator()
+    order = []
+    sim.call_at(2.0, order.append, "at-1")
+    sim.call_later(2.0, order.append, "later-1")
+    sim.call_at(2.0, order.append, "at-2")
+    sim.call_at(1.0, order.append, "at-first")
+    sim.call_later(2.0, order.append, "later-2")
+    sim.run()
+    assert order == ["at-first", "at-1", "later-1", "at-2", "later-2"]
+    assert sim.now == 2.0
 
 
 def test_cancelled_timers_queue_stays_bounded():

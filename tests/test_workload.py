@@ -91,7 +91,7 @@ class TestModifier:
             overhead=1.0,
         )
         coordinator.register(modifier.participant)
-        sim.process(coordinator.run(15.0))
+        coordinator.start(15.0)
         sim.run()
         # Each modification lands in the trace interval holding its
         # schedule time; the per-touch overhead advances the wall clock.
@@ -111,7 +111,7 @@ class TestModifier:
         modifier = Modifier(sim, sched, touch=touched.append)
         coordinator = TimeCoordinator(sim, interval=5.0)
         coordinator.register(modifier.participant)
-        sim.process(coordinator.run(10.0))
+        coordinator.start(10.0)
         sim.run()
         assert touched == ["/a"]
         assert modifier.modifications_applied == 1
