@@ -82,7 +82,8 @@ class ReliableChannel:
 
         ``on_done(delivered, *args)`` runs where the last send reports its
         outcome: ``True`` right after the receiver's handler, ``False``
-        when the channel gave up.  The returned :class:`Delivery` can be cancelled.
+        when the channel gave up.  The returned :class:`Delivery` can be
+        cancelled.
         """
         delivery = Delivery(self, message, on_done, args)
         delivery._attempt()

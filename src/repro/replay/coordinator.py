@@ -64,6 +64,9 @@ class TimeCoordinator:
         self.intervals_completed = 0
         #: Trace time the replay ends at (set by :meth:`start`).
         self.duration = 0.0
+        #: True once every interval up to :attr:`duration` has completed
+        #: (a plain attribute: the replay loop reads it before each event).
+        self.finished = False
         #: Trace time at the end of the current interval.
         self._end = 0.0
         #: Busy participants not yet arrived, plus one while calling them.
@@ -75,17 +78,11 @@ class TimeCoordinator:
         """Add a pseudo-client or modifier participant."""
         self._participants.append(participant)
 
-    @property
-    def finished(self) -> bool:
-        """True once every interval up to :attr:`duration` has completed."""
-        return self.trace_time >= self.duration
-
     def start(self, duration: float) -> None:
         """Replay ``duration`` seconds of trace time, starting now.
 
         The first interval's participants are called before this returns;
-        the simulator runs the rest.  :attr:`finished` turns True in the
-        event that completes the last interval.
+        the simulator runs the rest.
         """
         if not self._participants:
             raise ValueError("no participants registered")
@@ -95,6 +92,7 @@ class TimeCoordinator:
     def _next_interval(self) -> None:
         """Start intervals until one has a busy participant or none is left."""
         sim = self.sim
+        arrive = self._arrive
         while self.trace_time < self.duration:
             start = self.trace_time
             end = min(start + self.interval, self.duration)
@@ -113,7 +111,7 @@ class TimeCoordinator:
             busy = False
             for participant in self._participants:
                 self._waiting += 1
-                if participant(start, end, self._arrive):
+                if participant(start, end, arrive):
                     busy = True
                 else:
                     self._waiting -= 1
@@ -123,6 +121,7 @@ class TimeCoordinator:
                 self._arrive(self._deadline)
                 return
             self._complete()
+        self.finished = True
 
     def _arrive(self, when: float) -> None:
         """One busy participant's work ends at wall time ``when``."""
