@@ -73,11 +73,6 @@ class Resource:
         """Cumulative unit-seconds of use up to the current instant."""
         return self._busy_time + self.count * (self.sim.now - self._last_change)
 
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_time += self.count * (now - self._last_change)
-        self._last_change = now
-
     # -- protocol -----------------------------------------------------------
 
     def acquire(self, fn: Callable[..., None], *args) -> Claim:
@@ -89,9 +84,14 @@ class Resource:
         accounted from the instant of the grant.
         """
         claim = Claim(self, fn, args)
-        if len(self._users) < self.capacity:
-            self._account()
-            self._users.append(claim)
+        users = self._users
+        if len(users) < self.capacity:
+            # Busy-time accounting, inlined here and in release: both are
+            # on the hot path of every server stage.
+            now = self.sim._now
+            self._busy_time += len(users) * (now - self._last_change)
+            self._last_change = now
+            users.append(claim)
             fn(claim, *args)
         else:
             self._queue.append(claim)
@@ -99,22 +99,24 @@ class Resource:
 
     def release(self, claim: Claim) -> None:
         """Return a unit (or withdraw an un-granted claim)."""
-        if claim in self._users:
-            self._account()
-            self._users.remove(claim)
-            self._grant()
+        users = self._users
+        if claim in users:
+            now = self.sim._now
+            self._busy_time += len(users) * (now - self._last_change)
+            self._last_change = now
+            users.remove(claim)
+            # Grant the freed unit to the oldest queued claim; busy time
+            # is accounted up to now already.
+            queue = self._queue
+            while queue and len(users) < self.capacity:
+                granted = queue.popleft()
+                users.append(granted)
+                self.sim.call_later(0.0, granted.fn, granted, *granted.args)
         else:
             try:
                 self._queue.remove(claim)
             except ValueError:
                 pass  # releasing twice is a no-op
-
-    def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            claim = self._queue.popleft()
-            self._account()
-            self._users.append(claim)
-            self.sim.call_later(0.0, claim.fn, claim, *claim.args)
 
 
 class Store:
