@@ -15,22 +15,30 @@ Note the two clocks: *trace time* (the timestamps in the trace, advanced
 which advances only as fast as the work takes.  Latencies and iostat
 utilisations are wall-clock quantities, exactly as in the paper.
 
-The coordinator is a chain of plain callbacks, not a process.  Each
-participant reports the wall instant its interval's work ends through
-``arrive(t)``, often before that instant comes (a pseudo-client knows
-its last request's end plus think time as soon as the request ends).
-Once every busy participant has arrived, one timer at the latest of
-those instants starts the next interval.  Intervals with no busy
-participant cost no event at all.
+The coordinator is a chain of plain callbacks, not a process, and it
+pays only for busy participants.  Each participant exposes ``next_due``,
+the trace time of its next record or modification, and is called only
+in an interval that holds it; intervals in which nothing is due are
+jumped over without a call or an event.  A called participant reports
+the wall instant its interval's work ends through ``arrive(t)``, often
+before that instant comes (a pseudo-client knows its last request's end
+plus think time as soon as the request ends).  When the last busy
+participant arrives, the next busy interval starts at once: each of its
+participants is told the latest arrival instant ``at`` and schedules
+its work from there (a pseudo-client submits its first request at
+``at``, the modifier's first touch is a callback at ``at``).  So
+:attr:`TimeCoordinator.trace_time` advances at the last arrival, not at
+``at``, and the coordinator schedules only one event of its own: the
+one at the end of the replay that sets :attr:`TimeCoordinator.finished`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Protocol
 
 from ..sim import Simulator
 
-__all__ = ["TimeCoordinator", "CoordinatorError"]
+__all__ = ["TimeCoordinator", "CoordinatorError", "Participant"]
 
 
 class CoordinatorError(RuntimeError):
@@ -42,12 +50,25 @@ class CoordinatorError(RuntimeError):
         self.trace_end = trace_end
 
 
-#: A participant: called as ``participant(trace_start, trace_end, arrive)``
-#: for each interval.  It starts that interval's work and returns True,
-#: then calls ``arrive(t)`` exactly once, possibly before returning, with
-#: the wall instant ``t >= now`` its work ends.  It returns False when it
-#: has nothing due in the interval and then never calls ``arrive``.
-Participant = Callable[[float, float, Callable[[float], None]], bool]
+class Participant(Protocol):
+    """A pseudo-client or the modifier, as the coordinator drives it.
+
+    ``next_due`` is the trace time of the participant's next record or
+    modification, ``math.inf`` when it has none.  The coordinator calls
+    ``run_interval(trace_end, at, arrive)`` only for an interval with
+    ``next_due < trace_end``.  The participant then starts the work due
+    before ``trace_end`` at wall time ``at`` (which may lie ahead of
+    now) and calls ``arrive(t)`` exactly once, possibly before it
+    returns, with the wall instant ``t >= at`` its work ends.  It sets
+    ``next_due`` before it calls ``arrive``.
+    """
+
+    next_due: float
+
+    def run_interval(
+        self, trace_end: float, at: float, arrive: Callable[[float], None]
+    ) -> None:
+        """Start the work due before ``trace_end`` at wall time ``at``."""
 
 
 class TimeCoordinator:
@@ -81,47 +102,63 @@ class TimeCoordinator:
     def start(self, duration: float) -> None:
         """Replay ``duration`` seconds of trace time, starting now.
 
-        The first interval's participants are called before this returns;
-        the simulator runs the rest.
+        The first busy interval's participants are called before this
+        returns; the simulator runs the rest.
         """
         if not self._participants:
             raise ValueError("no participants registered")
         self.duration = duration
-        self._next_interval()
+        self._next_interval(self.sim.now)
 
-    def _next_interval(self) -> None:
-        """Start intervals until one has a busy participant or none is left."""
-        sim = self.sim
+    def _next_interval(self, at: float) -> None:
+        """Start the next busy interval at wall time ``at``.
+
+        Loops while every participant of an interval arrives before it is
+        called back, and schedules :meth:`_finish` once no interval is left.
+        """
+        participants = self._participants
         arrive = self._arrive
-        while self.trace_time < self.duration:
+        interval = self.interval
+        duration = self.duration
+        while True:
+            due = min(p.next_due for p in participants)
             start = self.trace_time
-            end = min(start + self.interval, self.duration)
-            if not end > start:
-                # Float underflow: start + interval == start.  Advancing
-                # would loop forever on zero-width intervals.
-                raise CoordinatorError(
-                    f"interval {self.interval!r} is too small to advance "
-                    f"trace time from {start!r}", start, end,
-                )
+            # Jump over the intervals in which nothing is due, adding one
+            # interval at a time: trace_time then takes exactly the values
+            # of a loop that called everyone in every interval.
+            while True:
+                if not start < duration:
+                    self.trace_time = start
+                    self.sim.call_at(at, self._finish)
+                    return
+                end = min(start + interval, duration)
+                if not end > start:
+                    # Float underflow: start + interval == start.  Advancing
+                    # would loop forever on zero-width intervals.
+                    self.trace_time = start
+                    raise CoordinatorError(
+                        f"interval {interval!r} is too small to advance "
+                        f"trace time from {start!r}", start, end,
+                    )
+                if due < end:
+                    break
+                start = end
+                self.intervals_completed += 1
+            self.trace_time = start
             self._end = end
-            self._deadline = sim.now
+            self._deadline = at
             # Hold one count while calling, and count each participant
             # before its call: one may arrive before it returns.
             self._waiting = 1
-            busy = False
-            for participant in self._participants:
-                self._waiting += 1
-                if participant(start, end, arrive):
-                    busy = True
-                else:
-                    self._waiting -= 1
-            if busy:
-                # Even when every arrival came inline, the interval ends
-                # at its deadline, in an event of its own.
-                self._arrive(self._deadline)
+            for participant in participants:
+                if participant.next_due < end:
+                    self._waiting += 1
+                    participant.run_interval(end, at, arrive)
+            self._waiting -= 1
+            if self._waiting:
                 return
             self._complete()
-        self.finished = True
+            at = self._deadline
 
     def _arrive(self, when: float) -> None:
         """One busy participant's work ends at wall time ``when``."""
@@ -129,12 +166,12 @@ class TimeCoordinator:
             self._deadline = when
         self._waiting -= 1
         if not self._waiting:
-            self.sim.call_at(self._deadline, self._end_interval)
-
-    def _end_interval(self) -> None:
-        self._complete()
-        self._next_interval()
+            self._complete()
+            self._next_interval(self._deadline)
 
     def _complete(self) -> None:
         self.trace_time = self._end
         self.intervals_completed += 1
+
+    def _finish(self) -> None:
+        self.finished = True

@@ -485,8 +485,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     coordinator = TimeCoordinator(sim, interval=config.interval)
     for client in clients:
-        coordinator.register(client.participant)
-    coordinator.register(modifier.participant)
+        coordinator.register(client)
+    coordinator.register(modifier)
 
     if observation is not None:
         # Bound after the coordinator exists so phases can be derived

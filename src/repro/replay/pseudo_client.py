@@ -15,6 +15,7 @@ measured disk-write rates imply (~3 requests/second across 4 clients).
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from typing import Callable, List, Optional, Sequence
@@ -46,6 +47,7 @@ def shard_records(
 class PseudoClient:
     """Replays one shard of trace records through one proxy.
 
+    A coordinator participant (:class:`repro.replay.coordinator.Participant`).
     Each request runs on :meth:`ProxyCache.submit`, which calls
     :meth:`_on_done` however the request ends.  That records the
     outcome, draws the driver overhead and submits the next record at
@@ -68,37 +70,32 @@ class PseudoClient:
         self.counters = counters
         self.think_time = think_time
         self.rng = rng or random.Random(0)
+        #: Trace time of the next record to replay; ``inf`` after the last.
+        self.next_due = self.records[0].timestamp if self.records else math.inf
         self._next = 0
         self._interval_end = 0.0
         self._arrive: Optional[Callable[[float], None]] = None
 
-    def participant(
-        self, trace_start: float, trace_end: float, arrive: Callable[[float], None]
-    ) -> bool:
-        """Coordinator participant: replay records in [start, end).
+    def run_interval(
+        self, trace_end: float, at: float, arrive: Callable[[float], None]
+    ) -> None:
+        """Coordinator participant: replay the records before ``trace_end``.
 
-        Returns False when no record falls in the interval.  Otherwise
-        the last of them calls ``arrive`` with the instant its driver
-        overhead ends.
+        The first request is issued at wall time ``at``; the last one
+        calls ``arrive`` with the instant its driver overhead ends.
         """
         self._interval_end = trace_end
-        if not self._due():
-            return False
         self._arrive = arrive
-        self._submit(self.proxy.sim.now)
-        return True
-
-    def _due(self) -> bool:
-        """True when the next record falls in the current interval."""
-        return (
-            self._next < len(self.records)
-            and self.records[self._next].timestamp < self._interval_end
-        )
+        self._submit(at)
 
     def _submit(self, start: float) -> None:
         """Issue the next record's request at wall time ``start``."""
-        record = self.records[self._next]
+        records = self.records
+        record = records[self._next]
         self._next += 1
+        self.next_due = (
+            records[self._next].timestamp if self._next < len(records) else math.inf
+        )
         self.proxy.submit(record.client, record.url, self._on_done, start)
 
     def _on_done(self, outcome) -> None:
@@ -107,7 +104,7 @@ class PseudoClient:
         issue = self.proxy.sim.now
         if self.think_time > 0:
             issue += self.rng.uniform(0.5, 1.5) * self.think_time
-        if self._due():
+        if self.next_due < self._interval_end:
             self._submit(issue)
         else:
             self._arrive(issue)

@@ -12,6 +12,7 @@ At each tick the modifier performs the paper's two steps: a ``touch``
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -56,6 +57,8 @@ def generate_schedule(
 class Modifier:
     """Replays a modification schedule as a coordinator participant.
 
+    See :class:`repro.replay.coordinator.Participant` for the contract.
+
     Args:
         sim: the simulator.
         schedule: pre-generated (time, url) list, time-ascending.
@@ -82,38 +85,36 @@ class Modifier:
         self.overhead = overhead
         #: How many schedule entries have fired so far.
         self.modifications_applied = 0
+        #: Trace time of the next scheduled modification; ``inf`` after the last.
+        self.next_due = self.schedule[0].time if self.schedule else math.inf
 
-    def participant(
-        self, trace_start: float, trace_end: float, arrive: Callable[[float], None]
-    ) -> bool:
+    def run_interval(
+        self, trace_end: float, at: float, arrive: Callable[[float], None]
+    ) -> None:
         """Coordinator participant: apply modifications before ``trace_end``.
 
         Each modification is a touch followed by the optional check-in,
-        then the per-touch ``overhead``.  The first is applied before this
-        returns; ``arrive`` gets the instant the last one's overhead ends.
-        Returns False when none is due.
+        then the per-touch ``overhead``.  The first is applied at wall
+        time ``at``; ``arrive`` gets the instant the last one's overhead
+        ends.
         """
-        if not self._due(trace_end):
-            return False
-        self._apply(trace_end, arrive)
-        return True
-
-    def _due(self, trace_end: float) -> bool:
-        """True when the next scheduled modification precedes ``trace_end``."""
-        return (
-            self.modifications_applied < len(self.schedule)
-            and self.schedule[self.modifications_applied].time < trace_end
-        )
+        self.sim.call_at(at, self._apply, trace_end, arrive)
 
     def _apply(self, trace_end: float, arrive: Callable[[float], None]) -> None:
         """Apply the next due modification; the rest follow ``overhead`` apart."""
+        schedule = self.schedule
         while True:
-            mod = self.schedule[self.modifications_applied]
+            mod = schedule[self.modifications_applied]
             self.modifications_applied += 1
+            self.next_due = (
+                schedule[self.modifications_applied].time
+                if self.modifications_applied < len(schedule)
+                else math.inf
+            )
             self.touch(mod.url)
             if self.check_in is not None:
                 self.check_in(mod.url)
-            if not self._due(trace_end):
+            if not self.next_due < trace_end:
                 arrive(self.sim.now + self.overhead)
                 return
             if self.overhead > 0:

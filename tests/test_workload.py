@@ -90,7 +90,7 @@ class TestModifier:
             sim, sched, touch=log("touch"), check_in=log("check-in"),
             overhead=1.0,
         )
-        coordinator.register(modifier.participant)
+        coordinator.register(modifier)
         coordinator.start(15.0)
         sim.run()
         # Each modification lands in the trace interval holding its
@@ -110,7 +110,7 @@ class TestModifier:
         touched = []
         modifier = Modifier(sim, sched, touch=touched.append)
         coordinator = TimeCoordinator(sim, interval=5.0)
-        coordinator.register(modifier.participant)
+        coordinator.register(modifier)
         coordinator.start(10.0)
         sim.run()
         assert touched == ["/a"]
