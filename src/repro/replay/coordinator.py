@@ -38,7 +38,7 @@ from typing import Callable, List, Protocol
 
 from ..sim import Simulator
 
-__all__ = ["TimeCoordinator", "CoordinatorError", "Participant"]
+__all__ = ["TimeCoordinator", "CoordinatorError"]
 
 
 class CoordinatorError(RuntimeError):
@@ -122,29 +122,26 @@ class TimeCoordinator:
         duration = self.duration
         while True:
             due = min(p.next_due for p in participants)
-            start = self.trace_time
             # Jump over the intervals in which nothing is due, adding one
             # interval at a time: trace_time then takes exactly the values
             # of a loop that called everyone in every interval.
             while True:
+                start = self.trace_time
                 if not start < duration:
-                    self.trace_time = start
                     self.sim.call_at(at, self._finish)
                     return
                 end = min(start + interval, duration)
                 if not end > start:
                     # Float underflow: start + interval == start.  Advancing
                     # would loop forever on zero-width intervals.
-                    self.trace_time = start
                     raise CoordinatorError(
                         f"interval {interval!r} is too small to advance "
                         f"trace time from {start!r}", start, end,
                     )
                 if due < end:
                     break
-                start = end
+                self.trace_time = end
                 self.intervals_completed += 1
-            self.trace_time = start
             self._end = end
             self._deadline = at
             # Hold one count while calling, and count each participant
