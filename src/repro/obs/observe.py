@@ -18,10 +18,12 @@ this module at well-chosen seams:
   paper's tables print.
 
 Phases: requests are labelled ``warmup`` (first 10% of trace time),
-``steady`` (the rest) or ``drain`` (after the coordinator finished, while
-in-flight work completes).  The phase is *derived* from the coordinator's
-trace clock — attaching an observation schedules no events of its own,
-so observed and unobserved runs process identical event sequences.
+``steady`` (the rest) or ``drain`` (once the coordinator's trace clock
+has reached the end, while in-flight work completes).  The phase is
+*derived* from that clock, which advances when an interval's last busy
+participant arrives — attaching an observation schedules no events of
+its own, so observed and unobserved runs process identical event
+sequences.
 
 ``deep=True`` additionally attaches a :class:`repro.sim.EventTracer` to
 the kernel.  It is told about every processed queue entry, pooled
