@@ -20,8 +20,8 @@ from repro.workload import Modification, Modifier
 class EveryInterval:
     """A participant with work due in every interval.
 
-    ``work(start, at, arrive)`` runs the work of the interval that
-    starts at trace time ``start`` from wall time ``at``.
+    ``work(start, end, at, arrive)`` runs the work of the interval
+    ``[start, end)`` of trace time from wall time ``at``.
     """
 
     def __init__(self, coord, work):
@@ -32,15 +32,14 @@ class EveryInterval:
     def run_interval(self, trace_end, at, arrive):
         start = self.coord.trace_time
         self.next_due = trace_end  # due again in the next interval
-        self.work(start, at, arrive)
+        self.work(start, trace_end, at, arrive)
 
 
 def busy_for(coord, seconds, log=None, name=None):
     """A participant whose work in every interval takes ``seconds``."""
 
-    def work(start, at, arrive):
+    def work(start, end, at, arrive):
         if log is not None:
-            end = min(start + coord.interval, coord.duration)
             log.append((name, start, at) if name else (start, end))
         arrive(at + seconds)
 
@@ -122,7 +121,7 @@ def test_barrier_waits_for_an_arrival_that_comes_late():
     coord = TimeCoordinator(sim, interval=100.0)
     starts = []
 
-    def late(start, at, arrive):
+    def late(start, end, at, arrive):
         # Reports 3 s into its work that the work ended 4 s in.
         sim.call_at(at + 3.0, arrive, at + 4.0)
 
@@ -170,7 +169,7 @@ def test_participant_failure_mid_interval():
             raise RuntimeError("driver lost its trace shard")
         arrive(sim.now + 0.5)
 
-    def flaky(start, at, arrive):
+    def flaky(start, end, at, arrive):
         sim.call_at(at + 0.5, flaky_step, start, arrive)
 
     coord.register(busy_for(coord, 1.0))
@@ -196,7 +195,7 @@ def test_two_participants_failing_same_interval():
         raise RuntimeError(message)
 
     def failing(delay, message):
-        def work(start, at, arrive):
+        def work(start, end, at, arrive):
             sim.call_at(at + delay, fail, message)
 
         return EveryInterval(coord, work)
@@ -273,7 +272,7 @@ def test_close_at_barrier_raises_nothing():
     sim = Simulator()
     coord = TimeCoordinator(sim, interval=100.0)
 
-    def work(start, at, arrive):
+    def work(start, end, at, arrive):
         sim.call_at(at + 1.0, arrive, at + 1.0)
 
     coord.register(EveryInterval(coord, work))
@@ -293,7 +292,7 @@ def test_inline_arrivals_still_end_at_the_deadline():
     coord = TimeCoordinator(sim, interval=10.0)
     starts = []
 
-    def observe(start, at, arrive):
+    def observe(start, end, at, arrive):
         starts.append((start, at))
         arrive(at)
 
