@@ -43,6 +43,12 @@ class; none of its site-list entries is registered while an INVALIDATE
 for it is in flight, so neither folding batching into ``ServerSite`` nor
 the registered-at rule for clearing entries may move it.
 
+``adaptive_lease-1k-audit`` is the one case that runs the adaptive-lease
+controller.  Its 1 KB state budget makes the controller shrink the lease
+(8 adjustments, 420 s down to 34.6 s), and the IMS traffic that forces
+reaches the result; at the default 64 KB budget the case makes no IMS.
+It was recorded while the controller still ran as a generator process.
+
 Regenerate only for an intended behaviour change::
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
@@ -59,7 +65,7 @@ import pytest
 from repro.chaos import Fault, FaultSchedule, random_schedule
 from repro.core.adaptive_ttl import adaptive_ttl
 from repro.core.invalidation import invalidation
-from repro.core.leases import lease_invalidation, two_tier_lease
+from repro.core.leases import adaptive_lease, lease_invalidation, two_tier_lease
 from repro.core.polling import poll_every_time
 from repro.net import Network
 from repro.obs import Observation
@@ -74,16 +80,15 @@ TIMELINE_PATH = os.path.join(
     os.path.dirname(__file__), "data", "timeline_digests.json"
 )
 
-PROTOCOLS = {
-    f.__name__: f
-    for f in (
-        adaptive_ttl,
-        poll_every_time,
-        invalidation,
-        lease_invalidation,
-        two_tier_lease,
-    )
-}
+#: The protocol families each replayed at two seeds.
+SEEDED = (
+    adaptive_ttl,
+    poll_every_time,
+    invalidation,
+    lease_invalidation,
+    two_tier_lease,
+)
+PROTOCOLS = {f.__name__: f for f in SEEDED + (adaptive_lease,)}
 
 PROXIES = [f"proxy-{i}" for i in range(4)]
 
@@ -114,8 +119,9 @@ _GIVE_UP = {"retry_interval": 5.0, "max_retries": 2}
 
 def _cases():
     cases = {}
-    for name in PROTOCOLS:
+    for protocol in SEEDED:
         for seed in (11, 42):
+            name = protocol.__name__
             cases[f"{name}-seed{seed}"] = (name, {"seed": seed})
     cases["invalidation-audit"] = ("invalidation", {"audit": True})
     cases["lease_invalidation-audit"] = ("lease_invalidation", {"audit": True})
@@ -161,6 +167,10 @@ def _cases():
         {"audit": True, "protocol_kwargs": _GIVE_UP,
          "fault_schedule": _TWO_PROXY_OUTAGES, "shards": 4, "batch_max": 32},
     )
+    cases["adaptive_lease-1k-audit"] = (
+        "adaptive_lease",
+        {"audit": True, "protocol_kwargs": {"state_budget_bytes": 1024}},
+    )
     cases["invalidation-recovery-giveup"] = (
         "invalidation",
         {"audit": True, "protocol_kwargs": _GIVE_UP,
@@ -196,6 +206,8 @@ REACHES = {
     "invalidation-recovery-giveup": lambda r: (
         _abandoned(r) > 0 and _recovered_server(r)
     ),
+    # At the default 64 KB budget the case makes no IMS at all.
+    "adaptive_lease-1k-audit": lambda r: r.ims > 0,
 }
 
 _TRACES = {}

@@ -165,6 +165,36 @@ class TestParentFailure:
         assert not outcome.stale_served
         assert not outcome.violation
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a crashed parent still serves a request it received before",
+    )
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_crash_during_lookup_ends_the_request(self, recover):
+        """A GET in the parent's lookup delay dies with the parent.
+
+        Child-1's GET reaches the warm parent 1.8 ms after it is issued,
+        and the parent crashes halfway through its 0.8 ms lookup.  The
+        parent must not serve it, record the child's interest in its
+        fresh interest table, or try to reply from a down host, and that
+        holds even when it recovers at once.
+        """
+        sim, net, fs, server, parent, children = build()
+        request(sim, children[0], "c1", "/a")  # warms the parent
+        assert parent.requests_served == 1
+        calls = []
+        start = sim.now
+        children[1].submit("c2", "/a", calls.append)
+        sim.run(until=start + 0.0022)
+        parent.crash()
+        if recover:
+            parent.recover()
+        sim.run()
+        assert len(calls) == 1 and calls[0].failed
+        assert parent.requests_served == 1
+        assert parent.interest.total_entries() == 0
+        assert net.stats.total_dropped == 0
+
     def test_requests_fail_while_parent_down(self):
         sim, net, fs, server, parent, children = build()
         parent.crash()

@@ -1,5 +1,7 @@
 """Tests for upstream request coalescing at parent proxies."""
 
+import hashlib
+
 from repro.core import invalidation
 from repro.hierarchy import ParentProxy
 from repro.net import FixedLatency, Network
@@ -98,3 +100,88 @@ def test_coalesced_after_invalidation_refetch():
     # Both were invalidated; the refetch coalesces to one origin hit.
     assert server.requests_handled == 2  # initial + one refetch
     assert all(not o.stale_served for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# Pinned instants.  The replay's golden cases never coalesce a fetch or
+# revalidate a parent's copy, so these two scenarios pin the end instant
+# and status of every child request, and a digest of every message sent
+# (send time, class, category, source, destination, size), in order.
+# ---------------------------------------------------------------------------
+
+
+def record_sends(monkeypatch):
+    """Log every :meth:`Network.send` from now on; returns the log."""
+    sends = []
+    send = Network.send
+
+    def recording_send(network, message, *args):
+        sends.append(
+            f"{network.sim.now!r} {type(message).__name__} {message.category} "
+            f"{message.src} {message.dst} {message.size}\n"
+        )
+        return send(network, message, *args)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    return sends
+
+
+def send_digest(sends) -> str:
+    """SHA-256 of a send log."""
+    return hashlib.sha256("".join(sends).encode()).hexdigest()
+
+
+def concurrent_requests(sim, children):
+    """Child ``i`` asks for ``/a`` as client ``c<i>``, all at once."""
+    ends = []
+    for i, child in enumerate(children):
+        child.submit(
+            f"c{i}", "/a", lambda o: ends.append((o.client_id, o.finished, o.status))
+        )
+    sim.run()
+    return ends
+
+
+def test_coalesced_get_instants_pinned(monkeypatch):
+    """Three concurrent misses share one upstream GET."""
+    sends = record_sends(monkeypatch)
+    sim, fs, server, parent, children = build()
+    ends = concurrent_requests(sim, children)
+    assert (parent.upstream_fetches, parent.coalesced_fetches) == (1, 2)
+    assert ends == [
+        ("c0", 0.36965468749999997, 200),
+        ("c1", 0.36965468749999997, 200),
+        ("c2", 0.36965468749999997, 200),
+    ]
+    assert send_digest(sends) == (
+        "948198f1dc56fa403f637389f7642b4358e0db17aaed80ea959aefbdc4511d4a"
+    )
+
+
+def test_coalesced_ims_instants_pinned(monkeypatch):
+    """A questionable copy is refreshed by IMS; two misses wait on it.
+
+    The origin crashes and recovers after child-0 fetched ``/a``, so the
+    parent's copy and child-0's copy are questionable.  Child-0's IMS
+    makes the parent revalidate with an IMS of its own (answered 304),
+    and the other two children's GETs coalesce onto that refresh.
+    """
+    sends = record_sends(monkeypatch)
+    sim, fs, server, parent, children = build()
+    concurrent_requests(sim, children[:1])
+    server.crash()
+    sim.run(until=sim.now + 1.0)
+    server.recover()
+    sim.run()
+    assert children[0].server_invalidations_received == 1
+    ends = concurrent_requests(sim, children)
+    assert (parent.upstream_fetches, parent.coalesced_fetches) == (2, 2)
+    assert server.requests_handled == 2
+    assert ends == [
+        ("c0", 1.8213328125, 304),
+        ("c1", 1.8223328124999998, 200),
+        ("c2", 1.8223328124999998, 200),
+    ]
+    assert send_digest(sends) == (
+        "d633836f5a9e5e2363c1859e634cb556160454f74207f7642b1a5d66c295319e"
+    )
