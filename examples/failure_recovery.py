@@ -36,14 +36,10 @@ def build():
 
 
 def fetch(sim, proxy, client, url, label):
-    holder = {}
-
-    def driver(sim):
-        holder["o"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    o = holder["o"]
+    (o,) = outcomes
     how = (
         "FAILED" if o.failed
         else "served from cache" if (o.served_from_cache and not o.validated)

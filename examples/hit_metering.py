@@ -38,21 +38,26 @@ def main() -> None:
     urls = list(fs.urls)
     true_counts = Counter()
 
-    def browse(sim):
-        for _ in range(400):
-            client = f"c{rng.randrange(6)}"
-            url = rng.choice(urls)
-            true_counts[url] += 1
-            yield from proxy.request(client, url)
-            yield sim.timeout(rng.uniform(0.1, 2.0))
-            # Occasionally a document changes, forcing fresh contacts
-            # that carry the piggybacked hit reports upstream.
-            if rng.random() < 0.03:
-                victim = rng.choice(urls)
-                fs.modify(victim, now=sim.now)
-                server.check_in(victim)
+    def browse(left):
+        client = f"c{rng.randrange(6)}"
+        url = rng.choice(urls)
+        true_counts[url] += 1
+        proxy.submit(client, url, lambda _outcome: think(left - 1))
 
-    sim.process(browse(sim))
+    def think(left):
+        sim.call_later(rng.uniform(0.1, 2.0), maybe_modify, left)
+
+    def maybe_modify(left):
+        # Occasionally a document changes, forcing fresh contacts
+        # that carry the piggybacked hit reports upstream.
+        if rng.random() < 0.03:
+            victim = rng.choice(urls)
+            fs.modify(victim, now=sim.now)
+            server.check_in(victim)
+        if left:
+            browse(left)
+
+    browse(400)
     sim.run()
 
     print(f"{'document':12s}{'true':>8s}{'direct':>8s}{'reported':>10s}"

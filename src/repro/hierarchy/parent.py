@@ -24,15 +24,22 @@ A :class:`ParentProxy` is a network-served shared cache:
   invalidation out to interested children; the server-address form is
   forwarded to every known child;
 * concurrent child misses for the same document are *coalesced* into a
-  single upstream fetch (later requests wait on the in-flight one);
+  single upstream fetch (later requests join its waiting list);
 * an upstream fetch ends without a reply when the parent crashes or
   :attr:`ParentProxy.reply_timeout` passes after its delivery, so a
   lost reply fails one round of child requests, not every later one.
+
+A request is a chain of simulator callbacks: the lookup runs
+``cpu_lookup`` after the request arrives, a fetch's send callback arms
+its reply timer, the reply pays ``cpu_insert`` for a new copy, and each
+200 reply its serve delay.  A crash ends every fetch in flight, and no
+continuation scheduled before a crash does anything after it, even once
+the parent has recovered.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator, Optional, Set
 
 from ..http import (
     NOT_MODIFIED,
@@ -52,12 +59,29 @@ from ..proxy.cache import Cache
 from ..proxy.entry import CacheEntry
 from ..proxy.proxy import ProxyCosts
 from ..server.sitelist import InvalidationTable
-from ..sim import Callback, Event, Simulator
+from ..sim import Event, Simulator
 
 __all__ = ["ParentProxy"]
 
 #: Pseudo client id under which the parent caches shared copies.
 _SHARED = "*shared*"
+
+
+class _Fetch:
+    """One upstream GET or IMS and the child requests waiting on it."""
+
+    __slots__ = ("url", "stale", "waiting", "timer")
+
+    def __init__(
+        self, url: str, stale: Optional[CacheEntry], request: HttpRequest
+    ) -> None:
+        self.url = url
+        #: The questionable copy an IMS revalidates (``None`` for a GET).
+        self.stale = stale
+        #: Child requests served when the fetch ends, in arrival order.
+        self.waiting = [request]
+        #: The reply timer, armed once the request is delivered.
+        self.timer = None
 
 
 class ParentProxy:
@@ -90,13 +114,13 @@ class ParentProxy:
         self.interest = InvalidationTable()
         #: Every child proxy ever seen (for server-form forwarding).
         self._known_children: Set[str] = set()
-        #: Upstream fetches waiting for a reply, by request msg_id; each
-        #: waiter succeeds with the reply, or with ``None`` if it is lost.
-        self._pending: Dict[int, Event] = {}
-        #: Reply timers of the delivered requests in ``_pending``.
-        self._timers: Dict[int, Callback] = {}
-        #: In-flight upstream fetches by URL; later misses wait on these.
-        self._inflight: Dict[str, Event] = {}
+        #: Upstream fetches waiting for a reply, by request msg_id.
+        self._pending: Dict[int, _Fetch] = {}
+        #: In-flight upstream fetches by URL; later misses join these.
+        self._inflight: Dict[str, _Fetch] = {}
+        #: Crashes so far.  A continuation carries the count from when it
+        #: was scheduled and does nothing once a crash has moved it on.
+        self._epoch = 0
 
         self.requests_served = 0
         self.upstream_fetches = 0
@@ -115,12 +139,11 @@ class ParentProxy:
             return
         if isinstance(message, HttpRequest):
             self._known_children.add(message.src)
-            self.sim.process(self._serve(message))
+            self.sim.call_later(
+                self.costs.cpu_lookup, self._lookup, message, self._epoch
+            )
         elif isinstance(message, HttpResponse):
-            timer = self._timers.pop(message.reply_to, None)
-            if timer is not None:
-                timer.cancel()
-            self._end_wait(message.reply_to, message)
+            self._end_fetch(message.reply_to, message)
         elif isinstance(message, Invalidate):
             self.invalidations_received += 1
             self._propagate(message)
@@ -129,28 +152,106 @@ class ParentProxy:
     # request path (child -> parent -> server)
     # ------------------------------------------------------------------
 
-    def _serve(self, request: HttpRequest):
+    def _lookup(self, request: HttpRequest, epoch: int) -> None:
+        """Serve ``request`` from the cache, or wait for an upstream fetch."""
+        if epoch != self._epoch:
+            return  # the host crashed during the lookup
         sim = self.sim
-        yield sim.sleep(self.costs.cpu_lookup)
+        url = request.url
         # Remember the child's interest so invalidations reach it.
-        self.interest.register(
-            request.url, request.client_id, proxy=request.src, now=sim.now
+        self.interest.register(url, request.client_id, proxy=request.src, now=sim.now)
+        entry = self.cache.get(f"{url}@{_SHARED}", sim.now)
+        if entry is not None and not entry.questionable:
+            self._serve(request, entry)
+            return
+        fetch = self._inflight.get(url)
+        if fetch is not None:
+            self.coalesced_fetches += 1
+            fetch.waiting.append(request)
+            return
+        if entry is None:
+            upstream = make_get(
+                self.address, self.server_address, url,
+                client_id=self.address, wire=self.wire,
+            )
+        else:  # revalidate the questionable copy
+            upstream = make_ims(
+                self.address, self.server_address, url, client_id=self.address,
+                ims_timestamp=entry.last_modified, wire=self.wire,
+            )
+        fetch = _Fetch(url, entry, request)
+        self._inflight[url] = fetch
+        self._pending[upstream.msg_id] = fetch
+        self.network.send(upstream, self._upstream_sent, upstream.msg_id)
+
+    def _upstream_sent(self, delivered: bool, msg_id: int) -> None:
+        """Arm the reply timer of a delivered fetch; end a refused one."""
+        fetch = self._pending.get(msg_id)
+        if fetch is None:
+            return  # ended by a crash or an early reply
+        if delivered:
+            fetch.timer = self.sim.call_later(
+                self.reply_timeout, self._end_fetch, msg_id, None
+            )
+        else:
+            self._end_fetch(msg_id, None)
+
+    def _end_fetch(self, msg_id: int, response) -> None:
+        """Apply the reply to ``msg_id``; ``None`` means there is none.
+
+        Without a reply nobody is served: each waiting child's own reply
+        timer fails its request.
+        """
+        fetch = self._pending.pop(msg_id, None)
+        if fetch is None:
+            return  # a late or duplicate reply
+        if response is None:  # refused, or the reply timer fired
+            del self._inflight[fetch.url]
+            return
+        if fetch.timer is not None:
+            fetch.timer.cancel()
+        sim = self.sim
+        self.upstream_fetches += 1
+        if response.status == NOT_MODIFIED:
+            entry = fetch.stale
+            entry.questionable = False
+            entry.fetched_at = sim.now
+            self._fetched(fetch, entry, self._epoch)
+            return
+        entry = CacheEntry(
+            url=fetch.url,
+            client_id=_SHARED,
+            size=response.body_bytes,
+            last_modified=response.last_modified,
+            fetched_at=sim.now,
         )
-        key = f"{request.url}@{_SHARED}"
-        entry = self.cache.get(key, sim.now)
+        self.cache.put(entry, sim.now)
+        sim.call_later(
+            self.costs.cpu_insert, self._fetched, fetch, entry, self._epoch
+        )
 
-        if entry is None or entry.questionable:
-            entry = yield from self._refresh(request.url, entry)
-            if entry is None:
-                return  # upstream unreachable; the child's timeout fires
+    def _fetched(self, fetch: _Fetch, entry: CacheEntry, epoch: int) -> None:
+        """Serve every child request that waited on ``fetch``, in order."""
+        if epoch != self._epoch:
+            return  # the host crashed during the insert
+        del self._inflight[fetch.url]
+        for request in fetch.waiting:
+            self._serve(request, entry)
 
+    def _serve(self, request: HttpRequest, entry: CacheEntry) -> None:
         self.requests_served += 1
         if request.is_ims and entry.last_modified <= request.ims_timestamp:
             self.network.send(
                 make_reply_304(request, entry.last_modified, wire=self.wire)
             )
         else:
-            yield sim.sleep(self.costs.cpu_serve_per_kb * entry.size / 1024.0)
+            self.sim.call_later(
+                self.costs.cpu_serve_per_kb * entry.size / 1024.0,
+                self._send_200, request, entry, self._epoch,
+            )
+
+    def _send_200(self, request: HttpRequest, entry: CacheEntry, epoch: int) -> None:
+        if epoch == self._epoch:  # the host has not crashed since
             self.network.send(
                 make_reply_200(
                     request,
@@ -159,89 +260,6 @@ class ParentProxy:
                     wire=self.wire,
                 )
             )
-
-    def _refresh(self, url: str, stale_entry):
-        """Fetch or revalidate a document from the upstream server.
-
-        Returns the fresh cache entry, or ``None`` on failure.
-        Concurrent refreshes of the same URL coalesce onto the first.
-        """
-        sim = self.sim
-        inflight = self._inflight.get(url)
-        if inflight is not None:
-            self.coalesced_fetches += 1
-            entry = yield inflight
-            return entry
-        gate = Event(sim)
-        self._inflight[url] = gate
-        entry = None
-        try:
-            entry = yield from self._refresh_upstream(url, stale_entry)
-        finally:
-            self._inflight.pop(url, None)
-            if not gate.triggered:
-                gate.succeed(entry)
-        return entry
-
-    def _refresh_upstream(self, url: str, stale_entry):
-        sim = self.sim
-        if stale_entry is not None and stale_entry.questionable:
-            upstream = make_ims(
-                self.address,
-                self.server_address,
-                url,
-                client_id=self.address,
-                ims_timestamp=stale_entry.last_modified,
-                wire=self.wire,
-            )
-        else:
-            upstream = make_get(
-                self.address,
-                self.server_address,
-                url,
-                client_id=self.address,
-                wire=self.wire,
-            )
-        msg_id = upstream.msg_id
-        waiter = Event(sim)
-        self._pending[msg_id] = waiter
-        sent = Event(sim)
-        self.network.send(upstream, sent.succeed)
-        if not (yield sent):
-            self._pending.pop(msg_id, None)
-            return None
-        if msg_id in self._pending:  # not ended by a crash or an early reply
-            self._timers[msg_id] = sim.call_later(
-                self.reply_timeout, self._reply_timed_out, msg_id
-            )
-        response = yield waiter
-        if response is None:
-            return None
-        self.upstream_fetches += 1
-        if response.status == NOT_MODIFIED:
-            stale_entry.questionable = False
-            stale_entry.fetched_at = sim.now
-            return stale_entry
-        entry = CacheEntry(
-            url=url,
-            client_id=_SHARED,
-            size=response.body_bytes,
-            last_modified=response.last_modified,
-            fetched_at=sim.now,
-        )
-        self.cache.put(entry, sim.now)
-        yield sim.sleep(self.costs.cpu_insert)
-        return entry
-
-    def _end_wait(self, msg_id: int, response) -> None:
-        """Wake the fetch waiting on ``msg_id``; ``None`` means no reply."""
-        waiter = self._pending.pop(msg_id, None)
-        if waiter is not None:
-            waiter.succeed(response)
-
-    def _reply_timed_out(self, msg_id: int) -> None:
-        del self._timers[msg_id]
-        self._end_wait(msg_id, None)
 
     # ------------------------------------------------------------------
     # invalidation propagation (server -> parent -> children)
@@ -290,18 +308,21 @@ class ParentProxy:
     # ------------------------------------------------------------------
 
     def crash(self) -> None:
-        """Parent host dies (interest table is volatile)."""
+        """Parent host dies (interest table is volatile).
+
+        Every upstream fetch ends without a reply, so no URL stays gated
+        by a fetch whose reply this host will never see, and every
+        lookup, insert or serve delay still running comes to nothing.
+        """
         self.up = False
         self.network.set_down(self.address)
         self.interest = InvalidationTable()
-        # End every upstream wait, so no URL stays gated by a fetch whose
-        # reply this host will never see.
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        for waiter in self._pending.values():
-            waiter.succeed(None)
+        self._epoch += 1
+        for fetch in self._pending.values():
+            if fetch.timer is not None:
+                fetch.timer.cancel()
         self._pending.clear()
+        self._inflight.clear()
 
     def recover(self) -> Event:
         """Restart: our copies *and the children's* become questionable.

@@ -1,7 +1,7 @@
-"""Measurement layer: counters, latency stats, iostat-style sampling."""
+"""Measurement layer: counters, latency stats, iostat-style server load."""
 
 from .counters import ReplayCounters
-from .iostat import IostatSample, IostatSampler
+from .iostat import IostatSampler
 from .latency import LatencyStats
 
-__all__ = ["ReplayCounters", "LatencyStats", "IostatSampler", "IostatSample"]
+__all__ = ["ReplayCounters", "LatencyStats", "IostatSampler"]

@@ -1,100 +1,33 @@
 """iostat-style server load measurement.
 
 The paper measures server load "as CPU and disk utilization using iostat"
-over the replay.  :class:`IostatSampler` snapshots the server's CPU/disk
-resource busy time and operation counters at a fixed period, yielding the
-same three numbers the tables print: average CPU utilisation, disk reads
-per second, disk writes per second — computed over replay wall time.
+over the replay.  :class:`IostatSampler` divides the server's CPU/disk
+resource busy time and operation counters by the wall time elapsed since
+it was created, giving the same three numbers the tables print: average
+CPU utilisation, disk reads per second, disk writes per second.  It reads
+them when asked and schedules no event of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..server.httpd import ServerSite
-from ..sim import Interrupt, Simulator
+from ..sim import Simulator
 
-__all__ = ["IostatSample", "IostatSampler"]
-
-
-@dataclass(frozen=True)
-class IostatSample:
-    """One sampling window."""
-
-    time: float
-    cpu_utilization: float
-    disk_utilization: float
-    disk_reads_per_sec: float
-    disk_writes_per_sec: float
+__all__ = ["IostatSampler"]
 
 
 class IostatSampler:
-    """Periodically samples a :class:`ServerSite`'s load.
+    """Whole-run load of a :class:`ServerSite`, from creation to now.
 
     Args:
         sim: the simulator.
         server: the server site to watch.
-        period: sampling period in (simulated) seconds.
     """
 
-    def __init__(self, sim: Simulator, server: ServerSite, period: float = 60.0) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
+    def __init__(self, sim: Simulator, server: ServerSite) -> None:
         self.sim = sim
         self.server = server
-        self.period = period
-        self.samples: List[IostatSample] = []
         self._started = sim.now
-        self._last_cpu_busy = server.cpu.busy_time()
-        self._last_disk_busy = server.disk.busy_time()
-        self._last_reads = server.disk_reads
-        self._last_writes = server.disk_writes
-        self.process = sim.process(self._run())
-
-    def _run(self):
-        tick = None
-        try:
-            while True:
-                tick = self.sim.timeout(self.period)
-                yield tick
-                self._take_sample()
-        except Interrupt:
-            # Retire the abandoned tick: a live timeout would idle the
-            # clock forward to the next sampling boundary during drain.
-            if tick is not None and not tick.processed:
-                tick.cancel()
-            return
-
-    def stop(self) -> None:
-        """Stop sampling (the replay is over).
-
-        Must be called before draining the event queue: a live sampler
-        keeps the simulation ticking forever.
-        """
-        if self.process.is_alive:
-            self.process.interrupt()
-
-    def _take_sample(self) -> None:
-        cpu_busy = self.server.cpu.busy_time()
-        disk_busy = self.server.disk.busy_time()
-        reads = self.server.disk_reads
-        writes = self.server.disk_writes
-        self.samples.append(
-            IostatSample(
-                time=self.sim.now,
-                cpu_utilization=(cpu_busy - self._last_cpu_busy) / self.period,
-                disk_utilization=(disk_busy - self._last_disk_busy) / self.period,
-                disk_reads_per_sec=(reads - self._last_reads) / self.period,
-                disk_writes_per_sec=(writes - self._last_writes) / self.period,
-            )
-        )
-        self._last_cpu_busy = cpu_busy
-        self._last_disk_busy = disk_busy
-        self._last_reads = reads
-        self._last_writes = writes
-
-    # -- whole-run aggregates (what the tables print) -------------------------
 
     def elapsed(self) -> float:
         """Wall time observed so far."""

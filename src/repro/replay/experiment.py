@@ -9,7 +9,7 @@ This wires the whole testbed together the way Section 5.1 describes:
 * a modifier process touching one uniform-random file every N seconds of
   trace time (N from the mean-lifetime arithmetic);
 * the lock-step time coordinator;
-* an iostat sampler on the server.
+* iostat-style load measurement on the server.
 
 Clock semantics: trace time is compressed — pseudo-clients issue their
 interval's requests back-to-back (plus driver overhead), so the replay's
@@ -112,7 +112,6 @@ class ExperimentConfig:
         batch_max: flush a shard's per-proxy invalidation buffer as soon
             as it holds this many (url, client) pairs (0 = no size cap;
             shards only).
-        iostat_period: sampling period for the load monitor.
         fault_schedule: optional :class:`repro.chaos.FaultSchedule` (or
             its ``to_dict()`` form) of crashes/partitions/link faults/
             clock skew to inject during the replay.
@@ -150,7 +149,6 @@ class ExperimentConfig:
     latency_model: Optional[LatencyModel] = None
     hierarchy_parents: Optional[int] = None
     parent_cache_bytes: Optional[int] = 256 * 1024 * 1024
-    iostat_period: float = 60.0
     fault_schedule: Optional[object] = None
     audit: bool = False
     fast_path: bool = True
@@ -500,7 +498,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         server.fanout_listener = observation.fanout_listener
 
-    iostat = IostatSampler(sim, server, period=config.iostat_period)
+    iostat = IostatSampler(sim, server)
     lease_controller = None
     if protocol.adaptive_lease_budget:
         from ..server import AdaptiveLeaseController
@@ -512,15 +510,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             initial_lease=protocol.accelerator.lease_get,
         )
     coordinator.start(trace.duration)
-    # Run until the coordinator finishes (the sampler alone would keep the
-    # queue alive forever), then stop sampling and drain stragglers
+    # Run until the coordinator finishes (a lease controller alone would
+    # keep the queue alive forever), then stop it and drain stragglers
     # (in-flight invalidation fan-outs, last replies).
     while not coordinator.finished:
         try:
             sim.step()
         except _QueueEmpty:
             raise RuntimeError("replay deadlocked before completing the trace")
-    iostat.stop()
     if lease_controller is not None:
         lease_controller.stop()
     sim.run()

@@ -8,15 +8,17 @@ it watches the invalidation table's storage and multiplicatively
 shrinks/grows the lease duration to keep storage near a configured
 budget.
 
-The controller must be stopped when the replay ends (like the iostat
-sampler) or its periodic ticks keep the simulation alive.
+The controller is a chain of ``period``-second simulator callbacks.  It
+must be stopped when the replay ends, or its ticks keep the simulation
+alive.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
-from ..sim import Interrupt, Simulator
+from ..sim import Simulator
 from .httpd import ServerSite
 
 __all__ = ["AdaptiveLeaseController"]
@@ -29,7 +31,7 @@ class AdaptiveLeaseController:
         sim: the simulator.
         server: the server site whose ``lease_override`` we drive.
         state_budget_bytes: target ceiling for site-list storage.
-        period: seconds between adjustments.
+        period: seconds between adjustments (finite and positive).
         initial_lease: starting lease duration (seconds).
         min_lease / max_lease: clamp bounds.
         shrink / grow: multiplicative adjustment factors.
@@ -47,6 +49,8 @@ class AdaptiveLeaseController:
         shrink: float = 0.7,
         grow: float = 1.3,
     ) -> None:
+        if not 0 < period < math.inf:
+            raise ValueError(f"period must be finite and positive, got {period!r}")
         if state_budget_bytes <= 0:
             raise ValueError("state budget must be positive")
         if not 0 < shrink < 1 < grow:
@@ -64,24 +68,16 @@ class AdaptiveLeaseController:
         #: (time, lease) adjustment history for analysis.
         self.history: List[Tuple[float, float]] = []
         server.lease_override = initial_lease
-        self.process = sim.process(self._run())
+        self._timer = sim.call_later(period, self._tick)
 
     @property
     def lease(self) -> float:
         """The lease duration currently granted."""
         return self.server.lease_override
 
-    def _run(self):
-        tick = None
-        try:
-            while True:
-                tick = self.sim.timeout(self.period)
-                yield tick
-                self._adjust()
-        except Interrupt:
-            if tick is not None and not tick.processed:
-                tick.cancel()
-            return
+    def _tick(self) -> None:
+        self._adjust()
+        self._timer = self.sim.call_later(self.period, self._tick)
 
     def _adjust(self) -> None:
         # Expired entries don't count against the budget — reclaim first.
@@ -101,5 +97,4 @@ class AdaptiveLeaseController:
 
     def stop(self) -> None:
         """Stop adjusting (the replay is over)."""
-        if self.process.is_alive:
-            self.process.interrupt()
+        self._timer.cancel()

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Resource, Store, RngRegistry
+    from repro.sim import Simulator, Resource, Store, RngRegistry
 
     sim = Simulator()
 
@@ -18,7 +18,6 @@ Public surface::
 from .core import (
     Callback,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
     StopSimulation,
@@ -35,7 +34,6 @@ __all__ = [
     "Timeout",
     "Callback",
     "Process",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "AllOf",

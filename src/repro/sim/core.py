@@ -45,14 +45,13 @@ __all__ = [
     "Callback",
     "Simulator",
     "SimulationError",
-    "Interrupt",
     "StopSimulation",
     "URGENT",
     "NORMAL",
 ]
 
-#: Scheduling priority for interrupt-style events (processed before NORMAL
-#: events scheduled for the same simulated time).
+#: Scheduling priority for process starts and wake-ups (processed before
+#: NORMAL events scheduled for the same simulated time).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -75,18 +74,6 @@ class _QueueEmpty(IndexError):
 
 class StopSimulation(Exception):
     """Raised internally to stop :meth:`Simulator.run` early."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupting cause is available as :attr:`cause`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt` (may be ``None``)."""
-        return self.args[0] if self.args else None
 
 
 class Event:

@@ -13,24 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from .core import Event, Interrupt, SimulationError, Simulator, URGENT
+from .core import Event, SimulationError, Simulator, URGENT
 
 __all__ = ["Process", "AllOf", "AnyOf", "ConditionValue"]
-
-
-class _InterruptEvent(Event):
-    """Internal high-priority event carrying an Interrupt into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.sim)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks.append(process._resume)
-        self.sim._enqueue(self, URGENT)
 
 
 class Process(Event):
@@ -67,31 +52,10 @@ class Process(Event):
         """The event this process is currently waiting on (if any)."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process is detached from whatever event it was waiting on; that
-        event stays valid and may still be waited on again afterwards.
-        Interrupting a terminated process is an error.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a terminated process")
-        _InterruptEvent(self, cause)
-
     # -- engine ------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with ``event``'s outcome."""
-        if self.triggered:
-            # Process already finished (e.g. an interrupt raced its
-            # termination); nothing to resume.
-            return
-        # Detach from the previous target (relevant for interrupts).
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
         self._target = None
 
         self.sim._active_process = self

@@ -35,7 +35,6 @@ class TestControllerUnit:
                 sim, server, 100, min_lease=100.0, initial_lease=10.0
             )
 
-    @pytest.mark.xfail(strict=True, reason="period is checked at the first tick")
     @pytest.mark.parametrize(
         "period", [0.0, -1.0, float("nan"), float("inf")]
     )

@@ -165,10 +165,6 @@ class TestParentFailure:
         assert not outcome.stale_served
         assert not outcome.violation
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a crashed parent still serves a request it received before",
-    )
     @pytest.mark.parametrize("recover", [False, True])
     def test_crash_during_lookup_ends_the_request(self, recover):
         """A GET in the parent's lookup delay dies with the parent.

@@ -1,4 +1,4 @@
-"""Unit tests for latency stats, counters and the iostat sampler."""
+"""Unit tests for latency stats, counters and the iostat load monitor."""
 
 import pytest
 from hypothesis import given
@@ -116,20 +116,12 @@ class TestReplayCounters:
 
 
 class TestIostatSampler:
-    def test_period_validation(self):
-        sim = Simulator()
-        net = Network(sim)
-        fs = FileStore.from_catalog({"/a": 100})
-        server = ServerSite(sim, net, "server", fs)
-        with pytest.raises(ValueError):
-            IostatSampler(sim, server, period=0)
-
     def test_utilization_tracks_busy_time(self):
         sim = Simulator()
         net = Network(sim, latency=FixedLatency(0.0))
         fs = FileStore.from_catalog({"/a": 100})
         server = ServerSite(sim, net, "server", fs)
-        sampler = IostatSampler(sim, server, period=10.0)
+        sampler = IostatSampler(sim, server)
 
         # Hold the CPU for 30 of the first 60 seconds.
         server.cpu.acquire(
@@ -137,31 +129,15 @@ class TestIostatSampler:
         )
         sim.run(until=60.0)
         assert sampler.cpu_utilization() == pytest.approx(0.5)
-        assert len(sampler.samples) == 6
-        # First three windows fully busy; later ones idle.
-        assert sampler.samples[0].cpu_utilization == pytest.approx(1.0)
-        assert sampler.samples[5].cpu_utilization == pytest.approx(0.0)
 
     def test_disk_rates(self):
         sim = Simulator()
         net = Network(sim, latency=FixedLatency(0.0))
         fs = FileStore.from_catalog({"/a": 100})
         server = ServerSite(sim, net, "server", fs)
-        sampler = IostatSampler(sim, server, period=10.0)
+        sampler = IostatSampler(sim, server)
         server.disk_reads = 40
         server.disk_writes = 20
         sim.run(until=20.0)
         assert sampler.disk_reads_per_sec() == pytest.approx(2.0)
         assert sampler.disk_writes_per_sec() == pytest.approx(1.0)
-
-    def test_stop_prevents_further_ticks(self):
-        sim = Simulator()
-        net = Network(sim)
-        fs = FileStore.from_catalog({"/a": 100})
-        server = ServerSite(sim, net, "server", fs)
-        sampler = IostatSampler(sim, server, period=10.0)
-        sim.run(until=25.0)
-        sampler.stop()
-        sim.run()  # drains without ticking to 30
-        assert sim.now == 25.0
-        assert len(sampler.samples) == 2

@@ -1,11 +1,10 @@
-"""Unit tests for generator processes, joins, interrupts, and conditions."""
+"""Unit tests for generator processes, joins and conditions."""
 
 import pytest
 
 from repro.sim import (
     AllOf,
     AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -117,62 +116,6 @@ def test_waiting_on_already_processed_event():
     sim.process(late(sim))
     sim.run()
     assert log == [(5.0, "early")]
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    log = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-
-    def attacker(sim, target):
-        yield sim.timeout(2.0)
-        target.interrupt("reason")
-
-    v = sim.process(victim(sim))
-    sim.process(attacker(sim, v))
-    sim.run()
-    assert log == [(2.0, "reason")]
-
-
-def test_interrupt_detaches_from_target():
-    sim = Simulator()
-    log = []
-
-    def victim(sim):
-        timeout = sim.timeout(10.0)
-        try:
-            yield timeout
-        except Interrupt:
-            pass
-        # Wait on the same timeout again after the interrupt.
-        yield timeout
-        log.append(sim.now)
-
-    def attacker(sim, target):
-        yield sim.timeout(1.0)
-        target.interrupt()
-
-    v = sim.process(victim(sim))
-    sim.process(attacker(sim, v))
-    sim.run()
-    assert log == [10.0]
-
-
-def test_interrupt_terminated_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.0)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_all_of_waits_for_all():
