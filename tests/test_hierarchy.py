@@ -191,6 +191,36 @@ class TestParentFailure:
         assert parent.interest.total_entries() == 0
         assert net.stats.total_dropped == 0
 
+    @pytest.mark.parametrize("recover", [False, True])
+    @pytest.mark.parametrize("delay", ["insert", "serve"])
+    def test_crash_during_insert_or_serve_ends_the_request(self, delay, recover):
+        """A request in the parent's insert or serve delay dies with it.
+
+        For ``insert`` the parent is cold and crashes right after the
+        origin's reply to its upstream GET arrives; for ``serve`` it is
+        warm and crashes after its lookup has counted child-1's request
+        as served.  Either way no reply leaves the parent, not even
+        after an immediate recovery.
+        """
+        sim, net, fs, server, parent, children = build()
+        if delay == "insert":
+            served, in_delay = 0, lambda: parent.upstream_fetches == 1
+        else:
+            request(sim, children[0], "c1", "/a")  # warms the parent
+            served, in_delay = 2, lambda: parent.requests_served == 2
+        calls = []
+        children[1].submit("c2", "/a", calls.append)
+        while not in_delay():
+            sim.step()
+        parent.crash()
+        if recover:
+            parent.recover()
+        sim.run()
+        assert len(calls) == 1 and calls[0].failed
+        assert parent.requests_served == served
+        assert parent.interest.total_entries() == 0
+        assert net.stats.total_dropped == 0
+
     def test_requests_fail_while_parent_down(self):
         sim, net, fs, server, parent, children = build()
         parent.crash()
