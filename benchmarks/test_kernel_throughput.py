@@ -33,7 +33,7 @@ def test_resource_contention_throughput(benchmark):
 
     def run():
         sim = Simulator()
-        cpu = Resource(sim, capacity=2)
+        cpu = Resource(sim)
         done = [0]
 
         def worker(left):

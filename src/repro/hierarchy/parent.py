@@ -209,7 +209,7 @@ class ParentProxy:
             del self._inflight[fetch.url]
             return
         if fetch.timer is not None:
-            fetch.timer.cancel()
+            self.sim.cancel(fetch.timer)
         sim = self.sim
         self.upstream_fetches += 1
         if response.status == NOT_MODIFIED:
@@ -320,7 +320,7 @@ class ParentProxy:
         self._epoch += 1
         for fetch in self._pending.values():
             if fetch.timer is not None:
-                fetch.timer.cancel()
+                self.sim.cancel(fetch.timer)
         self._pending.clear()
         self._inflight.clear()
 

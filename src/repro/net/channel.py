@@ -34,7 +34,7 @@ class Delivery:
         """Stop retrying; ``on_done`` is not called (a send in flight lands)."""
         self.on_done = None
         if self._timer is not None:
-            self._timer.cancel()
+            self.channel.network.sim.cancel(self._timer)
             self._timer = None
 
     def _attempt(self) -> None:

@@ -224,7 +224,7 @@ class ProxyCache:
                 if leg.timer is None:
                     leg.reply = message  # _on_sent applies it
                 else:
-                    leg.timer.cancel()
+                    self.sim.cancel(leg.timer)
                     self._on_reply(leg, message)
         elif isinstance(message, Invalidate):
             self._handle_invalidate(message)

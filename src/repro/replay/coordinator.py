@@ -34,7 +34,7 @@ one at the end of the replay that sets :attr:`TimeCoordinator.finished`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Protocol
+from typing import Callable, List, Optional, Protocol
 
 from ..sim import Simulator
 
@@ -85,9 +85,10 @@ class TimeCoordinator:
         self.intervals_completed = 0
         #: Trace time the replay ends at (set by :meth:`start`).
         self.duration = 0.0
-        #: True once every interval up to :attr:`duration` has completed
-        #: (a plain attribute: the replay loop reads it before each event).
+        #: True once every interval up to :attr:`duration` has completed.
         self.finished = False
+        #: Called when :attr:`finished` is set (see :meth:`start`).
+        self._on_finish: Optional[Callable[[], None]] = None
         #: Trace time at the end of the current interval.
         self._end = 0.0
         #: Busy participants not yet arrived, plus one while calling them.
@@ -99,15 +100,19 @@ class TimeCoordinator:
         """Add a pseudo-client or modifier participant."""
         self._participants.append(participant)
 
-    def start(self, duration: float) -> None:
+    def start(
+        self, duration: float, on_finish: Optional[Callable[[], None]] = None
+    ) -> None:
         """Replay ``duration`` seconds of trace time, starting now.
 
         The first busy interval's participants are called before this
-        returns; the simulator runs the rest.
+        returns; the simulator runs the rest.  ``on_finish()``, if given,
+        is called at the instant :attr:`finished` is set.
         """
         if not self._participants:
             raise ValueError("no participants registered")
         self.duration = duration
+        self._on_finish = on_finish
         self._next_interval(self.sim.now)
 
     def _next_interval(self, at: float) -> None:
@@ -172,3 +177,5 @@ class TimeCoordinator:
 
     def _finish(self) -> None:
         self.finished = True
+        if self._on_finish is not None:
+            self._on_finish()

@@ -45,7 +45,6 @@ from ..net import LanModel, LatencyModel, Network
 from ..proxy import Cache, ProxyCache, ProxyCosts
 from ..server import DEFAULT_SERVER_COSTS, FileStore, ServerCosts, ServerSite
 from ..sim import RngRegistry, Simulator
-from ..sim.core import _QueueEmpty
 from ..traces import Trace
 from ..workload import Modifier, generate_schedule
 from .coordinator import TimeCoordinator
@@ -509,18 +508,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             state_budget_bytes=protocol.adaptive_lease_budget,
             initial_lease=protocol.accelerator.lease_get,
         )
-    coordinator.start(trace.duration)
-    # Run until the coordinator finishes (a lease controller alone would
-    # keep the queue alive forever), then stop it and drain stragglers
+    # The coordinator's end stops the lease controller (alone it would
+    # keep the queue alive forever); the run then drains stragglers
     # (in-flight invalidation fan-outs, last replies).
-    while not coordinator.finished:
-        try:
-            sim.step()
-        except _QueueEmpty:
-            raise RuntimeError("replay deadlocked before completing the trace")
-    if lease_controller is not None:
-        lease_controller.stop()
+    coordinator.start(
+        trace.duration, None if lease_controller is None else lease_controller.stop
+    )
     sim.run()
+    if not coordinator.finished:
+        raise RuntimeError("replay deadlocked before completing the trace")
     wall_time = sim.now
 
     stats = network.stats

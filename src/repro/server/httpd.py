@@ -20,10 +20,10 @@ Key fidelity points, all from Section 4 of the paper:
 * Invalidations travel over the reliable channel (TCP + periodic retry).
 
 A request runs as a chain of callbacks, one per stage it holds the CPU
-or the disk for (:meth:`ServerSite._work`): accept, parse, the site-log
-write on a site's first contact, the document read, the reply and the
-request-log write.  A free resource is taken at once, a busy one queues
-FIFO with the INVALIDATE senders.
+or the disk for (one :meth:`repro.sim.Resource.use` call): accept,
+parse, the site-log write on a site's first contact, the document read,
+the reply and the request-log write.  A free resource is taken at once,
+a busy one queues FIFO with the INVALIDATE senders.
 
 There is one INVALIDATE fan-out.  A modification opens one obligation
 per registered site, stamped with the time it opened, then groups the
@@ -116,11 +116,11 @@ class ServerSite:
         self.batch_max = batch_max
 
         #: Single-CPU and single-disk FIFO resources (SPARC-20 model).
-        self.cpu = Resource(sim, capacity=1)
-        self.disk = Resource(sim, capacity=1)
+        self.cpu = Resource(sim)
+        self.disk = Resource(sim)
         #: The accept loop: requests acquire it briefly to be admitted; a
         #: blocking invalidation send holds it for the whole fan-out.
-        self.accept_lock = Resource(sim, capacity=1)
+        self.accept_lock = Resource(sim)
 
         self.table = InvalidationTable()
         self.known_sites = KnownSitesLog()
@@ -203,19 +203,8 @@ class ServerSite:
         # invalidation sends.
         self.accept_lock.acquire(self._accept, message)
 
-    def _work(self, resource: Resource, seconds: float, then, *args) -> None:
-        """One stage: hold ``resource`` for ``seconds``, then ``then(*args)``."""
-        resource.acquire(self._hold, seconds, then, args)
-
-    def _hold(self, claim: Claim, seconds: float, then, args: tuple) -> None:
-        self.sim.call_later(seconds, self._done, claim, then, args)
-
-    def _done(self, claim: Claim, then, args: tuple) -> None:
-        claim.resource.release(claim)
-        then(*args)
-
     def _accept(self, admit: Claim, request: HttpRequest) -> None:
-        self._work(self.cpu, self.costs.cpu_accept, self._parse, admit, request)
+        self.cpu.use(self.costs.cpu_accept, self._parse, admit, request)
 
     def _parse(self, admit: Claim, request: HttpRequest) -> None:
         # Parse + accelerator bookkeeping.
@@ -223,7 +212,7 @@ class ServerSite:
         cost = self.costs.cpu_parse
         if self.accel.invalidation:
             cost += self.costs.cpu_sitelist
-        self._work(self.cpu, cost, self._register, request)
+        self.cpu.use(cost, self._register, request)
 
     def _register(self, request: HttpRequest) -> None:
         self.ledger.record_request(request.url)
@@ -235,7 +224,7 @@ class ServerSite:
             # Persistent every-site log: disk write only on first sight.
             if self.known_sites.record(request.client_id, request.src):
                 cost = self.costs.disk_sitelog_write
-                self._work(self.disk, cost, self._fetch, request, lease_expires, 1)
+                self.disk.use(cost, self._fetch, request, lease_expires, 1)
                 return
         self._fetch(request, lease_expires, 0)
 
@@ -248,15 +237,15 @@ class ServerSite:
         if request.ims_timestamp is None or doc.last_modified > request.ims_timestamp:
             # Full transfer: read the document from disk, build the reply.
             cost = self.costs.disk_fetch(doc.size)
-            self._work(self.disk, cost, self._read, request, lease_expires, doc)
+            self.disk.use(cost, self._read, request, lease_expires, doc)
         else:
             cost = self.costs.cpu_reply(0)
-            self._work(self.cpu, cost, self._reply, request, lease_expires, doc, False)
+            self.cpu.use(cost, self._reply, request, lease_expires, doc, False)
 
     def _read(self, request: HttpRequest, lease_expires, doc) -> None:
         self.disk_reads += 1
         cost = self.costs.cpu_reply(doc.size)
-        self._work(self.cpu, cost, self._reply, request, lease_expires, doc, True)
+        self.cpu.use(cost, self._reply, request, lease_expires, doc, True)
 
     def _reply(self, request: HttpRequest, lease_expires, doc, modified: bool) -> None:
         if modified:
@@ -278,7 +267,7 @@ class ServerSite:
                 reply.size += len(urls) * self.wire.piggyback_per_url
                 self.piggybacked_urls += len(urls)
         # All three approaches log incoming requests (paper Section 5.2).
-        self._work(self.disk, self.costs.disk_log_write, self._send_reply, reply)
+        self.disk.use(self.costs.disk_log_write, self._send_reply, reply)
 
     def _send_reply(self, reply: Message) -> None:
         self.disk_writes += 1
@@ -508,7 +497,7 @@ class ServerSite:
         if hold is not None:
             run.hold = hold
         if run.index < len(run.steps):
-            self._work(self.cpu, self.costs.cpu_invalidate_msg, self._send, run)
+            self.cpu.use(self.costs.cpu_invalidate_msg, self._send, run)
             return
         del self._runs[run]
         if run.hold is not None:

@@ -97,4 +97,4 @@ class AdaptiveLeaseController:
 
     def stop(self) -> None:
         """Stop adjusting (the replay is over)."""
-        self._timer.cancel()
+        self.sim.cancel(self._timer)

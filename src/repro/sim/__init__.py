@@ -16,7 +16,6 @@ Public surface::
 """
 
 from .core import (
-    Callback,
     Event,
     SimulationError,
     Simulator,
@@ -32,7 +31,6 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
-    "Callback",
     "Process",
     "SimulationError",
     "StopSimulation",

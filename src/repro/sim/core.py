@@ -9,24 +9,28 @@ Determinism: events scheduled for the same simulated time are processed in
 (priority, insertion-order) order, so a run is exactly reproducible given
 the same seed and the same sequence of API calls.
 
-The queue is one binary heap of ``(time, priority, seq, obj)`` tuples.
-The ``(time, priority, seq)`` prefix is unique, so tuple comparison never
-reaches ``obj``.  Replay traffic keeps the heap shallow (a few dozen
-entries), so each push and pop costs a handful of comparisons.
-
-Allocation avoidance on the hot path:
+The queue is one binary heap of ``[time, priority, seq, fn, args]``
+lists, and each entry is its own callback: processing it calls
+``fn(*args)``.  The ``(time, priority, seq)`` prefix is unique, so list
+comparison never reaches ``fn``.  Replay traffic keeps the heap shallow
+(a few dozen entries), so each push and pop costs a handful of
+comparisons.
 
 * :meth:`Simulator.call_later` (relative delay) and
-  :meth:`Simulator.call_at` (absolute time) schedule a plain function
-  through a pooled :class:`Callback` entry — no :class:`Event`, no
-  callbacks list, no generator resumption.
+  :meth:`Simulator.call_at` (absolute time) push an entry for a plain
+  function and return it as the handle for :meth:`Simulator.cancel` —
+  no :class:`Event`, no callbacks list, no generator resumption.
+* A triggered :class:`Event` is queued as an entry whose ``fn`` is the
+  kernel's event-firing method, which runs the event's callbacks.
 * :meth:`Simulator.sleep` returns a pooled one-shot timeout for the
-  ubiquitous ``yield sim.sleep(delta)`` pattern; the event object is
-  recycled as soon as its callbacks have run.
+  ``yield sim.sleep(delta)`` pattern; the event object is recycled as
+  soon as its callbacks have run.
 
-An attached :class:`~repro.sim.tracing.EventTracer` sees both kinds of
-pooled entry like any other event (as ``Callback`` and ``_Sleep``), so
-tracing a run changes nothing about how it is scheduled.
+Processing an entry sets its ``fn`` to ``None``, the same mark a
+cancelled entry carries, so cancelling a handle that already fired does
+nothing.  An attached :class:`~repro.sim.tracing.EventTracer` sees every
+processed entry (a plain callback as ``Callback``), so tracing a run
+changes nothing about how it is scheduled.
 
 Cancelled entries are discarded lazily when they surface, and the queue is
 compacted outright once cancelled entries outnumber live ones (mirroring
@@ -42,7 +46,6 @@ from typing import Any, Callable, List, Optional
 __all__ = [
     "Event",
     "Timeout",
-    "Callback",
     "Simulator",
     "SimulationError",
     "StopSimulation",
@@ -86,7 +89,7 @@ class Event:
     the event's value, or have the event's exception thrown into them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "_cancelled")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "_entry")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -96,7 +99,8 @@ class Event:
         self._value: Any = _PENDING
         self._ok: bool = True
         self._defused: bool = False
-        self._cancelled: bool = False
+        #: The queue entry while the event is triggered but not processed.
+        self._entry: Optional[list] = None
 
     # -- state ------------------------------------------------------------
 
@@ -183,9 +187,10 @@ class Event:
         """
         if self.processed:
             raise SimulationError("cannot cancel a processed event")
-        self._cancelled = True
+        # No callbacks marks it processed; a later trigger queues nothing.
         self.callbacks = None
-        self.sim._note_cancel()
+        if self._entry is not None:
+            self.sim.cancel(self._entry)
 
     # -- composition ------------------------------------------------------
 
@@ -236,37 +241,7 @@ class _Sleep(Event):
     __slots__ = ()
 
 
-class Callback:
-    """A pooled queue entry that runs a plain function — no Event at all.
-
-    This is the zero-allocation fast path for fire-and-forget timers
-    (message delivery, cache-hit completion).  The handle supports
-    :meth:`cancel` but nothing else; it is recycled after firing, so it
-    must not be retained (and in particular not cancelled) once its
-    scheduled time has passed.
-    """
-
-    __slots__ = ("sim", "fn", "args", "_cancelled")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self.fn: Optional[Callable[..., None]] = None
-        self.args: tuple = ()
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Make the pending callback inert (same contract as Event.cancel)."""
-        if not self._cancelled:
-            self._cancelled = True
-            self.fn = None
-            self.args = ()
-            self.sim._note_cancel()
-
-    def __repr__(self) -> str:
-        return f"<Callback {getattr(self.fn, '__name__', None)}>"
-
-
-#: Cap on each free list so a one-off burst cannot pin memory forever.
+#: Cap on the sleep free list so a one-off burst cannot pin memory forever.
 _POOL_LIMIT = 1024
 
 #: Compact the queue once this many cancelled entries accumulate *and*
@@ -301,13 +276,14 @@ class Simulator:
         self._active_process = None
         #: Optional EventTracer (see repro.sim.tracing).
         self._tracer = None
-        #: Heap of (time, priority, seq, obj) entries, cancelled included.
-        self._queue: List[tuple] = []
+        #: Heap of [time, priority, seq, fn, args] entries, cancelled
+        #: ones (``fn`` is None) included.
+        self._queue: List[list] = []
         #: Cancelled entries still occupying queue slots.
         self._cancelled_queued = 0
-
-        # -- free lists --
-        self._cb_pool: List[Callback] = []
+        #: The ``fn`` of every Event's entry (one bound method, so the
+        #: tracer can tell Event entries from plain callbacks).
+        self._fire_event = self._fire
         self._sleep_pool: List[_Sleep] = []
 
     # -- inspection -------------------------------------------------------
@@ -370,69 +346,69 @@ class Simulator:
 
     def _enqueue(self, event: Event, priority: int, delay: float = 0.0) -> None:
         """Put a triggered event on the queue, ``delay`` seconds from now."""
+        if event.callbacks is None:
+            return  # cancelled before it triggered
         self._seq += 1
-        heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        entry = [self._now + delay, priority, self._seq, self._fire_event, (event,)]
+        event._entry = entry
+        heappush(self._queue, entry)
 
-    def call_later(self, delay: float, fn: Callable[..., None], *args) -> Any:
+    def call_later(self, delay: float, fn: Callable[..., None], *args) -> list:
         """Schedule ``fn(*args)`` after ``delay`` seconds — the fast path.
 
-        Uses a pooled :class:`Callback` queue entry: no :class:`Event`
-        construction, no callbacks list, no generator resumption.  Returns
-        a handle supporting ``cancel()``; the handle is recycled after the
-        callback fires and must not be retained past that point.
+        No :class:`Event`, no callbacks list, no generator resumption: the
+        queue entry itself runs ``fn``.  Returns the entry as a handle for
+        :meth:`cancel`.
         """
         if not 0.0 <= delay < _INF:
             raise ValueError(f"callback delay must be finite and >= 0, got {delay!r}")
-        pool = self._cb_pool
-        if pool:
-            cb = pool.pop()
-            cb._cancelled = False
-        else:
-            cb = Callback(self)
-        cb.fn = fn
-        cb.args = args
         self._seq += 1
-        heappush(self._queue, (self._now + delay, NORMAL, self._seq, cb))
-        return cb
+        entry = [self._now + delay, NORMAL, self._seq, fn, args]
+        heappush(self._queue, entry)
+        return entry
 
-    def call_at(self, when: float, fn: Callable[..., None], *args) -> Any:
+    def call_at(self, when: float, fn: Callable[..., None], *args) -> list:
         """Schedule ``fn(*args)`` at the absolute time ``when``.
 
-        The same pooled entry and queue slot as :meth:`call_later`, for a
-        caller that already holds the instant: no subtraction and
-        re-addition that could move it by a rounding step.  ``when`` must
-        be finite and not in the past.
+        The same entry and queue slot as :meth:`call_later`, for a caller
+        that already holds the instant: no subtraction and re-addition
+        that could move it by a rounding step.  ``when`` must be finite
+        and not in the past.
         """
         if not self._now <= when < _INF:
             raise ValueError(
                 f"callback time must be finite and >= now ({self._now!r}), "
                 f"got {when!r}"
             )
-        # call_later's body, inlined in both: each is on the hot path.
-        pool = self._cb_pool
-        if pool:
-            cb = pool.pop()
-            cb._cancelled = False
-        else:
-            cb = Callback(self)
-        cb.fn = fn
-        cb.args = args
         self._seq += 1
-        heappush(self._queue, (when, NORMAL, self._seq, cb))
-        return cb
+        entry = [when, NORMAL, self._seq, fn, args]
+        heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, handle: list) -> None:
+        """Make a scheduled entry inert (a :meth:`call_later` handle).
+
+        A cancelled entry never runs and does not advance the clock when
+        its queue slot drains.  Cancelling an entry that has already run
+        or been cancelled does nothing.
+        """
+        if handle[3] is not None:
+            handle[3] = None
+            handle[4] = ()
+            self._note_cancel()
 
     # -- queue internals ---------------------------------------------------
 
-    def _peek_live(self) -> Optional[tuple]:
+    def _peek_live(self) -> Optional[list]:
         """Next live entry (discarding cancelled heads), or ``None``."""
         queue = self._queue
-        while queue and queue[0][3]._cancelled:
+        while queue and queue[0][3] is None:
             heappop(queue)
             self._cancelled_queued -= 1
         return queue[0] if queue else None
 
     def _note_cancel(self) -> None:
-        """Bookkeeping hook for Event/Callback.cancel: maybe compact.
+        """Bookkeeping for :meth:`cancel`: maybe compact.
 
         Threshold-based compaction (mirroring the cache heap's
         ``note_expiry_update`` compaction): once cancelled entries pass a
@@ -450,20 +426,14 @@ class Simulator:
         """Rebuild the queue with cancelled entries dropped."""
         # Entries keep their (time, priority, seq) keys, so the processing
         # order is unchanged.
-        self._queue = [entry for entry in self._queue if not entry[3]._cancelled]
+        self._queue = [entry for entry in self._queue if entry[3] is not None]
         heapify(self._queue)
         self._cancelled_queued = 0
-
-    def _recycle_callback(self, cb: Callback) -> None:
-        cb.fn = None
-        cb.args = ()
-        if len(self._cb_pool) < _POOL_LIMIT:
-            self._cb_pool.append(cb)
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event.
+        """Process the single next entry.
 
         Raises :class:`IndexError` if the queue is empty and re-raises any
         un-defused event failure.
@@ -471,27 +441,21 @@ class Simulator:
         queue = self._queue
         try:
             entry = heappop(queue)
-            while entry[3]._cancelled:
+            while entry[3] is None:
                 self._cancelled_queued -= 1
                 entry = heappop(queue)
         except IndexError:
             raise _QueueEmpty("pop from an empty event queue") from None
-        self._now = entry[0]
-        event = entry[3]
-
-        if type(event) is Callback:
-            # Direct-callback fast path: no Event machinery at all.
-            if self._tracer is not None:
-                self._tracer.observe(self._now, event)
-            fn = event.fn
-            args = event.args
-            self._recycle_callback(event)
-            fn(*args)
-            return
-
+        when, _priority, _seq, fn, args = entry
+        self._now = when
         if self._tracer is not None:
-            self._tracer.observe(self._now, event)
+            self._tracer.observe(when, entry)
+        entry[3] = None
+        fn(*args)
 
+    def _fire(self, event: Event) -> None:
+        """Run a processed event's callbacks (the ``fn`` of its entry)."""
+        event._entry = None
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -507,7 +471,6 @@ class Simulator:
             event._value = _PENDING
             event._ok = True
             event._defused = False
-            event._cancelled = False
             event.callbacks = []
             self._sleep_pool.append(event)
 

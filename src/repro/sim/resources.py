@@ -2,11 +2,11 @@
 
 Two primitives cover everything the reproduction needs:
 
-* :class:`Resource` — a counted resource (e.g. a server CPU, a disk arm)
-  with FIFO queueing.  Used by the cost models to serialise work and to
-  measure utilisation.  A unit is claimed with :meth:`Resource.acquire`,
-  which runs the claim's callback at once when a unit is free, and
-  returned with :meth:`Resource.release`.
+* :class:`Resource` — one unit (e.g. a server CPU, a disk arm) with FIFO
+  queueing.  Used by the cost models to serialise work and to measure
+  utilisation.  :meth:`Resource.use` holds the unit for a fixed time and
+  then calls on; :meth:`Resource.acquire` claims it for an open-ended
+  hold that :meth:`Resource.release` ends.
 * :class:`Store` — an unbounded FIFO mailbox of items.  Used for request
   queues and message inboxes.
 """
@@ -14,7 +14,7 @@ Two primitives cover everything the reproduction needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Optional
 
 from .core import Event, Simulator
 
@@ -24,35 +24,42 @@ __all__ = ["Claim", "Resource", "Store"]
 class Claim:
     """A callback's claim on a :class:`Resource` (see :meth:`Resource.acquire`)."""
 
-    __slots__ = ("resource", "fn", "args")
+    __slots__ = ("fn", "args")
 
-    def __init__(self, resource: "Resource", fn: Callable[..., None], args: tuple):
-        self.resource = resource
+    def __init__(self, fn: Callable[..., None], args: tuple):
         self.fn = fn
         self.args = args
 
 
+#: The holder of a unit that :meth:`Resource.use` took while it was free.
+_USE = object()
+
+
 class Resource:
-    """A counted resource with FIFO queueing.
+    """One unit of a resource with FIFO queueing.
 
     Usage::
 
+        resource.use(work, then, arg)  # then(arg) once work seconds pass
+
         def granted(claim):
-            sim.call_later(work, resource.release, claim)
+            ...  # later: resource.release(claim)
 
         resource.acquire(granted)
 
-    Utilisation accounting: the resource records total busy time (summed
-    over units in use), which :class:`repro.metrics.iostat.IostatSampler`
-    turns into an iostat-style utilisation percentage.
+    A busy unit queues claims of both kinds in one FIFO.  A release hands
+    the unit to the oldest claim at once, and its callback runs from a
+    zero-delay queue entry, after the releasing code has finished.
+
+    Utilisation accounting: the resource records total busy time, which
+    :class:`repro.metrics.iostat.IostatSampler` turns into an iostat-style
+    utilisation percentage.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.capacity = capacity
-        self._users: List[Claim] = []
+        #: The claim (or ``_USE``) holding the unit; ``None`` when free.
+        self._holder: Any = None
         self._queue: Deque[Claim] = deque()
         self._busy_time = 0.0
         self._last_change = sim.now
@@ -61,62 +68,78 @@ class Resource:
 
     @property
     def count(self) -> int:
-        """Number of units currently in use."""
-        return len(self._users)
+        """Number of units currently in use (0 or 1)."""
+        return 0 if self._holder is None else 1
 
     @property
     def queue_length(self) -> int:
-        """Number of claims waiting for a unit."""
+        """Number of claims waiting for the unit."""
         return len(self._queue)
 
     def busy_time(self) -> float:
-        """Cumulative unit-seconds of use up to the current instant."""
-        return self._busy_time + self.count * (self.sim.now - self._last_change)
+        """Cumulative seconds of use up to the current instant."""
+        if self._holder is None:
+            return self._busy_time
+        return self._busy_time + (self.sim.now - self._last_change)
 
     # -- protocol -----------------------------------------------------------
 
+    def use(self, seconds: float, then: Callable[..., None], *args) -> None:
+        """Hold the unit for ``seconds``, release it, then call ``then(*args)``.
+
+        A free unit is taken now; a busy one queues the claim.  Busy time
+        is accounted from the instant the unit is taken or granted.
+        """
+        if self._holder is None:
+            self._holder = _USE
+            self._last_change = self.sim._now
+            self.sim.call_later(seconds, self._end_use, then, args)
+        else:
+            self._queue.append(Claim(self._start_use, (seconds, then, args)))
+
+    def _start_use(self, claim: Claim, seconds: float, then, args: tuple) -> None:
+        self.sim.call_later(seconds, self._end_use, then, args)
+
+    def _end_use(self, then: Callable[..., None], args: tuple) -> None:
+        self._hand_over()
+        then(*args)
+
     def acquire(self, fn: Callable[..., None], *args) -> Claim:
-        """Claim one unit for ``fn(claim, *args)``; release it with :meth:`release`.
+        """Claim the unit for ``fn(claim, *args)``; release it with :meth:`release`.
 
         A free unit is granted now and ``fn`` runs before this returns.
-        Otherwise the claim waits in a FIFO queue, and a release grants it
-        by scheduling ``fn`` as a zero-delay callback.  Busy time is
-        accounted from the instant of the grant.
+        Otherwise the claim waits in the FIFO queue.
         """
-        claim = Claim(self, fn, args)
-        users = self._users
-        if len(users) < self.capacity:
-            # Busy-time accounting, inlined here and in release: both are
-            # on the hot path of every server stage.
-            now = self.sim._now
-            self._busy_time += len(users) * (now - self._last_change)
-            self._last_change = now
-            users.append(claim)
+        claim = Claim(fn, args)
+        if self._holder is None:
+            self._holder = claim
+            self._last_change = self.sim._now
             fn(claim, *args)
         else:
             self._queue.append(claim)
         return claim
 
     def release(self, claim: Claim) -> None:
-        """Return a unit (or withdraw an un-granted claim)."""
-        users = self._users
-        if claim in users:
-            now = self.sim._now
-            self._busy_time += len(users) * (now - self._last_change)
-            self._last_change = now
-            users.remove(claim)
-            # Grant the freed unit to the oldest queued claim; busy time
-            # is accounted up to now already.
-            queue = self._queue
-            while queue and len(users) < self.capacity:
-                granted = queue.popleft()
-                users.append(granted)
-                self.sim.call_later(0.0, granted.fn, granted, *granted.args)
+        """Return the unit (or withdraw an un-granted claim)."""
+        if claim is self._holder:
+            self._hand_over()
         else:
             try:
                 self._queue.remove(claim)
             except ValueError:
                 pass  # releasing twice is a no-op
+
+    def _hand_over(self) -> None:
+        """Free the unit, granting it to the oldest queued claim if any."""
+        now = self.sim._now
+        self._busy_time += now - self._last_change
+        self._last_change = now
+        if self._queue:
+            claim = self._queue.popleft()
+            self._holder = claim
+            self.sim.call_later(0.0, claim.fn, claim, *claim.args)
+        else:
+            self._holder = None
 
 
 class Store:

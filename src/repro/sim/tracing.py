@@ -5,6 +5,11 @@ records what the event loop processes — event counts by type, processing
 rate over simulated time, and (optionally) a bounded tail of recent
 events for post-mortem debugging of stuck or runaway models.
 
+Each processed queue entry is counted under a kind: ``Callback`` for a
+plain function scheduled with ``Simulator.call_later``/``call_at``, and
+the event's class name (``_Sleep``, ``Timeout``, ``Process``, ...) for
+an event.
+
 With ``owners=True`` the tracer also counts each event under the code
 that owns it (:attr:`EventTracer.owners`): a ``Callback`` belongs to the
 qualified name of its function, any other event to the generator of the
@@ -12,10 +17,7 @@ process it resumes.  A process that ends with no process waiting owns
 its own end; any other event belongs to its first callback.
 
 Tracing is strictly opt-in and adds a single attribute check to the hot
-loop when disabled.  It never changes how a run is scheduled: pooled
-timers stay pooled while traced, so the per-kind counts show them as
-``Callback`` (``Simulator.call_later``) and ``_Sleep``
-(``Simulator.sleep``) entries rather than ``Timeout`` events.
+loop when disabled.  It never changes how a run is scheduled.
 
 Example::
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, List, Optional, Tuple
 
-from .core import Callback, Event, Simulator
+from .core import Event, Simulator
 from .process import Process
 
 __all__ = ["EventTracer"]
@@ -65,9 +67,11 @@ class EventTracer:
         self.owners: Optional[Counter] = Counter() if owners else None
         sim._tracer = self
 
-    def observe(self, now: float, event: Event) -> None:
-        """Count one processed event; :meth:`Simulator.step` calls this."""
-        kind = type(event).__name__
+    def observe(self, now: float, entry: list) -> None:
+        """Count one processed queue entry; :meth:`Simulator.step` calls this."""
+        fn = entry[3]
+        event = entry[4][0] if fn is self.sim._fire_event else None
+        kind = "Callback" if event is None else type(event).__name__
         self.counts[kind] += 1
         self.total += 1
         if self.first_time is None:
@@ -76,7 +80,7 @@ class EventTracer:
         if self._ring is not None:
             self._ring.append((now, kind))
         if self.owners is not None:
-            self.owners[_owner(event)] += 1
+            self.owners[_qualname(fn) if event is None else _owner(event)] += 1
 
     def detach(self) -> None:
         """Stop tracing."""
@@ -118,10 +122,8 @@ class EventTracer:
         return "\n".join(lines)
 
 
-def _owner(event) -> str:
+def _owner(event: Event) -> str:
     """Qualified name of the code an event runs (see :class:`EventTracer`)."""
-    if type(event) is Callback:
-        return _qualname(event.fn)
     for callback in event.callbacks:
         process = getattr(callback, "__self__", None)
         if type(process) is Process:

@@ -320,7 +320,7 @@ def test_owner_breakdown_adds_up_and_moves_no_result(monkeypatch):
     result = run_case("invalidation-observed-deep")
     (tracer,) = tracers
     assert sum(tracer.owners.values()) == tracer.total > 0
-    assert tracer.owners["ServerSite._done"] > 0
+    assert tracer.owners["Resource._end_use"] > 0
     assert digest(result) == _golden()["invalidation-observed-deep"]
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import invalidation, poll_every_time
 from repro.obs import (
-    MetricsRegistry,
     Observation,
     Span,
     SpanSink,

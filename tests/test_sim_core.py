@@ -189,23 +189,40 @@ def test_call_later_cancel_is_inert():
     sim = Simulator()
     fired = []
     handle = sim.call_later(1.0, fired.append, True)
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert fired == []
     assert sim.now == 0.0  # cancelled slots never advance the clock
 
 
-def test_callback_handles_are_pooled():
+def test_cancel_after_firing_or_twice_is_a_no_op():
     sim = Simulator()
-    sim.call_later(1.0, lambda: None)
+    fired = []
+    done = sim.call_later(1.0, fired.append, "done")
+    doomed = sim.call_later(2.0, fired.append, "doomed")
+    later = sim.call_later(3.0, fired.append, "later")
+    sim.run(until=1.5)
+    sim.cancel(doomed)
+    counted = sim._cancelled_queued
+    sim.cancel(done)  # already fired
+    sim.cancel(doomed)  # already cancelled
+    assert sim._cancelled_queued == counted == 1
     sim.run()
-    first = sim.call_later(1.0, lambda: None)
-    # The recycled handle is handed out again instead of a new allocation.
-    assert first in sim._cb_pool or not sim._cb_pool
-    sim.run()
-    second = sim.call_later(1.0, lambda: None)
-    assert second is first
-    sim.run()
+    assert fired == ["done", "later"]
+    assert sim._cancelled_queued == 0
+    sim.cancel(later)  # fired after the first cancel
+    assert sim._cancelled_queued == 0
+
+
+def test_cancel_of_fired_entries_never_triggers_compaction():
+    sim = Simulator()
+    handles = [sim.call_later(float(i), lambda: None) for i in range(200)]
+    sim.run(until=150.5)
+    live = sim.queue_depth
+    for handle in handles[:151]:
+        sim.cancel(handle)
+    assert sim._cancelled_queued == 0
+    assert sim.queue_depth == live == 49
 
 
 def test_sleep_events_are_pooled():
@@ -309,7 +326,7 @@ def test_cancelled_timers_queue_stays_bounded():
     max_depth = 0
     for _ in range(5000):
         handle = sim.call_later(1e6, lambda: None)
-        handle.cancel()
+        sim.cancel(handle)
         max_depth = max(max_depth, sim.queue_depth)
     assert max_depth < 2 * 64 + 16  # bounded by the compaction floor
     assert sim.queue_depth <= max_depth
@@ -325,7 +342,7 @@ def test_compaction_preserves_processing_order():
         if i % 3 == 0:
             keep.append(i)
         else:
-            handle.cancel()
+            sim.cancel(handle)
     sim.run()
     assert order == keep
 
@@ -410,7 +427,10 @@ def test_processing_order_matches_reference_queue(first, rest):
     def cancel_all(handles):
         for index, handle in handles:
             depth = sim.queue_depth
-            handle.cancel()
+            if isinstance(handle, Event):
+                handle.cancel()
+            else:
+                sim.cancel(handle)
             del pending[index]
             if sim.queue_depth < depth:
                 compacted[0] = True

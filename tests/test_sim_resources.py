@@ -5,12 +5,6 @@ import pytest
 from repro.sim import Resource, Simulator, Store
 
 
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
 def hold_for(res, hold, log=None, name=None):
     """Claim ``res``; on the grant log ``name``, then release ``hold`` later."""
     sim = res.sim
@@ -30,7 +24,7 @@ def hold_for(res, hold, log=None, name=None):
 
 def test_resource_serialises_users():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     log = []
     hold_for(res, 2.0, log, "a")
     hold_for(res, 3.0, log, "b")
@@ -43,20 +37,9 @@ def test_resource_serialises_users():
     ]
 
 
-def test_resource_parallel_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    log = []
-    for _ in range(4):
-        hold_for(res, 1.0, log)
-    sim.run()
-    ends = [at for _name, what, at in log if what == "end"]
-    assert ends == [1.0, 1.0, 2.0, 2.0]
-
-
 def test_resource_busy_time_accounting():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     hold_for(res, 3.0)
     sim.run(until=10.0)
     assert res.busy_time() == pytest.approx(3.0)
@@ -64,7 +47,7 @@ def test_resource_busy_time_accounting():
 
 def test_resource_busy_time_counts_in_flight_use():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     hold_for(res, 8.0)
     sim.run(until=4.0)
     assert res.busy_time() == pytest.approx(4.0)
@@ -72,7 +55,7 @@ def test_resource_busy_time_counts_in_flight_use():
 
 def test_resource_queue_length_and_count():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     hold_for(res, 5.0)
     res.acquire(lambda claim: None)
     sim.run(until=1.0)
@@ -82,7 +65,7 @@ def test_resource_queue_length_and_count():
 
 def test_resource_release_unknown_request_is_noop():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Resource(sim)
     claim = res.acquire(lambda claim: None)
     sim.run()
     res.release(claim)
@@ -95,7 +78,7 @@ class TestAcquire:
 
     def test_free_grant_runs_inline_and_queues_nothing(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         calls = []
         claim = res.acquire(lambda granted, tag: calls.append((granted, tag)), 7)
         assert calls == [(claim, 7)]
@@ -105,7 +88,7 @@ class TestAcquire:
 
     def test_busy_claims_are_granted_fifo(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         log = []
 
         def hold(claim, name):
@@ -136,7 +119,7 @@ class TestAcquire:
         # a request event; both forms gave these values at each instant.
         arrivals = [(0.0, 1.0), (0.3, 0.25), (0.35, 0.7), (2.0, 0.1), (2.1, 3.3)]
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
 
         def granted(claim, hold):
             sim.call_later(hold, res.release, claim)
@@ -157,7 +140,7 @@ class TestAcquire:
 
     def test_releasing_an_ungranted_claim_withdraws_it(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         calls = []
         holder = res.acquire(lambda claim: None)
         waiting = res.acquire(lambda claim: calls.append(claim))
@@ -167,6 +150,112 @@ class TestAcquire:
         res.release(holder)
         sim.run()
         assert calls == []
+        assert res.count == 0
+
+
+class TestUse:
+    """Timed holds of a :class:`Resource`, made with :meth:`Resource.use`."""
+
+    ARRIVALS = [(0.0, 1.0), (0.3, 0.25), (0.35, 0.7), (2.0, 0.1), (2.1, 3.3)]
+    CHECKPOINTS = [0.2, 0.4, 1.3, 1.95, 2.05, 2.6, 9.0]
+
+    def run_arrivals(self, hold):
+        """Busy time at each checkpoint and each hold's end, in order."""
+        sim = Simulator()
+        res = Resource(sim)
+        ends = []
+        for at, seconds in self.ARRIVALS:
+            sim.call_later(at, hold, sim, res, seconds, ends)
+        busy = []
+        for until in self.CHECKPOINTS:
+            sim.run(until=until)
+            busy.append(res.busy_time())
+        return busy, ends
+
+    def test_matches_acquire_timer_release(self):
+        def with_use(sim, res, seconds, ends):
+            res.use(seconds, lambda: ends.append(sim.now))
+
+        def with_acquire(sim, res, seconds, ends):
+            def granted(claim):
+                sim.call_later(seconds, finish, claim)
+
+            def finish(claim):
+                res.release(claim)
+                ends.append(sim.now)
+
+            res.acquire(granted)
+
+        used = self.run_arrivals(with_use)
+        acquired = self.run_arrivals(with_acquire)
+        assert used == acquired
+        busy, ends = used
+        assert busy[-1] == 5.35
+        assert ends == [1.0, 1.25, 1.95, 2.1, 5.4]
+
+    def test_free_unit_is_taken_at_once(self):
+        sim = Simulator()
+        res = Resource(sim)
+        res.use(2.0, lambda: None)
+        assert res.count == 1
+        assert res.queue_length == 0
+        assert sim.queue_depth == 1  # the end of the hold, nothing else
+        sim.run()
+        assert res.count == 0
+        assert res.busy_time() == 2.0
+
+    def test_queued_claim_is_granted_after_the_releasing_then(self):
+        sim = Simulator()
+        res = Resource(sim)
+        log = []
+
+        def then():
+            log.append(("then", sim.now))
+            # The grant is already queued: a zero-delay entry pushed now
+            # runs after it.
+            assert res.count == 1 and res.queue_length == 0
+            sim.call_later(0.0, log.append, ("after-then", sim.now))
+
+        res.use(1.0, then)
+        res.acquire(lambda claim: log.append(("granted", sim.now)))
+        sim.run()
+        assert log == [("then", 1.0), ("granted", 1.0), ("after-then", 1.0)]
+        assert res.count == 1  # the acquired claim is never released
+
+    def test_use_and_acquire_claims_interleave_fifo(self):
+        sim = Simulator()
+        res = Resource(sim)
+        log = []
+
+        def hold(claim, name):
+            log.append((name, "start", sim.now))
+            sim.call_later(1.0, release, claim, name)
+
+        def release(claim, name):
+            log.append((name, "end", sim.now))
+            res.release(claim)
+
+        def used(name):
+            log.append((name, "end", sim.now))
+
+        res.acquire(hold, "a0")
+        res.use(2.0, used, "u1")
+        res.acquire(hold, "a2")
+        res.use(0.5, used, "u3")
+        res.acquire(hold, "a4")
+        assert res.queue_length == 4
+        sim.run()
+        assert log == [
+            ("a0", "start", 0.0),
+            ("a0", "end", 1.0),
+            ("u1", "end", 3.0),
+            ("a2", "start", 3.0),
+            ("a2", "end", 4.0),
+            ("u3", "end", 4.5),
+            ("a4", "start", 4.5),
+            ("a4", "end", 5.5),
+        ]
+        assert res.busy_time() == 5.5
         assert res.count == 0
 
 
