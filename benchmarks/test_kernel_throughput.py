@@ -5,19 +5,19 @@ replay experiments push ~10^6 events per run, so the kernel's events/
 second figure bounds the whole suite's runtime.  These run with real
 statistical rounds (unlike the one-shot ``repro bench`` recorder).
 
-The five shared workloads are defined once, in
+The three shared workloads are defined once, in
 ``repro.bench.KERNEL_BENCHMARKS``, and run here at their ``quick_n``
-size; the last two shapes exist only in this suite.
+size; the resource-contention shape exists only in this suite.
 """
 
 import pytest
 
 from repro.bench import KERNEL_BENCHMARKS
-from repro.sim import AllOf, Resource, Simulator
+from repro.sim import Resource, Simulator
 
 
 #: Events per round where a workload's round is more than one event.
-_EVENTS_PER_ROUND = {"hit_path_ping_pong": 2, "hit_path_callbacks": 2}
+_EVENTS_PER_ROUND = {"hit_path_callbacks": 2}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BENCHMARKS))
@@ -56,20 +56,3 @@ def test_resource_contention_throughput(benchmark):
 
     assert benchmark(run) == 40
 
-
-def test_condition_fanin_throughput(benchmark):
-    """AllOf over many events (a wide fan-in join)."""
-
-    def run():
-        sim = Simulator()
-        finished = [False]
-
-        def waiter(sim):
-            yield AllOf(sim, [sim.timeout(float(i % 13)) for i in range(2_000)])
-            finished[0] = True
-
-        sim.process(waiter(sim))
-        sim.run()
-        return finished[0]
-
-    assert benchmark(run)

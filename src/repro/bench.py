@@ -2,10 +2,9 @@
 
 The replay experiments push millions of events per run, so the kernel's
 events/second figure bounds the whole suite's runtime.  This module
-measures raw scheduler throughput on five workload shapes (timeout
-storm over 97 distinct delays, near-future sleep storm, process
-ping-pong, chained callback hit flow, timeout storm over 1009 distinct
-delays up to ~1000 s) and records the numbers in the tracked
+measures raw scheduler throughput on three workload shapes (timeout
+storm over 97 distinct delays, chained callback hit flow, timeout storm
+over 1009 distinct delays up to ~1000 s) and records the numbers in the tracked
 ``BENCH_kernel.json``.  End-to-end replay throughput is measured by
 ``perfbench/`` instead (see ``perfbench/README.md``).
 
@@ -29,7 +28,7 @@ import subprocess
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .sim import Simulator, Store
+from .sim import Simulator
 
 __all__ = [
     "KERNEL_BENCHMARKS",
@@ -75,57 +74,11 @@ def bench_timeout_storm(n: int) -> Tuple[int, float]:
     return n, elapsed
 
 
-def bench_sleep_storm(n: int) -> Tuple[int, float]:
-    """One process sleeping in a tight loop (pooled one-shot timers)."""
-    sim = Simulator()
-    done = [0]
-
-    def proc(sim):
-        for _ in range(n):
-            yield sim.sleep(0.001)
-            done[0] += 1
-
-    sim.process(proc(sim))
-    t0 = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - t0
-    assert done[0] == n
-    return n, elapsed
-
-
-def bench_hit_path_ping_pong(n: int) -> Tuple[int, float]:
-    """Two generator processes trading control through stores.
-
-    Measures raw process-resume cost — the part the proxy hit path's
-    callback chain avoids entirely.
-    """
-    sim = Simulator()
-    ping, pong = Store(sim), Store(sim)
-
-    def left(sim):
-        for _ in range(n):
-            ping.put(1)
-            yield pong.get()
-
-    def right(sim):
-        for _ in range(n):
-            yield ping.get()
-            pong.put(1)
-
-    procs = [sim.process(left(sim)), sim.process(right(sim))]
-    t0 = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - t0
-    assert all(p.triggered for p in procs)
-    return 2 * n, elapsed
-
-
 def bench_hit_path_callbacks(n: int) -> Tuple[int, float]:
     """The zero-allocation hit flow: a chained ``call_later`` loop.
 
     Mirrors what ``ProxyCache.submit`` does per cache hit (lookup
-    callback -> serve callback -> next request), with no Event, Timeout
-    or generator in the loop.
+    callback -> serve callback -> next request).
     """
     sim = Simulator()
     fired = [0]
@@ -171,8 +124,6 @@ def bench_bucketed_timeout_storm(n: int) -> Tuple[int, float]:
 #: name -> (workload, full_n, quick_n)
 KERNEL_BENCHMARKS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, int]] = {
     "timeout_storm": (bench_timeout_storm, 50_000, 10_000),
-    "sleep_storm": (bench_sleep_storm, 50_000, 10_000),
-    "hit_path_ping_pong": (bench_hit_path_ping_pong, 25_000, 5_000),
     "hit_path_callbacks": (bench_hit_path_callbacks, 50_000, 10_000),
     "bucketed_timeout_storm": (bench_bucketed_timeout_storm, 50_000, 10_000),
 }
@@ -317,7 +268,7 @@ def missing_baselines(new: dict, old: dict) -> List[str]:
 # ---------------------------------------------------------------------------
 
 def profile_kernel(
-    name: str = "sleep_storm", n: Optional[int] = None, out=None
+    name: str = "hit_path_callbacks", n: Optional[int] = None, out=None
 ) -> None:
     """Run one kernel workload under a profiler and print the hot spots.
 

@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         metavar="NAME",
         nargs="?",
-        const="sleep_storm",
+        const="hit_path_callbacks",
         help="profile one kernel workload (cProfile, or pyinstrument "
         "when installed) instead of benchmarking",
     )

@@ -59,7 +59,7 @@ from ..proxy.cache import Cache
 from ..proxy.entry import CacheEntry
 from ..proxy.proxy import ProxyCosts
 from ..server.sitelist import InvalidationTable
-from ..sim import Event, Simulator
+from ..sim import Simulator
 
 __all__ = ["ParentProxy"]
 
@@ -289,19 +289,17 @@ class ParentProxy:
             for child in sorted(self._known_children)
         )
 
-    def _forward(self, messages: Iterator[Invalidate], done: Event = None) -> None:
-        """Deliver ``messages`` one after another, then trigger ``done``."""
+    def _forward(self, messages: Iterator[Invalidate]) -> None:
+        """Deliver ``messages`` one after another."""
         message = next(messages, None)
         if message is not None:
-            self.channel.deliver(message, self._forwarded, message, messages, done)
-        elif done is not None:
-            done.succeed()
+            self.channel.deliver(message, self._forwarded, message, messages)
 
-    def _forwarded(self, _delivered: bool, message, messages, done) -> None:
+    def _forwarded(self, _delivered: bool, message, messages) -> None:
         self.invalidations_forwarded += 1
         if message.url is not None:
             self.interest.clear_after_invalidation(message.url, [message.client_id])
-        self._forward(messages, done)
+        self._forward(messages)
 
     # ------------------------------------------------------------------
     # failures
@@ -324,7 +322,7 @@ class ParentProxy:
         self._pending.clear()
         self._inflight.clear()
 
-    def recover(self) -> Event:
+    def recover(self) -> None:
         """Restart: our copies *and the children's* become questionable.
 
         While the parent was down its children missed every invalidation
@@ -332,11 +330,8 @@ class ParentProxy:
         server's crash recovery — it sends an INVALIDATE carrying the
         server address to every child it has ever seen (the child log,
         like the server's site log, survives the crash on disk).
-        Returns an event that triggers when that broadcast ends.
         """
         self.up = True
         self.network.set_up(self.address)
         self.cache.mark_all_questionable()
-        done = Event(self.sim)
-        self._forward(self._server_messages(self.server_address), done)
-        return done
+        self._forward(self._server_messages(self.server_address))

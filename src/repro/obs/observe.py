@@ -26,8 +26,8 @@ its own, so observed and unobserved runs process identical event
 sequences.
 
 ``deep=True`` additionally attaches a :class:`repro.sim.EventTracer` to
-the kernel.  It is told about every processed queue entry, pooled
-timers included, and schedules nothing itself, so results are identical
+the kernel.  It is told about every processed queue entry and
+schedules nothing itself, so results are identical
 and only the kernel's speed differs.  Use it for post-mortems, not for
 routine metrics.
 """

@@ -31,8 +31,7 @@ from ..http import (
 )
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network
-from ..sim import Event, Simulator
-from ..sim.core import URGENT
+from ..sim import Simulator
 from .cache import Cache
 from .entry import CacheEntry, entry_key
 
@@ -272,8 +271,8 @@ class ProxyCache:
 
         ``start`` (default: now) may lie ahead, so a driver that knows
         when its next request is due needs no timer of its own.  The
-        lookup runs ``cpu_lookup`` seconds after ``start`` on a pooled
-        callback entry.  A cache hit pays the serve delay on a second one;
+        lookup runs ``cpu_lookup`` seconds after ``start`` on a callback
+        entry.  A cache hit pays the serve delay on a second one;
         a request to a down proxy fails at lookup time.  A fill or
         validation sends its GET or IMS from the lookup callback; the
         send's callback arms the reply timer when the request is delivered.
@@ -290,15 +289,6 @@ class ProxyCache:
         self.sim.call_at(
             start + self.costs.cpu_lookup, self._on_lookup, outcome, on_done
         )
-
-    def request(self, client_id: str, url: str):
-        """Generator adapter over :meth:`submit` for ``yield from`` callers::
-
-            outcome = yield from proxy.request("client-7", "/doc")
-        """
-        wake = Event(self.sim)
-        self.submit(client_id, url, lambda outcome: wake.succeed(outcome, URGENT))
-        return (yield wake)
 
     def _lookup(self, client_id: str, url: str):
         """Post-lookup-delay decision: ``(entry, action)``.

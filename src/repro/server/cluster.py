@@ -470,7 +470,7 @@ class AcceleratorCluster:
         self._refresh_excluded()
         self.shard_crashes += 1
 
-    def recover_shard(self, address: str):
+    def recover_shard(self, address: str) -> None:
         """Recover one shard: broadcast recovery, take ownership back.
 
         The shard's own :meth:`ServerSite.recover` replays the
@@ -481,12 +481,11 @@ class AcceleratorCluster:
         """
         shard = self._by_address[address]
         if shard.up:
-            return None
+            return
         self._crashed.discard(address)
         self._refresh_excluded()
-        done = shard.recover()
+        shard.recover()
         self._rebalance()
-        return done
 
     def drain_shard(self, address: str) -> None:
         """Planned rebalance: move a live shard's documents off it."""
@@ -518,16 +517,14 @@ class AcceleratorCluster:
         self._refresh_excluded()
         self.network.set_down(self.address)
 
-    def recover(self) -> list:
-        """Recover every crashed shard; returns their recovery events."""
+    def recover(self) -> None:
+        """Recover every crashed shard."""
         self.network.set_up(self.address)
-        events = []
         recovered = [s for s in self.shards if not s.up]
         for shard in recovered:
             self._crashed.discard(shard.address)
         self._refresh_excluded()
         for shard in recovered:
-            events.append(shard.recover())
+            shard.recover()
         self._rebalance()
-        return events
 

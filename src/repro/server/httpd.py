@@ -59,7 +59,7 @@ from ..http import (
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metering import UsageLedger
 from ..net import Delivery, Message, Network, ReliableChannel
-from ..sim import Claim, Event, Resource, Simulator
+from ..sim import Claim, Resource, Simulator
 from .accelerator import AcceleratorConfig
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
@@ -632,8 +632,8 @@ class ServerSite:
             self.known_sites = KnownSitesLog()
             self._sitelog_lost = True
 
-    def recover(self) -> Event:
-        """Restart; returns an event that triggers when the broadcast ends.
+    def recover(self) -> None:
+        """Restart and broadcast INVALIDATE-by-server to every known site.
 
         The persistent :class:`KnownSitesLog` survives the crash; every
         site in it receives an INVALIDATE carrying the server address,
@@ -651,10 +651,8 @@ class ServerSite:
         self._pending_server_inval |= targets
         # One INVALIDATE-by-server per proxy host is enough: the proxy
         # marks every cached document from this server questionable.
-        done = Event(self.sim)
         steps = [
             (self._server_message(proxy), {}, self._abandon)
             for proxy in sorted(targets)
         ]
-        self._run(steps, False, done.succeed)
-        return done
+        self._run(steps, False, None)

@@ -2,44 +2,26 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Resource, Store, RngRegistry
+    from repro.sim import Simulator, Resource, RngRegistry
 
     sim = Simulator()
+    fired = []
 
-    def proc(sim):
-        yield sim.timeout(1.0)
-        return "done"
-
-    p = sim.process(proc(sim))
+    sim.call_later(1.0, fired.append, "done")
     sim.run()
-    assert p.value == "done"
+    assert fired == ["done"] and sim.now == 1.0
 """
 
-from .core import (
-    Event,
-    SimulationError,
-    Simulator,
-    StopSimulation,
-    Timeout,
-)
-from .process import AllOf, AnyOf, ConditionValue, Process
-from .resources import Claim, Resource, Store
+from .core import Simulator, StopSimulation
+from .resources import Claim, Resource
 from .rng import RngRegistry
 from .tracing import EventTracer
 
 __all__ = [
     "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "SimulationError",
     "StopSimulation",
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
     "Resource",
     "Claim",
-    "Store",
     "RngRegistry",
     "EventTracer",
 ]

@@ -1,24 +1,20 @@
-"""Shared resources for simulation processes.
+"""A shared resource for simulation callbacks.
 
-Two primitives cover everything the reproduction needs:
-
-* :class:`Resource` — one unit (e.g. a server CPU, a disk arm) with FIFO
-  queueing.  Used by the cost models to serialise work and to measure
-  utilisation.  :meth:`Resource.use` holds the unit for a fixed time and
-  then calls on; :meth:`Resource.acquire` claims it for an open-ended
-  hold that :meth:`Resource.release` ends.
-* :class:`Store` — an unbounded FIFO mailbox of items.  Used for request
-  queues and message inboxes.
+:class:`Resource` is one unit (e.g. a server CPU, a disk arm) with FIFO
+queueing.  The cost models use it to serialise work and to measure
+utilisation.  :meth:`Resource.use` holds the unit for a fixed time and
+then calls on; :meth:`Resource.acquire` claims it for an open-ended hold
+that :meth:`Resource.release` ends.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque
 
-from .core import Event, Simulator
+from .core import Simulator
 
-__all__ = ["Claim", "Resource", "Store"]
+__all__ = ["Claim", "Resource"]
 
 
 class Claim:
@@ -141,55 +137,3 @@ class Resource:
         else:
             self._holder = None
 
-
-class Store:
-    """Unbounded FIFO store of items with blocking ``get``.
-
-    ``put`` never blocks (the reproduction's queues are open-ended, like a
-    listen backlog); ``get`` returns an event that triggers with the oldest
-    item once one is available.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Add an item, waking the oldest waiting getter if any."""
-        # Skip getters that were cancelled (triggered externally).
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next available item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-    def clear(self) -> int:
-        """Drop all queued items, returning how many were dropped."""
-        dropped = len(self._items)
-        self._items.clear()
-        return dropped

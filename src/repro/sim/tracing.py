@@ -5,16 +5,13 @@ records what the event loop processes — event counts by type, processing
 rate over simulated time, and (optionally) a bounded tail of recent
 events for post-mortem debugging of stuck or runaway models.
 
-Each processed queue entry is counted under a kind: ``Callback`` for a
-plain function scheduled with ``Simulator.call_later``/``call_at``, and
-the event's class name (``_Sleep``, ``Timeout``, ``Process``, ...) for
-an event.
+Each processed queue entry is a plain function scheduled with
+``Simulator.call_later``/``call_at`` and is counted under the kind
+``Callback``.
 
 With ``owners=True`` the tracer also counts each event under the code
-that owns it (:attr:`EventTracer.owners`): a ``Callback`` belongs to the
-qualified name of its function, any other event to the generator of the
-process it resumes.  A process that ends with no process waiting owns
-its own end; any other event belongs to its first callback.
+that owns it (:attr:`EventTracer.owners`): the qualified name of its
+function.
 
 Tracing is strictly opt-in and adds a single attribute check to the hot
 loop when disabled.  It never changes how a run is scheduled.
@@ -32,8 +29,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, List, Optional, Tuple
 
-from .core import Event, Simulator
-from .process import Process
+from .core import Simulator
 
 __all__ = ["EventTracer"]
 
@@ -45,7 +41,7 @@ class EventTracer:
         sim: the simulator to attach to (one tracer per simulator).
         keep_last: size of the recent-event ring buffer; 0 disables
             recording and keeps only counters.
-        owners: also count events per owning function or generator in
+        owners: also count events per owning function in
             :attr:`owners` (off by default; the counts add up to
             :attr:`total`).
     """
@@ -69,9 +65,7 @@ class EventTracer:
 
     def observe(self, now: float, entry: list) -> None:
         """Count one processed queue entry; :meth:`Simulator.step` calls this."""
-        fn = entry[3]
-        event = entry[4][0] if fn is self.sim._fire_event else None
-        kind = "Callback" if event is None else type(event).__name__
+        kind = "Callback"
         self.counts[kind] += 1
         self.total += 1
         if self.first_time is None:
@@ -80,7 +74,7 @@ class EventTracer:
         if self._ring is not None:
             self._ring.append((now, kind))
         if self.owners is not None:
-            self.owners[_qualname(fn) if event is None else _owner(event)] += 1
+            self.owners[_qualname(entry[2])] += 1
 
     def detach(self) -> None:
         """Stop tracing."""
@@ -120,19 +114,6 @@ class EventTracer:
         for kind, count in self.counts.most_common():
             lines.append(f"  {kind:16s} {count}")
         return "\n".join(lines)
-
-
-def _owner(event: Event) -> str:
-    """Qualified name of the code an event runs (see :class:`EventTracer`)."""
-    for callback in event.callbacks:
-        process = getattr(callback, "__self__", None)
-        if type(process) is Process:
-            return _qualname(process._generator)
-    if type(event) is Process:
-        return _qualname(event._generator)
-    if event.callbacks:
-        return _qualname(event.callbacks[0])
-    return type(event).__name__
 
 
 def _qualname(obj) -> str:

@@ -161,14 +161,11 @@ def _build_shard(batch_window: float, batch_max: int):
 
 
 def _fetch(sim, proxy, client, url):
-    holder = {}
-
-    def driver(sim):
-        holder["o"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    return holder["o"]
+    (outcome,) = outcomes
+    return outcome
 
 
 def test_batch_max_exact_fill_flushes_immediately():

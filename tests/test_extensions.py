@@ -84,11 +84,15 @@ class TestMulticastInvalidation:
         return sim, net, fs, server, proxy
 
     def seed_clients(self, sim, proxy, count):
-        def driver(sim):
-            for i in range(count):
-                yield from proxy.request(f"c{i}", "/a")
+        """Client ``c<i>`` fetches ``/a`` once the one before it is done."""
+        clients = iter(range(count))
 
-        sim.process(driver(sim))
+        def submit_next(_outcome=None):
+            i = next(clients, None)
+            if i is not None:
+                proxy.submit(f"c{i}", "/a", submit_next)
+
+        submit_next()
         sim.run()
 
     def test_one_message_per_proxy(self):

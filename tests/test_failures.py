@@ -37,14 +37,11 @@ def build(max_retries=None):
 
 
 def request(sim, proxy, client, url):
-    holder = {}
-
-    def driver(sim):
-        holder["o"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    return holder["o"]
+    (outcome,) = outcomes
+    return outcome
 
 
 class TestValidation:

@@ -34,14 +34,11 @@ def build(num_children=2):
 
 
 def request(sim, proxy, client, url):
-    holder = {}
-
-    def driver(sim):
-        holder["o"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    return holder["o"]
+    (outcome,) = outcomes
+    return outcome
 
 
 class TestRequestPath:
@@ -156,10 +153,11 @@ class TestParentFailure:
         fs.modify("/a", now=sim.now + 1)
         server.check_in("/a")
         sim.run(until=sim.now + 2.0)
-        recovery = parent.recover()
+        parent.recover()
         sim.run()
-        assert recovery.processed
-        # The child was told to distrust everything.
+        # The recovery broadcast reached child-0, the only child the
+        # parent knows: it was told to distrust everything.
+        assert parent.invalidations_forwarded == 1
         assert children[0].server_invalidations_received == 1
         outcome = request(sim, children[0], "c1", "/a")
         assert not outcome.stale_served

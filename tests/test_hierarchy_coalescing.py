@@ -28,16 +28,25 @@ def build():
     return sim, fs, server, parent, children
 
 
+def sequential(sim, requests):
+    """Run ``(child, client, url)`` requests one after another."""
+    pending = iter(requests)
+
+    def submit_next(_outcome=None):
+        request = next(pending, None)
+        if request is not None:
+            child, client, url = request
+            child.submit(client, url, submit_next)
+
+    submit_next()
+    sim.run()
+
+
 def test_concurrent_misses_share_one_upstream_fetch():
     sim, fs, server, parent, children = build()
     outcomes = []
-
-    def driver(sim, child, client):
-        outcome = yield from child.request(client, "/a")
-        outcomes.append(outcome)
-
     for i, child in enumerate(children):
-        sim.process(driver(sim, child, f"c{i}"))
+        child.submit(f"c{i}", "/a", outcomes.append)
     sim.run()
     assert len(outcomes) == 3
     assert all(o.transfer and o.body_bytes == 1000 for o in outcomes)
@@ -49,12 +58,8 @@ def test_concurrent_misses_share_one_upstream_fetch():
 
 def test_different_urls_not_coalesced():
     sim, fs, server, parent, children = build()
-
-    def driver(sim, child, client, url):
-        yield from child.request(client, url)
-
-    sim.process(driver(sim, children[0], "c0", "/a"))
-    sim.process(driver(sim, children[1], "c1", "/b"))
+    children[0].submit("c0", "/a", lambda _outcome: None)
+    children[1].submit("c1", "/b", lambda _outcome: None)
     sim.run()
     assert parent.upstream_fetches == 2
     assert parent.coalesced_fetches == 0
@@ -62,14 +67,8 @@ def test_different_urls_not_coalesced():
 
 def test_sequential_requests_not_coalesced():
     sim, fs, server, parent, children = build()
-
-    def driver(sim):
-        yield from children[0].request("c0", "/a")
-        # Second request hits the parent cache, no upstream fetch at all.
-        yield from children[1].request("c1", "/a")
-
-    sim.process(driver(sim))
-    sim.run()
+    # Second request hits the parent cache, no upstream fetch at all.
+    sequential(sim, [(children[0], "c0", "/a"), (children[1], "c1", "/a")])
     assert parent.upstream_fetches == 1
     assert parent.coalesced_fetches == 0
     assert server.requests_handled == 1
@@ -77,28 +76,18 @@ def test_sequential_requests_not_coalesced():
 
 def test_coalesced_after_invalidation_refetch():
     sim, fs, server, parent, children = build()
-
-    def seed(sim):
-        yield from children[0].request("c0", "/a")
-        yield from children[1].request("c1", "/a")
-
-    sim.process(seed(sim))
-    sim.run()
+    sequential(sim, [(children[0], "c0", "/a"), (children[1], "c1", "/a")])
     fs.modify("/a", now=sim.now)
     server.check_in("/a")
     sim.run()
 
     outcomes = []
-
-    def driver(sim, child, client):
-        outcome = yield from child.request(client, "/a")
-        outcomes.append(outcome)
-
-    sim.process(driver(sim, children[0], "c0"))
-    sim.process(driver(sim, children[1], "c1"))
+    children[0].submit("c0", "/a", outcomes.append)
+    children[1].submit("c1", "/a", outcomes.append)
     sim.run()
     # Both were invalidated; the refetch coalesces to one origin hit.
     assert server.requests_handled == 2  # initial + one refetch
+    assert len(outcomes) == 2
     assert all(not o.stale_served for o in outcomes)
 
 

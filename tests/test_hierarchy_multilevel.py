@@ -35,14 +35,11 @@ def build_chain():
 
 
 def request(sim, proxy, client, url):
-    holder = {}
-
-    def driver(sim):
-        holder["o"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    return holder["o"]
+    (outcome,) = outcomes
+    return outcome
 
 
 def test_fetch_traverses_all_levels():
@@ -91,9 +88,11 @@ def test_mid_level_crash_recovery_keeps_consistency():
     fs.modify("/a", now=sim.now + 1)
     server.check_in("/a")
     sim.run(until=sim.now + 5.0)
-    recovery = mid.recover()
+    mid.recover()
     sim.run(until=sim.now + 120.0)  # retried invalidation + recovery fan-out
-    assert recovery.processed
+    # The recovery broadcast reached the leaf, the only child mid knows.
+    assert mid.invalidations_forwarded == 1
+    assert leaf.server_invalidations_received == 1
     outcome = request(sim, leaf, "c1", "/a")
     assert not outcome.stale_served
     assert not outcome.violation

@@ -65,11 +65,15 @@ class TestEndToEnd:
         return sim, fs, server, proxy, meter
 
     def drive(self, sim, proxy, requests):
-        def driver(sim):
-            for client, url in requests:
-                yield from proxy.request(client, url)
+        """Run ``requests`` one after another: each starts as the last ends."""
+        pending = iter(requests)
 
-        sim.process(driver(sim))
+        def submit_next(_outcome=None):
+            request = next(pending, None)
+            if request is not None:
+                proxy.submit(*request, submit_next)
+
+        submit_next()
         sim.run()
 
     def test_invalidation_hits_metered_and_reported(self):
@@ -103,13 +107,7 @@ class TestEndToEnd:
             sim, net, "proxy-0", "server",
             policy=protocol.client_policy, cache=Cache(),
         )
-
-        def driver(sim):
-            yield from proxy.request("c1", "/a")
-            yield from proxy.request("c1", "/a")
-
-        sim.process(driver(sim))
-        sim.run()
+        self.drive(sim, proxy, [("c1", "/a")] * 2)
         # Without a meter, only direct requests are counted.
         assert server.ledger.total("/a") == 1
         assert server.ledger.reported("/a") == 0

@@ -77,26 +77,17 @@ class TestEventCancel:
         from repro.sim import Simulator
 
         sim = Simulator()
-        timer = sim.timeout(100.0)
-        sim.timeout(1.0)
-        timer.cancel()
+        timer = sim.call_later(100.0, lambda: None)
+        sim.call_later(1.0, lambda: None)
+        sim.cancel(timer)
         sim.run()
         assert sim.now == 1.0
-
-    def test_cancel_processed_event_rejected(self):
-        from repro.sim import SimulationError, Simulator
-
-        sim = Simulator()
-        timer = sim.timeout(1.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            timer.cancel()
 
     def test_peek_skips_cancelled_head(self):
         from repro.sim import Simulator
 
         sim = Simulator()
-        first = sim.timeout(1.0)
-        sim.timeout(5.0)
-        first.cancel()
+        first = sim.call_later(1.0, lambda: None)
+        sim.call_later(5.0, lambda: None)
+        sim.cancel(first)
         assert sim.peek() == 5.0

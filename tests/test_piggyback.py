@@ -24,14 +24,11 @@ def build(protocol=None, docs=None):
 
 
 def request(sim, proxy, client, url):
-    holder = {}
-
-    def driver(sim):
-        holder["o"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    return holder["o"]
+    (outcome,) = outcomes
+    return outcome
 
 
 class TestCacheUrlIndex:

@@ -37,14 +37,11 @@ def build(protocol, docs=None, cache_bytes=None, latency=0.001):
 
 
 def run_request(sim, proxy, client, url):
-    holder = {}
-
-    def driver(sim):
-        holder["outcome"] = yield from proxy.request(client, url)
-
-    sim.process(driver(sim))
+    outcomes = []
+    proxy.submit(client, url, outcomes.append)
     sim.run()
-    return holder["outcome"]
+    (outcome,) = outcomes
+    return outcome
 
 
 class TestMissAndHit:

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 def hold_for(res, hold, log=None, name=None):
@@ -258,94 +258,3 @@ class TestUse:
         assert res.busy_time() == 5.5
         assert res.count == 0
 
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = []
-
-    def getter(sim):
-        item = yield store.get()
-        got.append(item)
-
-    sim.process(getter(sim))
-    sim.run()
-    assert got == ["x"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim):
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    def putter(sim):
-        yield sim.timeout(4.0)
-        store.put("late")
-
-    sim.process(getter(sim))
-    sim.process(putter(sim))
-    sim.run()
-    assert got == [(4.0, "late")]
-
-
-def test_store_fifo_ordering():
-    sim = Simulator()
-    store = Store(sim)
-    for item in ("a", "b", "c"):
-        store.put(item)
-    got = []
-
-    def getter(sim):
-        for _ in range(3):
-            got.append((yield store.get()))
-
-    sim.process(getter(sim))
-    sim.run()
-    assert got == ["a", "b", "c"]
-
-
-def test_store_multiple_getters_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim, name):
-        item = yield store.get()
-        got.append((name, item))
-
-    sim.process(getter(sim, "first"))
-    sim.process(getter(sim, "second"))
-
-    def putter(sim):
-        yield sim.timeout(1.0)
-        store.put(1)
-        store.put(2)
-
-    sim.process(putter(sim))
-    sim.run()
-    assert got == [("first", 1), ("second", 2)]
-
-
-def test_store_try_get_and_len():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("only")
-    assert len(store) == 1
-    assert store.try_get() == "only"
-    assert len(store) == 0
-
-
-def test_store_clear():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert store.clear() == 2
-    assert len(store) == 0
-    assert store.items == ()

@@ -65,14 +65,10 @@ class Torture:
         proxy = self.proxy_for(client)
         if not proxy.up:
             return None
-        holder = {}
-
-        def driver(sim):
-            holder["o"] = yield from proxy.request(client, url)
-
-        self.sim.process(driver(self.sim))
+        outcomes = []
+        proxy.submit(client, url, outcomes.append)
         self.sim.run(until=self.sim.now + 5.0)
-        outcome = holder.get("o")
+        outcome = outcomes[0] if outcomes else None
         if outcome is not None:
             self.outcomes.append(outcome)
         return outcome
