@@ -26,7 +26,6 @@ from repro import (
     adaptive_ttl,
     generate_trace,
     invalidation,
-    lease_invalidation,
     poll_every_time,
     run_experiment,
     two_tier_lease,

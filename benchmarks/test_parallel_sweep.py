@@ -27,7 +27,6 @@ import pytest
 
 from repro import DAYS, ExperimentConfig, RngRegistry, generate_trace, invalidation
 from repro.replay import ParallelSweepRunner, result_to_dict, sweep
-from repro.replay.parallel import checkpoint_filename
 from repro.traces import PROFILES
 
 SWEEP_SCALE = float(os.environ.get("REPRO_BENCH_SWEEP_SCALE", "0.1"))

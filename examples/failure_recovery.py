@@ -14,7 +14,7 @@ Usage::
     python examples/failure_recovery.py
 """
 
-from repro import FailureInjector, RngRegistry, Simulator, invalidation
+from repro import FailureInjector, Simulator, invalidation
 from repro.net import FixedLatency, Network
 from repro.proxy import Cache, ProxyCache
 from repro.server import FileStore, ServerSite

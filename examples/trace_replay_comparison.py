@@ -20,7 +20,6 @@ import sys
 from repro import (
     DAYS,
     ExperimentConfig,
-    PROFILES,
     RngRegistry,
     format_comparison_table,
     format_invalidation_costs,
