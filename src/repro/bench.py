@@ -4,8 +4,8 @@ The replay experiments push millions of events per run, so the kernel's
 events/second figure bounds the whole suite's runtime.  This module
 measures raw scheduler throughput on three workload shapes (timeout
 storm over 97 distinct delays, chained callback hit flow, timeout storm
-over 1009 distinct delays up to ~1000 s) and records the numbers in the tracked
-``BENCH_kernel.json``.  End-to-end replay throughput is measured by
+over 1009 distinct delays up to ~1000 s) and records the numbers in the
+tracked ``BENCH_kernel.json``.  End-to-end replay throughput is measured by
 ``perfbench/`` instead (see ``perfbench/README.md``).
 
 The payload carries the git SHA, a timestamp, peak RSS and a

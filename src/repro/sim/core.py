@@ -1,10 +1,10 @@
 """Discrete-event simulation kernel: the simulator loop.
 
 This module provides the scheduler used by every other subsystem in the
-reproduction.  Work is scheduled as plain callbacks: :meth:`Simulator.call_later`
-(relative delay) and :meth:`Simulator.call_at` (absolute time) queue
-``fn(*args)``, and a callback continues a chain by scheduling the next one.
-It has no third-party runtime dependencies.
+reproduction.  Work is scheduled as plain callbacks:
+:meth:`Simulator.call_later` (relative delay) and :meth:`Simulator.call_at`
+(absolute time) queue ``fn(*args)``, and a callback continues a chain by
+scheduling the next one.  It has no third-party runtime dependencies.
 
 Determinism: entries scheduled for the same simulated time are processed
 in insertion order, so a run is exactly reproducible given the same seed
