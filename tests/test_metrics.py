@@ -1,5 +1,8 @@
 """Unit tests for latency stats, counters and the iostat load monitor."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,6 +78,38 @@ class TestLatencyStats:
         eps = 1e-9 * max(1.0, stats.max)
         assert stats.min - eps <= stats.mean <= stats.max + eps
         assert stats.count == len(values)
+
+
+    @given(
+        st.lists(st.floats(min_value=0, max_value=1e6), min_size=9, max_size=200),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_record_matches_min_max_reference(self, values, size, seed):
+        """``record`` agrees with a plain ``min``/``max`` reservoir sampler."""
+        stats = LatencyStats(reservoir_size=size, seed=seed)
+        rng = random.Random(seed)
+        count, total, low, high, reservoir = 0, 0.0, math.inf, -math.inf, []
+        for v in values:
+            stats.record(v)
+            count += 1
+            total += v
+            low = min(low, v)
+            high = max(high, v)
+            if len(reservoir) < size:
+                reservoir.append(v)
+            else:
+                slot = rng.randrange(count)
+                if slot < size:
+                    reservoir[slot] = v
+        assert (stats.count, stats.total) == (count, total)
+        assert (stats.minimum, stats.maximum) == (low, high)
+        assert stats.state_dict() == {
+            "count": count, "total": total, "min": low, "max": high,
+            "reservoir": reservoir, "reservoir_size": size,
+        }
+        # The reservoir's RNG is in the same state, so later draws agree.
+        assert stats._rng.random() == rng.random()
 
 
 class TestReplayCounters:

@@ -1,5 +1,6 @@
 """Unit tests for cache entries and the bounded cache."""
 
+import dataclasses
 import math
 
 import pytest
@@ -22,6 +23,14 @@ class TestEntry:
     def test_key_format(self):
         assert entry_key("/a", "c1") == "/a@c1"
         assert entry().key == "/a@c1"
+
+    def test_key_follows_url_and_client_through_replace(self):
+        e = entry(url="/x", client="c9")
+        assert e.key == entry_key("/x", "c9")
+        for changes in ({"url": "/y"}, {"client_id": "c2"}, {"size": 7}):
+            copy = dataclasses.replace(e, **changes)
+            assert copy.key == entry_key(copy.url, copy.client_id)
+        assert e.key == entry_key("/x", "c9")
 
     def test_ttl_freshness(self):
         e = entry(expires=10.0)

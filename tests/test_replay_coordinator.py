@@ -1,6 +1,7 @@
 """Unit tests for the lock-step time coordinator."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,35 @@ def test_pseudo_client_has_nothing_due():
     # 0.5-1.5 x think_time.
     assert 0.5 <= arrival - sim.now <= 1.5
     assert PseudoClient(proxy, [], counters).next_due == math.inf
+
+
+def test_pseudo_client_think_times_match_uniform_draws():
+    """Think times are ``rng.uniform(0.5, 1.5) * think_time``, bit for bit."""
+    sim = Simulator()
+    proxy = proxy_for(sim)
+    issued, finished, arrivals = [], [], []
+    submit = proxy.submit
+
+    def recording_submit(client, url, on_done, start):
+        issued.append(start)
+
+        def done(outcome):
+            finished.append(outcome.finished)
+            on_done(outcome)
+
+        submit(client, url, done, start)
+
+    proxy.submit = recording_submit
+    client = PseudoClient(
+        proxy, [TraceRecord(float(t), "c1", "/a") for t in range(6)],
+        ReplayCounters(), think_time=2.5, rng=random.Random(31),
+    )
+    client.run_interval(100.0, 0.0, arrivals.append)
+    sim.run()
+    reference = random.Random(31)
+    expected = [end + reference.uniform(0.5, 1.5) * 2.5 for end in finished]
+    assert len(finished) == 6
+    assert issued[1:] + arrivals == expected
 
 
 def test_modifier_has_nothing_due():
