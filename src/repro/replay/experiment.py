@@ -201,6 +201,15 @@ class ExperimentConfig:
                 "shards > 1 cannot be combined with an adaptive-lease "
                 "protocol (the controller assumes one accelerator)"
             )
+        accel = self.protocol.accelerator
+        if self.hierarchy_parents and accel.grant_leases and accel.lease_get == 0:
+            raise ValueError(
+                "hierarchy_parents cannot be combined with a protocol that "
+                "grants zero-length GET leases (two-tier leases): the parent "
+                "cache neither honours nor relays leases, so leaves would "
+                "serve stale copies; use 'lease' or 'invalidation' behind a "
+                "parent, or drop hierarchy_parents"
+            )
         return self
 
 

@@ -74,14 +74,11 @@ def test_audit_detects_violation_count(small_trace):
         audit_result(result)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ParentProxy neither honours nor relays two-tier leases, so the "
-    "leaves keep zero-lease GET copies without a registration at the origin",
-)
-def test_two_tier_lease_behind_parent_audits_clean():
+def test_two_tier_lease_behind_parent_is_rejected():
+    # Accepted, this replay served stale copies: the auditor counted 88
+    # violations in 813 requests while counters.violations read 0.
     trace = generate_trace(PROFILES["EPA"].scaled(0.02), RngRegistry(11))
-    result = run_experiment(
+    with pytest.raises(ValueError, match="zero-length GET leases"):
         ExperimentConfig(
             trace=trace,
             protocol=two_tier_lease(),
@@ -90,6 +87,3 @@ def test_two_tier_lease_behind_parent_audits_clean():
             hierarchy_parents=1,
             audit=True,
         )
-    )
-    assert result.total_requests == 813
-    assert result.chaos["violation_count"] == 0
