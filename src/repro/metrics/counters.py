@@ -58,7 +58,8 @@ class ReplayCounters:
             self.staleness.record(outcome.staleness_age)
         if outcome.violation:
             self.violations += 1
-        self.latency.record(outcome.latency)
+        # outcome.latency, without the property call.
+        self.latency.record(outcome.finished - outcome.started)
 
     @property
     def hit_ratio(self) -> float:

@@ -34,14 +34,17 @@ class LatencyStats:
             raise ValueError(f"negative latency {value!r}")
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        if len(self._reservoir) < self._reservoir_size:
-            self._reservoir.append(value)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+        reservoir = self._reservoir
+        if len(reservoir) < self._reservoir_size:
+            reservoir.append(value)
         else:
             slot = self._rng.randrange(self.count)
             if slot < self._reservoir_size:
-                self._reservoir[slot] = value
+                reservoir[slot] = value
 
     @property
     def mean(self) -> float:

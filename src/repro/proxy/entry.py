@@ -21,9 +21,13 @@ def entry_key(url: str, client_id: str) -> str:
     return f"{url}@{client_id}"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
-    """One cached document copy (private to one real client)."""
+    """One cached document copy (private to one real client).
+
+    :attr:`key` is built from ``url`` and ``client_id`` at construction
+    (``dataclasses.replace`` rebuilds it); neither field changes after.
+    """
 
     url: str
     client_id: str
@@ -37,11 +41,11 @@ class CacheEntry:
     #: Needs revalidation before use (proxy recovery / server recovery).
     questionable: bool = False
     last_used: float = field(default=0.0)
+    #: The ``url@clientid`` cache key.
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        """The ``url@clientid`` cache key."""
-        return entry_key(self.url, self.client_id)
+    def __post_init__(self) -> None:
+        self.key = entry_key(self.url, self.client_id)
 
     def fresh_by_ttl(self, now: float) -> bool:
         """True while the TTL deadline has not passed."""

@@ -37,6 +37,9 @@ from .entry import CacheEntry, entry_key
 
 __all__ = ["ProxyCache", "ProxyCosts", "RequestOutcome"]
 
+#: Delivery time of the last INVALIDATE for a key never invalidated.
+_NEVER_INVALIDATED = float("-inf")
+
 
 @dataclass(frozen=True)
 class ProxyCosts:
@@ -47,7 +50,7 @@ class ProxyCosts:
     cpu_serve_per_kb: float = 0.00008
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """What happened to one client request (the metrics layer's input)."""
 
@@ -285,44 +288,38 @@ class ProxyCache:
         """
         if start is None:
             start = self.sim.now
-        outcome = RequestOutcome(url=url, client_id=client_id, started=start)
+        outcome = RequestOutcome(url, client_id, start)
         self.sim.call_at(
             start + self.costs.cpu_lookup, self._on_lookup, outcome, on_done
         )
 
-    def _lookup(self, client_id: str, url: str):
-        """Post-lookup-delay decision: ``(entry, action)``.
-
-        ``action`` is ``"serve"``, ``"validate"``, ``"fill"`` or
-        ``"down"``; ``entry`` is the cached copy (``None`` for fill/down).
-        """
+    def _on_lookup(self, outcome: RequestOutcome, on_done) -> None:
+        """The lookup delay is over: serve, validate, fill, or fail if down."""
         if not self.up:
             # A dead host serves nobody; its browsers see the outage.
-            return None, "down"
-        entry = self.cache.get(entry_key(url, client_id), self.sim.now)
+            self._fail(outcome, on_done)
+            return
+        now = self.sim.now
+        entry = self.cache.get(entry_key(outcome.url, outcome.client_id), now)
         if entry is None:
-            return None, "fill"
+            self._send(None, outcome, on_done)
+            return
+        outcome.had_cached_copy = True
         if entry.questionable:
-            return entry, "validate"
+            self._send(entry, outcome, on_done)
+            return
         # The policy judges freshness on the host's own clock, which may
         # be skewed (chaos fault): lease/TTL expiry shifts by clock_skew
         # on this host.
-        action = self.policy.action(entry, self.sim.now + self.clock_skew)
-        if action not in ("serve", "validate"):
-            raise ValueError(f"policy returned unknown action {action!r}")
-        return entry, action
-
-    def _on_lookup(self, outcome: RequestOutcome, on_done) -> None:
-        entry, action = self._lookup(outcome.client_id, outcome.url)
-        outcome.had_cached_copy = entry is not None
+        action = self.policy.action(entry, now + self.clock_skew)
         if action == "serve":
             self.sim.call_later(
                 self.serve_delay(entry), self._on_served, entry, outcome, on_done
             )
-        elif action == "down":
-            self._fail(outcome, on_done)
-        else:
+        elif action == "validate":
             self._send(entry, outcome, on_done)
+        else:
+            raise ValueError(f"policy returned unknown action {action!r}")
 
     def _on_served(self, entry: CacheEntry, outcome: RequestOutcome, on_done) -> None:
         self._complete_serve(entry, outcome)
@@ -365,7 +362,7 @@ class ProxyCache:
         # A copy fetched before its own invalidation was delivered must
         # never be served afterwards.
         outcome.violation = entry.fetched_at <= self._last_invalidated.get(
-            entry.key, float("-inf")
+            entry.key, _NEVER_INVALIDATED
         )
         if self.observer is not None:
             self.observer.on_serve(self, entry, outcome)

@@ -66,6 +66,7 @@ class PseudoClient:
         if think_time < 0:
             raise ValueError("think_time must be non-negative")
         self.proxy = proxy
+        self.sim = proxy.sim
         self.records = list(records)
         self.counters = counters
         self.think_time = think_time
@@ -101,9 +102,10 @@ class PseudoClient:
     def _on_done(self, outcome) -> None:
         """A request completed: record it, then think before the next."""
         self.counters.record(outcome)
-        issue = self.proxy.sim.now
+        issue = self.sim.now
         if self.think_time > 0:
-            issue += self.rng.uniform(0.5, 1.5) * self.think_time
+            # rng.uniform(0.5, 1.5) without its call: the same draw.
+            issue += (0.5 + self.rng.random()) * self.think_time
         if self.next_due < self._interval_end:
             self._submit(issue)
         else:
