@@ -322,7 +322,21 @@ class ProxyCache:
             raise ValueError(f"policy returned unknown action {action!r}")
 
     def _on_served(self, entry: CacheEntry, outcome: RequestOutcome, on_done) -> None:
-        self._complete_serve(entry, outcome)
+        """The serve delay is over: hand the cached copy to the browser."""
+        outcome.served_from_cache = True
+        outcome.body_bytes = entry.size
+        if self.oracle is not None and not outcome.validated:
+            current = self.oracle(entry.url)
+            if current > entry.last_modified:
+                outcome.stale_served = True
+                outcome.staleness_age = current - entry.last_modified
+        # A copy fetched before its own invalidation was delivered must
+        # never be served afterwards.
+        outcome.violation = entry.fetched_at <= self._last_invalidated.get(
+            entry.key, _NEVER_INVALIDATED
+        )
+        if self.observer is not None:
+            self.observer.on_serve(self, entry, outcome)
         on_done(self._complete(outcome))
 
     def _finish(self, outcome: RequestOutcome, on_done) -> None:
@@ -350,22 +364,6 @@ class ProxyCache:
     def serve_delay(self, entry: CacheEntry) -> float:
         """CPU seconds to push a cached copy to the browser."""
         return self.costs.cpu_serve_per_kb * entry.size / 1024.0
-
-    def _complete_serve(self, entry: CacheEntry, outcome: RequestOutcome) -> None:
-        outcome.served_from_cache = True
-        outcome.body_bytes = entry.size
-        if self.oracle is not None and not outcome.validated:
-            current = self.oracle(entry.url)
-            if current > entry.last_modified:
-                outcome.stale_served = True
-                outcome.staleness_age = current - entry.last_modified
-        # A copy fetched before its own invalidation was delivered must
-        # never be served afterwards.
-        outcome.violation = entry.fetched_at <= self._last_invalidated.get(
-            entry.key, _NEVER_INVALIDATED
-        )
-        if self.observer is not None:
-            self.observer.on_serve(self, entry, outcome)
 
     def _send(self, entry, outcome: RequestOutcome, on_done) -> None:
         """Send the GET of a fill (no ``entry``) or the IMS of a validation."""
