@@ -87,3 +87,24 @@ def test_two_tier_lease_behind_parent_is_rejected():
             hierarchy_parents=1,
             audit=True,
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the auditor asks the origin about the leaf's client, but behind "
+    "a parent the origin's obligation is keyed by the parent's client id",
+)
+def test_audited_replay_behind_a_parent_is_clean(small_trace):
+    # A serve 0.8 ms after /doc/00039.html changed, while the origin still
+    # owed parent-0 its INVALIDATE, was counted as silent staleness.
+    result = run_experiment(
+        ExperimentConfig(
+            trace=small_trace,
+            protocol=invalidation(),
+            mean_lifetime=3 * DAYS,
+            hierarchy_parents=1,
+            audit=True,
+        )
+    )
+    assert result.chaos["violation_count"] == 0
+    assert result.counters.violations == 0
