@@ -1,7 +1,8 @@
 """The strong-consistency auditor.
 
-Rides along a replay (as every proxy's ``observer``) and classifies each
-*unvalidated* cached serve of outdated content:
+Rides along every replay (as every proxy's ``observer``), counting its
+violations, and classifies each *unvalidated* cached serve of outdated
+content:
 
 * For a **weak** protocol (adaptive TTL, piggyback), staleness is the
   accepted trade-off — recorded, never a violation.
@@ -10,7 +11,9 @@ Rides along a replay (as every proxy's ``observer``) and classifies each
 
   - ``write-pending`` — the modification's INVALIDATE is registered but
     not yet delivered (the paper's definition: the write has not
-    completed, so a concurrent read may legally return the old version);
+    completed, so a concurrent read may legally return the old version).
+    Behind parent caches the auditor walks the upstream chain: each
+    parent may still owe the hop below it, the origin the top hop;
   - ``origin-down`` — the origin is crashed, so the write itself cannot
     complete until recovery;
   - ``recovery-pending`` — a post-crash INVALIDATE-by-server for this
@@ -18,11 +21,9 @@ Rides along a replay (as every proxy's ``observer``) and classifies each
   - ``detection-pending`` — browser-based detection only: the author has
     not yet viewed the modified page, so the accelerator cannot know.
 
-  A stale serve with **no** open obligation is a *silent-staleness*
-  violation, and a serve of a copy whose own INVALIDATE was already
-  delivered is a *post-delivery-serve* violation (caught by the proxy's
-  write-completion marker).  Either means the protocol broke its
-  guarantee under the fault schedule in play.
+  A stale serve with **no** open obligation (a copy served after its
+  own INVALIDATE was delivered, say) is a *silent-staleness* violation:
+  the protocol broke its guarantee under the fault schedule in play.
 """
 
 from __future__ import annotations
@@ -70,12 +71,17 @@ class ConsistencyAuditor:
         detection: the experiment's modification-detection mode
             (``"notify"`` or ``"browser"``); browser mode has one extra
             allowed window (the author has not viewed the page yet).
+        parents: the :class:`repro.hierarchy.ParentProxy` caches between
+            the proxies and ``server``, if any.
     """
 
-    def __init__(self, server, strong: bool, detection: str = "notify") -> None:
+    def __init__(
+        self, server, strong: bool, detection: str = "notify", parents=()
+    ) -> None:
         self.server = server
         self.strong = strong
         self.detection = detection
+        self._parents = {p.address: p for p in parents}
         self.serves = 0
         self.stale_serves = 0
         self.allowed: Counter = Counter()
@@ -89,9 +95,6 @@ class ConsistencyAuditor:
         self.serves += 1
         if outcome.validated:
             return  # just confirmed by the origin: fresh by definition
-        if outcome.violation and self.strong:
-            self._record(proxy, entry, outcome, "post-delivery-serve")
-            return
         if not outcome.stale_served:
             return
         self.stale_serves += 1
@@ -106,8 +109,16 @@ class ConsistencyAuditor:
 
     def _excuse(self, proxy, entry) -> str:
         """The open obligation covering this stale serve, or ``None``."""
+        url = entry.url
+        client_id = entry.client_id
+        parent = self._parents.get(proxy.server_address)
+        while parent is not None:
+            if parent.owes(url, client_id):
+                return "write-pending"
+            client_id = parent.address
+            parent = self._parents.get(parent.server_address)
         server = self.server
-        if server.write_pending(entry.url, entry.client_id):
+        if server.write_pending(url, client_id):
             return "write-pending"
         if not server.up:
             return "origin-down"

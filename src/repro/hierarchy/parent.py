@@ -39,7 +39,7 @@ the parent has recovered.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from ..http import (
     NOT_MODIFIED,
@@ -114,6 +114,10 @@ class ParentProxy:
         self.interest = InvalidationTable()
         #: Every child proxy ever seen (for server-form forwarding).
         self._known_children: Set[str] = set()
+        #: The child INVALIDATEs still owed, by (url, client id), each
+        #: with the forwarding chain due to deliver it (read by the
+        #: consistency auditor through :meth:`owes`).
+        self._owed: Dict[Tuple[str, str], Iterator[Invalidate]] = {}
         #: Upstream fetches waiting for a reply, by request msg_id.
         self._pending: Dict[int, _Fetch] = {}
         #: In-flight upstream fetches by URL; later misses join these.
@@ -270,13 +274,16 @@ class ParentProxy:
             # Drop our shared copy and invalidate interested children.
             self.cache.remove(f"{message.url}@{_SHARED}")
             entries = self.interest.note_modification(message.url, self.sim.now)
-            self._forward(
+            messages = (
                 make_invalidate_url(
                     self.address, entry.proxy, message.url, entry.client_id,
                     wire=self.wire,
                 )
                 for entry in entries
             )
+            for entry in entries:
+                self._owed[(message.url, entry.client_id)] = messages
+            self._forward(messages)
         else:
             # Server recovered: everything we hold is questionable, and
             # every child must hear the same.
@@ -299,7 +306,15 @@ class ParentProxy:
         self.invalidations_forwarded += 1
         if message.url is not None:
             self.interest.clear_after_invalidation(message.url, [message.client_id])
+            # A later INVALIDATE's chain still owes the copy it targets.
+            key = (message.url, message.client_id)
+            if self._owed.get(key) is messages:
+                del self._owed[key]
         self._forward(messages)
+
+    def owes(self, url: str, client_id: str) -> bool:
+        """True while an INVALIDATE for ``(url, client_id)`` is still owed."""
+        return (url, client_id) in self._owed
 
     # ------------------------------------------------------------------
     # failures
@@ -315,6 +330,7 @@ class ParentProxy:
         self.up = False
         self.network.set_down(self.address)
         self.interest = InvalidationTable()
+        self._owed.clear()
         self._epoch += 1
         for fetch in self._pending.values():
             if fetch.timer is not None:

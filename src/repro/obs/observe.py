@@ -172,10 +172,6 @@ class Observation:
             registry.counter(
                 "stale_serves", protocol=protocol, site=site, phase=phase
             ).inc()
-        if outcome.violation:
-            registry.counter(
-                "violations", protocol=protocol, site=site, phase=phase
-            ).inc()
         if not outcome.failed:
             registry.timer(
                 "request_latency", protocol=protocol, site=site
@@ -192,8 +188,6 @@ class Observation:
             }
             if outcome.stale_served:
                 attrs["stale"] = True
-            if outcome.violation:
-                attrs["violation"] = True
             self.sink.emit(
                 "request", outcome.url, outcome.started, outcome.finished,
                 **attrs,

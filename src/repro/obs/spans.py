@@ -17,8 +17,7 @@ replay emits are:
 
 * ``request`` — one client request; attributes: ``site``, ``client``,
   ``protocol``, ``phase``, ``action`` (``hit`` / ``miss`` / ``validate``
-  / ``failed``), ``status``, ``bytes``, ``stale`` and ``violation``
-  (only when true).
+  / ``failed``), ``status``, ``bytes`` and ``stale`` (only when true).
 * ``invalidation`` — one accelerator fan-out; attributes: ``protocol``,
   ``sites`` (entries notified), ``phase``.
 * ``run`` — the whole replay, emitted once at the end; attributes:

@@ -37,9 +37,6 @@ from .entry import CacheEntry, entry_key
 
 __all__ = ["ProxyCache", "ProxyCosts", "RequestOutcome"]
 
-#: Delivery time of the last INVALIDATE for a key never invalidated.
-_NEVER_INVALIDATED = float("-inf")
-
 
 @dataclass(frozen=True)
 class ProxyCosts:
@@ -73,10 +70,6 @@ class RequestOutcome:
     #: How far behind the served copy was (served mtime vs current),
     #: seconds; 0 when fresh.
     staleness_age: float = 0.0
-    #: Strong-consistency violation: the served copy's INVALIDATE had
-    #: already been *delivered* to this proxy (the write was complete).
-    #: Must never happen; guards against protocol races.
-    violation: bool = False
     hit: bool = False
     failed: bool = False
 
@@ -163,9 +156,6 @@ class ProxyCache:
         #: marked questionable so it revalidates before first reuse —
         #: AFS-style callback-race handling.
         self._tombstones: Dict[str, float] = {}
-        #: Delivery time of the last INVALIDATE per cache key (write
-        #: completion marker for the violation check).
-        self._last_invalidated: Dict[str, float] = {}
         self.invalidations_received = 0
         #: Individual (url, client) invalidations that arrived inside
         #: batched INVALIDATE messages (sharded accelerator tier).
@@ -241,7 +231,6 @@ class ProxyCache:
                     key = entry_key(url, client_id)
                     if self.cache.remove(key) == 0:
                         self._tombstones[key] = self.sim.now
-                    self._last_invalidated[key] = self.sim.now
             self.invalidations_received += 1
             self.batched_invalidations_received += sum(
                 len(cids) for _url, cids in message.pairs
@@ -255,7 +244,6 @@ class ProxyCache:
                 key = entry_key(message.url, client_id)
                 if self.cache.remove(key) == 0:
                     self._tombstones[key] = self.sim.now
-                self._last_invalidated[key] = self.sim.now
             self.invalidations_received += 1
         else:
             # Server-address form: everything from that server becomes
@@ -330,11 +318,6 @@ class ProxyCache:
             if current > entry.last_modified:
                 outcome.stale_served = True
                 outcome.staleness_age = current - entry.last_modified
-        # A copy fetched before its own invalidation was delivered must
-        # never be served afterwards.
-        outcome.violation = entry.fetched_at <= self._last_invalidated.get(
-            entry.key, _NEVER_INVALIDATED
-        )
         if self.observer is not None:
             self.observer.on_serve(self, entry, outcome)
         on_done(self._complete(outcome))
@@ -421,7 +404,7 @@ class ProxyCache:
         if entry is not None and response.status == NOT_MODIFIED:
             entry.questionable = False
             # The server just confirmed freshness: the copy is as good as
-            # one fetched now (resets the violation baseline too).
+            # one fetched now.
             entry.fetched_at = self.sim.now
             if response.lease_expires is not None:
                 entry.lease_expires = response.lease_expires

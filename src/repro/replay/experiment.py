@@ -114,9 +114,10 @@ class ExperimentConfig:
         fault_schedule: optional :class:`repro.chaos.FaultSchedule` (or
             its ``to_dict()`` form) of crashes/partitions/link faults/
             clock skew to inject during the replay.
-        audit: attach the strong-consistency auditor
-            (:class:`repro.chaos.ConsistencyAuditor`) and publish its
-            verdict in ``result.chaos``.
+        audit: publish the verdict of the strong-consistency auditor
+            (:class:`repro.chaos.ConsistencyAuditor`) in ``result.chaos``.
+            The auditor rides every replay and fills
+            ``counters.violations`` either way.
         fast_path: ignored; every replay takes the one request route.
             Kept only because ``perfbench/run.py`` still passes
             ``fast_path=False`` for its audited reference replay.
@@ -291,17 +292,13 @@ class ExperimentResult:
 
     @property
     def violations(self) -> int:
-        """Strong-consistency violations (must be zero; see proxy docs).
+        """Strong-consistency violations (must be zero).
 
-        With an auditor attached to a strong protocol this is the
-        auditor's count.  It covers the unvalidated post-delivery serves
-        the proxy's own marker flags as well as silent staleness the
-        marker cannot see, so the two are not added.  Otherwise it is
-        the marker's count.
+        The count of the :class:`repro.chaos.ConsistencyAuditor` that
+        rides every replay: unvalidated stale serves no open obligation
+        excuses.  Always 0 for a weak protocol, whose staleness is its
+        accepted trade-off.
         """
-        chaos = self.chaos
-        if chaos is not None and chaos.get("strong"):
-            return chaos["violation_count"]
         return self.counters.violations
 
     @property
@@ -437,15 +434,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # site log still reach every proxy on recovery.
     server.proxy_roster = {p.address for p in proxies}
 
-    auditor = None
-    if config.audit:
-        from ..chaos.auditor import ConsistencyAuditor
+    from ..chaos.auditor import ConsistencyAuditor
 
-        auditor = ConsistencyAuditor(
-            server, strong=protocol.strong, detection=config.detection
-        )
-        for proxy in proxies:
-            proxy.observer = auditor
+    auditor = ConsistencyAuditor(
+        server, strong=protocol.strong, detection=config.detection,
+        parents=parents,
+    )
+    for proxy in proxies:
+        proxy.observer = auditor
 
     injector = None
     schedule_obj = None
@@ -527,6 +523,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not coordinator.finished:
         raise RuntimeError("replay deadlocked before completing the trace")
     wall_time = sim.now
+    counters.violations = auditor.violation_count
 
     stats = network.stats
     if protocol.accelerator.grant_leases:
@@ -607,8 +604,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 CATEGORY_INVALIDATE
             ),
         }
-    if auditor is not None or injector is not None:
-        chaos = auditor.report() if auditor is not None else {}
+    if config.audit or injector is not None:
+        chaos = auditor.report() if config.audit else {}
         chaos["network"] = {
             "messages_sent": stats.messages_sent,
             "messages_lost": stats.messages_lost,

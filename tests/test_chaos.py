@@ -212,6 +212,7 @@ class TestAuditorUnit:
 
     class _Proxy:
         address = "proxy-0"
+        server_address = "server"
 
         class sim:
             now = 1.0
@@ -222,7 +223,6 @@ class TestAuditorUnit:
 
     class _Outcome:
         validated = False
-        violation = False
         stale_served = True
         staleness_age = 3.0
 
@@ -239,6 +239,52 @@ class TestAuditorUnit:
         auditor.on_serve(self._Proxy(), self._Entry(), self._Outcome())
         assert auditor.violation_count == 0
         assert auditor.allowed["origin-down"] == 1
+
+    class _Parent:
+        def __init__(self, address, server_address, owed=()):
+            self.address = address
+            self.server_address = server_address
+            self.owed = set(owed)
+
+        def owes(self, url, client_id):
+            return (url, client_id) in self.owed
+
+    def _chain_auditor(self, server, owed_by_top=(), owed_by_mid=()):
+        # proxy-0 -> mid -> top -> server
+        parents = [
+            self._Parent("top", "server", owed_by_top),
+            self._Parent("mid", "top", owed_by_mid),
+        ]
+        proxy = self._Proxy()
+        proxy.server_address = "mid"
+        return ConsistencyAuditor(server, strong=True, parents=parents), proxy
+
+    def test_parent_chain_excuses_each_hop(self):
+        # Each hop owes the one below it under that hop's client id: the
+        # leaf's real client at mid, mid at top, top at the origin.
+        for owed_by_mid, owed_by_top, origin_owes in (
+            ({("/a", "c1")}, (), None),
+            ((), {("/a", "mid")}, None),
+            ((), (), ("/a", "top")),
+        ):
+            server = self._Server()
+            server.write_pending = lambda url, cid, owed=origin_owes: (
+                (url, cid) == owed
+            )
+            auditor, proxy = self._chain_auditor(server, owed_by_top, owed_by_mid)
+            auditor.on_serve(proxy, self._Entry(), self._Outcome())
+            assert auditor.violation_count == 0
+            assert auditor.allowed["write-pending"] == 1
+
+    def test_parent_chain_without_debt_is_violation(self):
+        # The origin owes the leaf's client nothing behind a parent, and
+        # a parent's debt to another client excuses nothing.
+        server = self._Server()
+        server.write_pending = lambda url, cid: cid == "c1"
+        auditor, proxy = self._chain_auditor(server, owed_by_mid={("/a", "c2")})
+        auditor.on_serve(proxy, self._Entry(), self._Outcome())
+        assert auditor.violation_count == 1
+        assert auditor.violations[0].kind == "silent-staleness"
 
     def test_validated_serve_ignored(self):
         outcome = self._Outcome()

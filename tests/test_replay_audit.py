@@ -89,14 +89,11 @@ def test_two_tier_lease_behind_parent_is_rejected():
         )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the auditor asks the origin about the leaf's client, but behind "
-    "a parent the origin's obligation is keyed by the parent's client id",
-)
 def test_audited_replay_behind_a_parent_is_clean(small_trace):
     # A serve 0.8 ms after /doc/00039.html changed, while the origin still
-    # owed parent-0 its INVALIDATE, was counted as silent staleness.
+    # owed parent-0 its INVALIDATE, was counted as silent staleness: the
+    # auditor asked the origin about the leaf's client, but the origin's
+    # obligation is keyed by the parent's client id.
     result = run_experiment(
         ExperimentConfig(
             trace=small_trace,
@@ -107,4 +104,5 @@ def test_audited_replay_behind_a_parent_is_clean(small_trace):
         )
     )
     assert result.chaos["violation_count"] == 0
+    assert result.chaos["allowed_staleness"] == {"write-pending": 1}
     assert result.counters.violations == 0
