@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.chaos import ConsistencyAuditor
 from repro.core import invalidation
 from repro.hierarchy import ParentProxy
 from repro.net import FixedLatency, Network
@@ -140,6 +141,40 @@ class TestServerRecoveryThroughHierarchy:
         o = request(sim, children[0], "c1", "/a")
         assert o.validated
         assert not o.stale_served
+
+
+class TestAuditorBehindParent:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the auditor asks the origin about the recovery INVALIDATE "
+        "it delivered to the parent, not the parent about its forwards",
+    )
+    def test_recovery_forward_still_owed_is_allowed(self):
+        sim, net, fs, server, parent, children = build()
+        auditor = ConsistencyAuditor(server, strong=True, parents=[parent])
+        for child in children:
+            child.observer = auditor
+        request(sim, children[0], "c1", "/a")
+        request(sim, children[1], "c2", "/a")
+        children[0].crash()
+        server.crash()
+        fs.modify("/a", now=sim.now + 1)
+        sim.run(until=sim.now + 2.0)
+        server.recover()
+        sim.run(until=sim.now + 1.0)
+        # The parent forwards the origin's INVALIDATE-by-server to its
+        # children one after another; child-1's waits behind the retries
+        # to the dead child-0, so child-1 may still serve its old copy.
+        outcomes = []
+        children[1].submit("c2", "/a", outcomes.append)
+        sim.run(until=sim.now + 1.0)
+        assert outcomes[0].stale_served
+        assert auditor.violation_count == 0
+        assert auditor.allowed == {"recovery-pending": 1}
+        # Once child-0 is back, the forwards go out and the copies revalidate.
+        children[0].recover()
+        sim.run(until=sim.now + 60.0)
+        assert request(sim, children[1], "c2", "/a").validated
 
 
 class TestParentFailure:

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.chaos import Fault, FaultSchedule
 from repro.core import adaptive_ttl, invalidation, poll_every_time, two_tier_lease
 from repro.replay import (
     AuditError,
@@ -106,3 +107,30 @@ def test_audited_replay_behind_a_parent_is_clean(small_trace):
     assert result.chaos["violation_count"] == 0
     assert result.chaos["allowed_staleness"] == {"write-pending": 1}
     assert result.counters.violations == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the operator roster lists the leaf proxies, which never hear "
+    "from the origin behind a parent; the parent is left out",
+)
+def test_server_that_lost_its_site_log_invalidates_the_parent():
+    # The origin forgets parent-0 with its site log; on recovery it sends
+    # INVALIDATE-by-server to the roster only, so the parent keeps serving
+    # copies of documents modified during the outage.  Two leaves served
+    # such a copy 756 s and 1064 s out of date.
+    trace = generate_trace(PROFILES["EPA"].scaled(0.05), RngRegistry(seed=7))
+    crash = Fault("server_crash", 450.0, 600.0, target="server",
+                  params={"lose_sitelog": True})
+    result = run_experiment(
+        ExperimentConfig(
+            trace=trace,
+            protocol=invalidation(),
+            mean_lifetime=7 * DAYS,
+            seed=7,
+            hierarchy_parents=1,
+            fault_schedule=FaultSchedule(seed=0, horizon=1000.0, faults=(crash,)),
+            audit=True,
+        )
+    )
+    assert result.violations == 0
