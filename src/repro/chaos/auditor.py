@@ -13,7 +13,8 @@ content:
     not yet delivered (the paper's definition: the write has not
     completed, so a concurrent read may legally return the old version).
     Behind parent caches the auditor walks the upstream chain: each
-    parent may still owe the hop below it, the origin the top hop;
+    parent may still owe the hop below it, the origin the top hop (this
+    holds for ``recovery-pending`` too);
   - ``origin-down`` — the origin is crashed, so the write itself cannot
     complete until recovery;
   - ``recovery-pending`` — a post-crash INVALIDATE-by-server for this
@@ -111,18 +112,21 @@ class ConsistencyAuditor:
         """The open obligation covering this stale serve, or ``None``."""
         url = entry.url
         client_id = entry.client_id
+        hop = proxy.address
         parent = self._parents.get(proxy.server_address)
         while parent is not None:
             if parent.owes(url, client_id):
                 return "write-pending"
-            client_id = parent.address
+            if parent.owes(None, hop):
+                return "recovery-pending"
+            client_id = hop = parent.address
             parent = self._parents.get(parent.server_address)
         server = self.server
         if server.write_pending(url, client_id):
             return "write-pending"
         if not server.up:
             return "origin-down"
-        if server.recovery_pending(proxy.address):
+        if server.recovery_pending(hop):
             return "recovery-pending"
         if self.detection == "browser" and server.change_pending_detection(
             entry.url

@@ -114,10 +114,10 @@ class ParentProxy:
         self.interest = InvalidationTable()
         #: Every child proxy ever seen (for server-form forwarding).
         self._known_children: Set[str] = set()
-        #: The child INVALIDATEs still owed, by (url, client id), each
-        #: with the forwarding chain due to deliver it (read by the
-        #: consistency auditor through :meth:`owes`).
-        self._owed: Dict[Tuple[str, str], Iterator[Invalidate]] = {}
+        #: The child INVALIDATEs still owed, by (url, client id) or, for
+        #: the server form, (None, child proxy), each with the forwarding
+        #: chain due to deliver it (the consistency auditor reads it).
+        self._owed: Dict[Tuple[Optional[str], str], Iterator[Invalidate]] = {}
         #: Upstream fetches waiting for a reply, by request msg_id.
         self._pending: Dict[int, _Fetch] = {}
         #: In-flight upstream fetches by URL; later misses join these.
@@ -291,10 +291,14 @@ class ParentProxy:
             self._forward(self._server_messages(message.server))
 
     def _server_messages(self, server: str) -> Iterator[Invalidate]:
-        return (
+        """An INVALIDATE-by-server for every known child, owed from now."""
+        messages = (
             make_invalidate_server(self.address, child, server=server, wire=self.wire)
             for child in sorted(self._known_children)
         )
+        for child in self._known_children:
+            self._owed[(None, child)] = messages
+        return messages
 
     def _forward(self, messages: Iterator[Invalidate]) -> None:
         """Deliver ``messages`` one after another."""
@@ -306,14 +310,20 @@ class ParentProxy:
         self.invalidations_forwarded += 1
         if message.url is not None:
             self.interest.clear_after_invalidation(message.url, [message.client_id])
-            # A later INVALIDATE's chain still owes the copy it targets.
             key = (message.url, message.client_id)
-            if self._owed.get(key) is messages:
-                del self._owed[key]
+        else:
+            key = (None, message.dst)
+        # A later INVALIDATE's chain still owes what it targets.
+        if self._owed.get(key) is messages:
+            del self._owed[key]
         self._forward(messages)
 
-    def owes(self, url: str, client_id: str) -> bool:
-        """True while an INVALIDATE for ``(url, client_id)`` is still owed."""
+    def owes(self, url: Optional[str], client_id: str) -> bool:
+        """True while an INVALIDATE for ``(url, client_id)`` is still owed.
+
+        ``url`` ``None`` asks about an INVALIDATE-by-server owed to the
+        child proxy ``client_id``.
+        """
         return (url, client_id) in self._owed
 
     # ------------------------------------------------------------------

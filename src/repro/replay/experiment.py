@@ -431,8 +431,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
 
     # Operator-configured roster: lets a server that lost its persistent
-    # site log still reach every proxy on recovery.
-    server.proxy_roster = {p.address for p in proxies}
+    # site log still reach every proxy it serves (the parents, if any) on
+    # recovery.
+    server.proxy_roster = {p.address for p in parents or proxies}
 
     from ..chaos.auditor import ConsistencyAuditor
 

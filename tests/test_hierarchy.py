@@ -144,12 +144,10 @@ class TestServerRecoveryThroughHierarchy:
 
 
 class TestAuditorBehindParent:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the auditor asks the origin about the recovery INVALIDATE "
-        "it delivered to the parent, not the parent about its forwards",
-    )
     def test_recovery_forward_still_owed_is_allowed(self):
+        # The auditor asked the origin, which had delivered its recovery
+        # INVALIDATE to the parent, and counted silent staleness; the
+        # parent still owed child-1 the forward.
         sim, net, fs, server, parent, children = build()
         auditor = ConsistencyAuditor(server, strong=True, parents=[parent])
         for child in children:

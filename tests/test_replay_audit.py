@@ -109,16 +109,12 @@ def test_audited_replay_behind_a_parent_is_clean(small_trace):
     assert result.counters.violations == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the operator roster lists the leaf proxies, which never hear "
-    "from the origin behind a parent; the parent is left out",
-)
 def test_server_that_lost_its_site_log_invalidates_the_parent():
-    # The origin forgets parent-0 with its site log; on recovery it sends
-    # INVALIDATE-by-server to the roster only, so the parent keeps serving
-    # copies of documents modified during the outage.  Two leaves served
-    # such a copy 756 s and 1064 s out of date.
+    # The origin forgets parent-0 with its site log and on recovery sends
+    # INVALIDATE-by-server to its roster only.  The roster listed the leaf
+    # proxies, which the origin does not serve behind a parent, so the
+    # parent kept serving copies of documents modified during the outage:
+    # two leaves served such a copy, 756 s and 1064 s out of date.
     trace = generate_trace(PROFILES["EPA"].scaled(0.05), RngRegistry(seed=7))
     crash = Fault("server_crash", 450.0, 600.0, target="server",
                   params={"lose_sitelog": True})
