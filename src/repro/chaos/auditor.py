@@ -1,8 +1,8 @@
 """The strong-consistency auditor.
 
-Rides along every replay (as every proxy's ``observer``), counting its
-violations, and classifies each *unvalidated* cached serve of outdated
-content:
+Rides along every replay (as every proxy's ``observer``), whose one
+violation count it keeps, and classifies each *unvalidated* cached serve
+of outdated content:
 
 * For a **weak** protocol (adaptive TTL, piggyback), staleness is the
   accepted trade-off — recorded, never a violation.
@@ -115,9 +115,9 @@ class ConsistencyAuditor:
         hop = proxy.address
         parent = self._parents.get(proxy.server_address)
         while parent is not None:
-            if parent.owes(url, client_id):
+            if (url, client_id) in parent.owed:
                 return "write-pending"
-            if parent.owes(None, hop):
+            if (None, hop) in parent.owed:
                 return "recovery-pending"
             client_id = hop = parent.address
             parent = self._parents.get(parent.server_address)

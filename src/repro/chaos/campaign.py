@@ -143,12 +143,11 @@ def _verdict(
 ) -> ScheduleVerdict:
     chaos = result.chaos or {}
     network = chaos.get("network", {})
-    violation_count = int(chaos.get("violation_count", 0))
     return ScheduleVerdict(
         label=label,
-        ok=violation_count == 0,
+        ok=result.violations == 0,
         fault_count=len(schedule),
-        violation_count=violation_count,
+        violation_count=result.violations,
         stale_serves=int(chaos.get("stale_serves", 0)),
         allowed_staleness=dict(chaos.get("allowed_staleness", {})),
         messages_sent=int(network.get("messages_sent", 0)),
@@ -179,11 +178,8 @@ def shrink_schedule(
     """
 
     def violations_of(candidate: FaultSchedule) -> int:
-        config = dataclasses.replace(
-            base, fault_schedule=candidate, audit=True
-        )
-        chaos = run_experiment(config).chaos or {}
-        return int(chaos.get("violation_count", 0))
+        config = dataclasses.replace(base, fault_schedule=candidate)
+        return run_experiment(config).violations
 
     current = schedule
     count = violations_of(current)

@@ -114,10 +114,10 @@ class ParentProxy:
         self.interest = InvalidationTable()
         #: Every child proxy ever seen (for server-form forwarding).
         self._known_children: Set[str] = set()
-        #: The child INVALIDATEs still owed, by (url, client id) or, for
-        #: the server form, (None, child proxy), each with the forwarding
-        #: chain due to deliver it (the consistency auditor reads it).
-        self._owed: Dict[Tuple[Optional[str], str], Iterator[Invalidate]] = {}
+        #: The child INVALIDATEs still owed, keyed (url, client id), or
+        #: (None, child proxy) for the server form, each with the
+        #: forwarding chain due to deliver it.  The auditor reads it.
+        self.owed: Dict[Tuple[Optional[str], str], Iterator[Invalidate]] = {}
         #: Upstream fetches waiting for a reply, by request msg_id.
         self._pending: Dict[int, _Fetch] = {}
         #: In-flight upstream fetches by URL; later misses join these.
@@ -282,7 +282,7 @@ class ParentProxy:
                 for entry in entries
             )
             for entry in entries:
-                self._owed[(message.url, entry.client_id)] = messages
+                self.owed[(message.url, entry.client_id)] = messages
             self._forward(messages)
         else:
             # Server recovered: everything we hold is questionable, and
@@ -297,7 +297,7 @@ class ParentProxy:
             for child in sorted(self._known_children)
         )
         for child in self._known_children:
-            self._owed[(None, child)] = messages
+            self.owed[(None, child)] = messages
         return messages
 
     def _forward(self, messages: Iterator[Invalidate]) -> None:
@@ -310,21 +310,10 @@ class ParentProxy:
         self.invalidations_forwarded += 1
         if message.url is not None:
             self.interest.clear_after_invalidation(message.url, [message.client_id])
-            key = (message.url, message.client_id)
-        else:
-            key = (None, message.dst)
-        # A later INVALIDATE's chain still owes what it targets.
-        if self._owed.get(key) is messages:
-            del self._owed[key]
+        key = (message.url, message.client_id if message.url else message.dst)
+        if self.owed.get(key) is messages:  # else a later chain owes it
+            del self.owed[key]
         self._forward(messages)
-
-    def owes(self, url: Optional[str], client_id: str) -> bool:
-        """True while an INVALIDATE for ``(url, client_id)`` is still owed.
-
-        ``url`` ``None`` asks about an INVALIDATE-by-server owed to the
-        child proxy ``client_id``.
-        """
-        return (url, client_id) in self._owed
 
     # ------------------------------------------------------------------
     # failures
@@ -340,7 +329,7 @@ class ParentProxy:
         self.up = False
         self.network.set_down(self.address)
         self.interest = InvalidationTable()
-        self._owed.clear()
+        self.owed.clear()
         self._epoch += 1
         for fetch in self._pending.values():
             if fetch.timer is not None:

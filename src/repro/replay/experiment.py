@@ -115,9 +115,8 @@ class ExperimentConfig:
             its ``to_dict()`` form) of crashes/partitions/link faults/
             clock skew to inject during the replay.
         audit: publish the verdict of the strong-consistency auditor
-            (:class:`repro.chaos.ConsistencyAuditor`) in ``result.chaos``.
-            The auditor rides every replay and fills
-            ``counters.violations`` either way.
+            (:class:`repro.chaos.ConsistencyAuditor`, which rides every
+            replay) in ``result.chaos``.
         fast_path: ignored; every replay takes the one request route.
             Kept only because ``perfbench/run.py`` still passes
             ``fast_path=False`` for its audited reference replay.
@@ -431,8 +430,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
 
     # Operator-configured roster: lets a server that lost its persistent
-    # site log still reach every proxy it serves (the parents, if any) on
-    # recovery.
+    # site log still reach every cache it serves directly on recovery.
     server.proxy_roster = {p.address for p in parents or proxies}
 
     from ..chaos.auditor import ConsistencyAuditor

@@ -244,10 +244,7 @@ class TestAuditorUnit:
         def __init__(self, address, server_address, owed=()):
             self.address = address
             self.server_address = server_address
-            self.owed = set(owed)
-
-        def owes(self, url, client_id):
-            return (url, client_id) in self.owed
+            self.owed = dict.fromkeys(owed)
 
     def _chain_auditor(self, server, owed_by_top=(), owed_by_mid=()):
         # proxy-0 -> mid -> top -> server
@@ -259,29 +256,44 @@ class TestAuditorUnit:
         proxy.server_address = "mid"
         return ConsistencyAuditor(server, strong=True, parents=parents), proxy
 
-    def test_parent_chain_excuses_each_hop(self):
-        # Each hop owes the one below it under that hop's client id: the
-        # leaf's real client at mid, mid at top, top at the origin.
-        for owed_by_mid, owed_by_top, origin_owes in (
-            ({("/a", "c1")}, (), None),
-            ((), {("/a", "mid")}, None),
-            ((), (), ("/a", "top")),
-        ):
-            server = self._Server()
-            server.write_pending = lambda url, cid, owed=origin_owes: (
-                (url, cid) == owed
-            )
-            auditor, proxy = self._chain_auditor(server, owed_by_top, owed_by_mid)
-            auditor.on_serve(proxy, self._Entry(), self._Outcome())
-            assert auditor.violation_count == 0
-            assert auditor.allowed["write-pending"] == 1
+    @pytest.mark.parametrize(
+        "owed_by_mid, owed_by_top, origin_owes, reason",
+        [
+            # A write: each hop owes the one below it under that hop's
+            # client id, the leaf's real client at mid, mid at top, top
+            # at the origin.
+            ([("/a", "c1")], [], None, "write-pending"),
+            ([], [("/a", "mid")], None, "write-pending"),
+            ([], [], ("/a", "top"), "write-pending"),
+            # A recovery: each hop owes the proxy below it.
+            ([(None, "proxy-0")], [], None, "recovery-pending"),
+            ([], [(None, "mid")], None, "recovery-pending"),
+            ([], [], "top", "recovery-pending"),
+        ],
+        ids=["write-mid", "write-top", "write-origin",
+             "recovery-mid", "recovery-top", "recovery-origin"],
+    )
+    def test_parent_chain_excuses_each_hop(
+        self, owed_by_mid, owed_by_top, origin_owes, reason
+    ):
+        server = self._Server()
+        server.write_pending = lambda url, cid: (url, cid) == origin_owes
+        server.recovery_pending = lambda proxy: proxy == origin_owes
+        auditor, proxy = self._chain_auditor(server, owed_by_top, owed_by_mid)
+        auditor.on_serve(proxy, self._Entry(), self._Outcome())
+        assert auditor.violation_count == 0
+        assert auditor.allowed == {reason: 1}
 
     def test_parent_chain_without_debt_is_violation(self):
-        # The origin owes the leaf's client nothing behind a parent, and
-        # a parent's debt to another client excuses nothing.
+        # Behind a parent the origin owes the leaf's client and the leaf
+        # proxy nothing, and a parent's debt to another client or to
+        # another proxy excuses nothing.
         server = self._Server()
         server.write_pending = lambda url, cid: cid == "c1"
-        auditor, proxy = self._chain_auditor(server, owed_by_mid={("/a", "c2")})
+        server.recovery_pending = lambda proxy: proxy == "proxy-0"
+        auditor, proxy = self._chain_auditor(
+            server, owed_by_mid=[("/a", "c2"), (None, "proxy-1")]
+        )
         auditor.on_serve(proxy, self._Entry(), self._Outcome())
         assert auditor.violation_count == 1
         assert auditor.violations[0].kind == "silent-staleness"
