@@ -114,7 +114,7 @@ def test_server_that_lost_its_site_log_invalidates_the_parent():
     # INVALIDATE-by-server to its roster only.  The roster listed the leaf
     # proxies, which the origin does not serve behind a parent, so the
     # parent kept serving copies of documents modified during the outage:
-    # two leaves served such a copy, 756 s and 1064 s out of date.
+    # two leaves served such a copy, 780 s and 1,089 s out of date.
     trace = generate_trace(PROFILES["EPA"].scaled(0.05), RngRegistry(seed=7))
     crash = Fault("server_crash", 450.0, 600.0, target="server",
                   params={"lose_sitelog": True})
