@@ -31,6 +31,7 @@ from repro.core.invalidation import invalidation
 from repro.core.leases import lease_invalidation, two_tier_lease
 from repro.core.polling import poll_every_time
 from repro.net import FixedLatency, Network
+from repro.obs import Observation
 from repro.proxy import Cache, ProxyCache
 from repro.replay.experiment import ExperimentConfig, run_experiment
 from repro.replay.serialize import result_to_dict
@@ -280,6 +281,34 @@ def test_shard_crash_chaos_stays_strong():
     assert result.cluster["shard_crashes"] == 2
     assert result.cluster["rebalances"] >= 1
     assert result.cluster["handoffs"] > 0  # failover actually exercised
+
+
+def test_shard_that_lost_its_site_log_invalidates_the_roster():
+    # A shard that loses its site log forgets who holds its documents and
+    # on recovery sends INVALIDATE-by-server to its roster alone.  Every
+    # shard needs the roster: without it this replay served stale copies
+    # twice and no proxy heard from the recovered shard.
+    trace = generate_trace(profile("EPA").scaled(0.05), RngRegistry(seed=3))
+    crash = Fault("shard_crash", 300.0, 450.0, target="shard-3",
+                  params={"lose_sitelog": True})
+    observation = Observation()
+    result = run_experiment(
+        ExperimentConfig(
+            trace=trace,
+            protocol=invalidation(),
+            mean_lifetime=7 * 86400.0,
+            seed=11,
+            shards=4,
+            batch_window=1.0,
+            batch_max=32,
+            fault_schedule=FaultSchedule(seed=0, horizon=500.0, faults=(crash,)),
+            audit=True,
+            observation=observation,
+        )
+    )
+    observation.close()
+    assert result.violations == 0
+    assert observation.registry.total("proxy_server_invalidations_received") == 4
 
 
 def test_shard_faults_require_cluster():

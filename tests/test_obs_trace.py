@@ -1,11 +1,12 @@
 """Tests for span sinks and the Observation replay hooks (repro.obs)."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
-from repro.core import invalidation, poll_every_time
+from repro.core import adaptive_ttl, invalidation, poll_every_time
 from repro.obs import (
     Observation,
     Span,
@@ -213,3 +214,56 @@ class TestObservationIntegration:
         run_experiment(_config(trace, observation=obs))
         with pytest.raises(ValueError):
             run_experiment(_config(trace, observation=obs))
+
+
+#: SHA-256 of ``registry.to_dict()`` (sorted, compact JSON) and of the
+#: span stream of one observed replay per case.  The golden digests hash
+#: results only; these pin what an observation records, so a change to
+#: how the replay's hooks are bound must leave both byte-identical.
+OBSERVATION_PINS = {
+    "invalidation": (
+        "bc3362039547d0669227ac497eafd4cfef9c456bfb69219c848a7fab82f9459d",
+        "dccc79147115e876eb65569ea34a6b4c8344bcaa692fdacf5ac03f7f8657d586",
+    ),
+    "adaptive-ttl": (
+        "de6b93b438070b98f8694d8934219e134403c12b4a3055c412f3c824abd01f68",
+        "c9bcd4f2d255a22a2cdd2aab11ce3ee07a8fd8288d3c410231fb44ac004aceb3",
+    ),
+    "invalidation-shards4-window1": (
+        "580ad1051cd2a727eae8d4d4d8b4cdcb16e19affa0fc0d5cb7bff004db7606c4",
+        "fd00db3bc23f88fb70ee12154f3b260168b3f0474b72e2e86d0a9b7b8c7bde0c",
+    ),
+}
+
+_PIN_CONFIGS = {
+    "invalidation": (invalidation, {}),
+    "adaptive-ttl": (adaptive_ttl, {}),
+    "invalidation-shards4-window1": (
+        invalidation, {"shards": 4, "batch_window": 1.0, "batch_max": 32}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBSERVATION_PINS))
+def test_observation_output_is_pinned(case):
+    factory, overrides = _PIN_CONFIGS[case]
+    buf = io.StringIO()
+    sink = SpanSink(buf)
+    obs = Observation(sink=sink)
+    result = run_experiment(
+        _config(_trace(), factory=factory, observation=obs, **overrides)
+    )
+    obs.close()
+    # Each case reaches the hook it pins: stale serves on the weak run,
+    # fan-outs from every shard's listener on the sharded one.
+    if case == "adaptive-ttl":
+        assert result.stale_serves > 0
+    else:
+        assert sink.counts["invalidation"] > 0
+    registry = json.dumps(
+        obs.registry.to_dict(), sort_keys=True, separators=(",", ":")
+    )
+    assert (
+        hashlib.sha256(registry.encode()).hexdigest(),
+        hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+    ) == OBSERVATION_PINS[case]
