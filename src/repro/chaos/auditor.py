@@ -1,8 +1,9 @@
 """The strong-consistency auditor.
 
 Rides along every replay (as every proxy's ``observer``), whose one
-violation count it keeps, and classifies each *unvalidated* cached serve
-of outdated content:
+violation count it keeps.  The proxy calls it only for an *unvalidated*
+cached serve of outdated content, the one event that can break strong
+consistency, and it classifies each such serve:
 
 * For a **weak** protocol (adaptive TTL, piggyback), staleness is the
   accepted trade-off — recorded, never a violation.
@@ -63,7 +64,7 @@ class ViolationRecord:
 
 
 class ConsistencyAuditor:
-    """Classifies every cached serve while a replay runs.
+    """Classifies every stale serve while a replay runs.
 
     Args:
         server: the :class:`repro.server.ServerSite` whose obligations
@@ -83,22 +84,14 @@ class ConsistencyAuditor:
         self.strong = strong
         self.detection = detection
         self._parents = {p.address: p for p in parents}
-        self.serves = 0
-        self.stale_serves = 0
         self.allowed: Counter = Counter()
         self.violations: List[ViolationRecord] = []
         self.violation_count = 0
 
     # -- the proxy observer hook -------------------------------------------
 
-    def on_serve(self, proxy, entry, outcome) -> None:
-        """Called by the proxy after every cached serve."""
-        self.serves += 1
-        if outcome.validated:
-            return  # just confirmed by the origin: fresh by definition
-        if not outcome.stale_served:
-            return
-        self.stale_serves += 1
+    def on_stale_serve(self, proxy, entry, outcome) -> None:
+        """Called by the proxy after each unvalidated stale serve."""
         if not self.strong:
             self.allowed["weak-protocol"] += 1
             return
@@ -150,12 +143,16 @@ class ConsistencyAuditor:
 
     # -- reporting ----------------------------------------------------------
 
-    def report(self) -> Dict[str, Any]:
-        """JSON-compatible verdict for this replay."""
+    def report(self, counters) -> Dict[str, Any]:
+        """JSON-compatible verdict for this replay.
+
+        ``counters`` is the run's :class:`repro.metrics.ReplayCounters`,
+        which already counts the cached and the stale serves.
+        """
         return {
             "strong": self.strong,
-            "serves": self.serves,
-            "stale_serves": self.stale_serves,
+            "serves": counters.served_from_cache,
+            "stale_serves": counters.stale_serves,
             "allowed_staleness": dict(self.allowed),
             "violation_count": self.violation_count,
             "violations": [v.to_dict() for v in self.violations],

@@ -4,14 +4,17 @@ An :class:`Observation` carries a :class:`~repro.obs.MetricsRegistry`
 and (optionally) a :class:`~repro.obs.SpanSink` into
 :func:`repro.replay.run_experiment` via
 ``ExperimentConfig(observation=...)``.  The runner calls the hooks in
-this module at well-chosen seams:
+this module at well-chosen seams, each bound once when the replay is
+built:
 
 * every completed request is folded into per-``(protocol, site, phase)``
-  counter/timer series and emitted as a ``request`` span — from the
-  ``counters.record(outcome)`` call every request ends in, so observing
-  leaves the request route and its results untouched;
+  counter/timer series and emitted as a ``request`` span — from
+  :class:`repro.replay.PseudoClient`, where every request ends, right
+  after it has counted the outcome, so observing leaves the request
+  route and its results untouched;
 * every accelerator INVALIDATE fan-out becomes an ``invalidation`` span
-  plus a fan-out timer (via :attr:`repro.server.ServerSite.fanout_listener`);
+  plus a fan-out timer (via :attr:`repro.server.ServerSite.fanout_listener`,
+  set on each shard of a sharded accelerator);
 * at the end of the run, the wire accounting, per-proxy counters, server
   load and the scalar result fields are published into the registry, so
   one snapshot (``observation.registry.to_dict()``) holds everything the
@@ -43,31 +46,6 @@ __all__ = ["Observation", "capture_result"]
 
 #: Fraction of trace time labelled as warm-up.
 WARMUP_FRACTION = 0.1
-
-
-class _RecordingCounters:
-    """Wraps one :class:`~repro.metrics.ReplayCounters` for one proxy site.
-
-    ``record`` first feeds the wrapped counters (keeping replay results
-    untouched), then folds the outcome into registry series and emits a
-    ``request`` span.  Every other attribute is delegated, so the wrapper
-    is a drop-in stand-in wherever the raw counters object is used.
-    """
-
-    __slots__ = ("_inner", "_obs", "_site")
-
-    def __init__(self, inner: Any, obs: "Observation", site: str) -> None:
-        self._inner = inner
-        self._obs = obs
-        self._site = site
-
-    def record(self, outcome: Any) -> None:
-        """Fold one request outcome into the counters and the registry."""
-        self._inner.record(outcome)
-        self._obs.record_request(outcome, self._site)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
 
 
 class Observation:
@@ -144,10 +122,6 @@ class Observation:
         if trace_time < WARMUP_FRACTION * self._duration:
             return "warmup"
         return "steady"
-
-    def wrap_counters(self, counters: Any, site: str) -> _RecordingCounters:
-        """Wrap the shared replay counters for one proxy site."""
-        return _RecordingCounters(counters, self, site)
 
     # -- recording hooks ----------------------------------------------------
 

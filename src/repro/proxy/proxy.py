@@ -116,8 +116,9 @@ class ProxyCache:
             request fails.
 
     Two chaos hooks, both inert by default: :attr:`observer` (an object
-    with ``on_serve(proxy, entry, outcome)``, called after every cached
-    serve — the consistency auditor) and :attr:`clock_skew` (seconds added
+    with ``on_stale_serve(proxy, entry, outcome)``, called after each
+    unvalidated serve the ``oracle`` finds outdated — the consistency
+    auditor) and :attr:`clock_skew` (seconds added
     to this host's notion of wall-clock time when the *policy* judges a
     cached copy, modelling a drifting local clock against lease expiries
     and TTLs).
@@ -270,9 +271,9 @@ class ProxyCache:
         The reply is applied as it arrives, and one more callback pays the
         insert or serve delay before ``on_done``.  A refused send fails
         ``connect_timeout`` after it, a missing reply ``reply_timeout``
-        after the delivery.  This is the only request route, so the auditor
-        (:attr:`observer`), the hit meter and an event tracer all see every
-        request.
+        after the delivery.  This is the only request route, so the hit
+        meter and an event tracer see every request, and the auditor
+        (:attr:`observer`) every stale serve.
         """
         if start is None:
             start = self.sim.now
@@ -318,8 +319,8 @@ class ProxyCache:
             if current > entry.last_modified:
                 outcome.stale_served = True
                 outcome.staleness_age = current - entry.last_modified
-        if self.observer is not None:
-            self.observer.on_serve(self, entry, outcome)
+                if self.observer is not None:
+                    self.observer.on_stale_serve(self, entry, outcome)
         on_done(self._complete(outcome))
 
     def _finish(self, outcome: RequestOutcome, on_done) -> None:

@@ -411,27 +411,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             oracle=oracle,
         )
         proxies.append(proxy)
-        # The observation wrapper feeds the same ReplayCounters (results
-        # are untouched) and records at the one seam every request ends
-        # in, so observing keeps bit-identical outcomes.
-        client_counters = (
-            observation.wrap_counters(counters, site=proxy.address)
-            if observation is not None
-            else counters
+        client = PseudoClient(
+            proxy,
+            shard,
+            counters,
+            think_time=config.think_time,
+            rng=rng.stream(f"think-{i}"),
         )
-        clients.append(
-            PseudoClient(
-                proxy,
-                shard,
-                client_counters,
-                think_time=config.think_time,
-                rng=rng.stream(f"think-{i}"),
-            )
-        )
-
-    # Operator-configured roster: lets a server that lost its persistent
-    # site log still reach every cache it serves directly on recovery.
-    server.proxy_roster = {p.address for p in parents or proxies}
+        # Records at the one seam every request ends in, after the
+        # counters, so observing keeps bit-identical outcomes.
+        client.observation = observation
+        clients.append(client)
 
     from ..chaos.auditor import ConsistencyAuditor
 
@@ -441,6 +431,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     for proxy in proxies:
         proxy.observer = auditor
+    for site in cluster.shards if cluster is not None else [server]:
+        # Operator-configured roster: lets a site that lost its persistent
+        # site log still reach every cache it serves directly on recovery.
+        site.proxy_roster = {p.address for p in parents or proxies}
+        if observation is not None:
+            site.fanout_listener = observation.fanout_listener
 
     injector = None
     schedule_obj = None
@@ -499,7 +495,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             coordinator=coordinator,
             duration=trace.duration,
         )
-        server.fanout_listener = observation.fanout_listener
 
     iostat = IostatSampler(sim, server)
     lease_controller = None
@@ -604,7 +599,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             ),
         }
     if config.audit or injector is not None:
-        chaos = auditor.report() if config.audit else {}
+        chaos = auditor.report(counters) if config.audit else {}
         chaos["network"] = {
             "messages_sent": stats.messages_sent,
             "messages_lost": stats.messages_lost,

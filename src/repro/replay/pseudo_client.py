@@ -69,6 +69,10 @@ class PseudoClient:
         self.sim = proxy.sim
         self.records = list(records)
         self.counters = counters
+        #: Observability hook: an :class:`repro.obs.Observation` whose
+        #: ``record_request(outcome, site)`` sees every completed request.
+        #: ``None`` (the default) costs one test per request.
+        self.observation = None
         self.think_time = think_time
         self.rng = rng or random.Random(0)
         #: Trace time of the next record to replay; ``inf`` after the last.
@@ -102,6 +106,8 @@ class PseudoClient:
     def _on_done(self, outcome) -> None:
         """A request completed: record it, then think before the next."""
         self.counters.record(outcome)
+        if self.observation is not None:
+            self.observation.record_request(outcome, self.proxy.address)
         issue = self.sim.now
         if self.think_time > 0:
             # rng.uniform(0.5, 1.5) without its call: the same draw.

@@ -19,8 +19,11 @@ consistency story intact:
   sharing a LAN-attached fleet), and mirrors the single ``ServerSite``
   surface (counters, obligations ledger queries, crash / recovery) so
   every existing layer — iostat, observability, the auditor — works
-  unmodified.  ``shards=1`` is routed through the plain ``ServerSite``
-  by the experiment runner, so the legacy path stays bit-identical.
+  unmodified.  Per-site hooks are not mirrored: the experiment runner
+  sets each shard's ``proxy_roster`` and ``fanout_listener`` itself
+  when it builds the replay.  ``shards=1`` is routed through the plain
+  ``ServerSite`` by the experiment runner, so the legacy path stays
+  bit-identical.
 
 Failover reuses the single accelerator's recovery semantics.  When a shard crashes, the
 hash ring routes its documents to the surviving shards (they share the
@@ -374,28 +377,6 @@ class AcceleratorCluster:
         for shard in self.shards:
             times.extend(shard.invalidation_times)
         return times
-
-    @property
-    def fanout_listener(self):
-        """The observability fan-out hook (shared by every shard)."""
-        return self.shards[0].fanout_listener
-
-    @fanout_listener.setter
-    def fanout_listener(self, listener) -> None:
-        """Give every shard the same fan-out hook."""
-        for shard in self.shards:
-            shard.fanout_listener = listener
-
-    @property
-    def proxy_roster(self) -> Set[str]:
-        """Operator-configured fleet membership (shared by every shard)."""
-        return self.shards[0].proxy_roster
-
-    @proxy_roster.setter
-    def proxy_roster(self, roster: Set[str]) -> None:
-        """Give every shard its own copy of the roster."""
-        for shard in self.shards:
-            shard.proxy_roster = set(roster)
 
     @property
     def lease_override(self) -> Optional[float]:

@@ -184,7 +184,9 @@ class ServerSite:
         self.invalidation_times: List[float] = []
         #: Observability hook: ``fn(url, started, ended, num_entries)``
         #: called after each INVALIDATE fan-out completes (see
-        #: :meth:`repro.obs.Observation.fanout_listener`).  ``None`` (the
+        #: :meth:`repro.obs.Observation.fanout_listener`).  The experiment
+        #: runner sets it on every site it builds, each shard of a
+        #: cluster included, when the replay is observed.  ``None`` (the
         #: default) costs nothing.
         self.fanout_listener = None
 

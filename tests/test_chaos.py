@@ -15,6 +15,7 @@ from repro.chaos import (
 )
 from repro.cli import main
 from repro.core import adaptive_ttl, invalidation, lease_invalidation
+from repro.net import FixedLatency, Network
 from repro.proxy.proxy import ProxyCache
 from repro.replay import (
     ExperimentConfig,
@@ -22,7 +23,8 @@ from repro.replay import (
     result_to_dict,
     run_experiment,
 )
-from repro.sim import RngRegistry
+from repro.server import FileStore, ServerSite
+from repro.sim import RngRegistry, Simulator
 from repro.traces import PROFILES, generate_trace
 from repro.workload import DAYS
 
@@ -228,7 +230,7 @@ class TestAuditorUnit:
 
     def test_unexcused_staleness_is_violation(self):
         auditor = ConsistencyAuditor(self._Server(), strong=True)
-        auditor.on_serve(self._Proxy(), self._Entry(), self._Outcome())
+        auditor.on_stale_serve(self._Proxy(), self._Entry(), self._Outcome())
         assert auditor.violation_count == 1
         assert auditor.violations[0].kind == "silent-staleness"
 
@@ -236,7 +238,7 @@ class TestAuditorUnit:
         server = self._Server()
         server.up = False
         auditor = ConsistencyAuditor(server, strong=True)
-        auditor.on_serve(self._Proxy(), self._Entry(), self._Outcome())
+        auditor.on_stale_serve(self._Proxy(), self._Entry(), self._Outcome())
         assert auditor.violation_count == 0
         assert auditor.allowed["origin-down"] == 1
 
@@ -280,7 +282,7 @@ class TestAuditorUnit:
         server.write_pending = lambda url, cid: (url, cid) == origin_owes
         server.recovery_pending = lambda proxy: proxy == origin_owes
         auditor, proxy = self._chain_auditor(server, owed_by_top, owed_by_mid)
-        auditor.on_serve(proxy, self._Entry(), self._Outcome())
+        auditor.on_stale_serve(proxy, self._Entry(), self._Outcome())
         assert auditor.violation_count == 0
         assert auditor.allowed == {reason: 1}
 
@@ -294,17 +296,49 @@ class TestAuditorUnit:
         auditor, proxy = self._chain_auditor(
             server, owed_by_mid=[("/a", "c2"), (None, "proxy-1")]
         )
-        auditor.on_serve(proxy, self._Entry(), self._Outcome())
+        auditor.on_stale_serve(proxy, self._Entry(), self._Outcome())
         assert auditor.violation_count == 1
         assert auditor.violations[0].kind == "silent-staleness"
 
-    def test_validated_serve_ignored(self):
-        outcome = self._Outcome()
-        outcome.validated = True
-        auditor = ConsistencyAuditor(self._Server(), strong=True)
-        auditor.on_serve(self._Proxy(), self._Entry(), outcome)
-        assert auditor.violation_count == 0
-        assert auditor.stale_serves == 0
+    def test_proxy_calls_observer_only_on_stale_serves(self):
+        # Fresh hits and 304-validated serves cannot break consistency,
+        # so the proxy calls its observer only for an unvalidated stale
+        # serve.
+        protocol = adaptive_ttl()
+        sim = Simulator()
+        net = Network(sim, latency=FixedLatency(0.001))
+        fs = FileStore.from_catalog({"/a": 1000})
+        ServerSite(sim, net, "server", fs, accel=protocol.accelerator)
+        proxy = ProxyCache(
+            sim, net, "proxy-0", "server", policy=protocol.client_policy,
+            oracle=lambda url: fs.get(url).last_modified,
+        )
+        calls = []
+
+        class _Recorder:
+            def on_stale_serve(self, proxy, entry, outcome):
+                calls.append((proxy, entry.url, outcome.stale_served))
+
+        proxy.observer = _Recorder()
+
+        def request():
+            outcomes = []
+            proxy.submit("c1", "/a", outcomes.append)
+            sim.run()
+            return outcomes[0]
+
+        fs.modify("/a", now=sim.now)  # a young copy gets a short TTL
+        request()
+        fresh = request()
+        assert fresh.served_from_cache and not fresh.validated
+        sim.run(until=sim.now + 10_000.0)  # past the TTL
+        validated = request()
+        assert validated.served_from_cache and validated.validated
+        assert calls == []
+        fs.modify("/a", now=sim.now)  # the origin changes inside the TTL
+        stale = request()
+        assert stale.stale_served and not stale.validated
+        assert calls == [(proxy, "/a", True)]
 
 
 class TestCampaign:
