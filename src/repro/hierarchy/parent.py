@@ -219,7 +219,6 @@ class ParentProxy:
         if response.status == NOT_MODIFIED:
             entry = fetch.stale
             entry.questionable = False
-            entry.fetched_at = sim.now
             self._fetched(fetch, entry, self._epoch)
             return
         entry = CacheEntry(
@@ -227,7 +226,6 @@ class ParentProxy:
             client_id=_SHARED,
             size=response.body_bytes,
             last_modified=response.last_modified,
-            fetched_at=sim.now,
         )
         self.cache.put(entry, sim.now)
         sim.call_later(

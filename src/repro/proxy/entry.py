@@ -33,7 +33,6 @@ class CacheEntry:
     client_id: str
     size: int
     last_modified: float
-    fetched_at: float
     #: Adaptive-TTL freshness deadline; ``inf`` for non-TTL protocols.
     expires: float = math.inf
     #: Lease expiry granted by the server; ``inf`` when no lease protocol.

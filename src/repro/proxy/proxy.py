@@ -404,9 +404,6 @@ class ProxyCache:
         outcome.status = response.status
         if entry is not None and response.status == NOT_MODIFIED:
             entry.questionable = False
-            # The server just confirmed freshness: the copy is as good as
-            # one fetched now.
-            entry.fetched_at = self.sim.now
             if response.lease_expires is not None:
                 entry.lease_expires = response.lease_expires
             self.policy.on_validated(entry, response, self.sim.now)
@@ -433,7 +430,6 @@ class ProxyCache:
             client_id=client_id,
             size=response.body_bytes,
             last_modified=response.last_modified,
-            fetched_at=self.sim.now,
         )
         if response.lease_expires is not None:
             entry.lease_expires = response.lease_expires

@@ -41,7 +41,6 @@ class CacheMachine(RuleBasedStateMachine):
             client_id=f"c{client}",
             size=size,
             last_modified=0.0,
-            fetched_at=now,
             expires=now + ttl,
         )
         accepted = self.cache.put(entry, now)
@@ -117,7 +116,6 @@ def test_unbounded_cache_never_evicts():
         cache.put(
             CacheEntry(
                 url=f"/d{i}", client_id="c", size=10_000, last_modified=0.0,
-                fetched_at=float(i),
             ),
             now=float(i),
         )
@@ -131,14 +129,14 @@ def test_infinite_expiry_entries_never_chosen_as_expired():
         cache.put(
             CacheEntry(
                 url=f"/d{i}", client_id="c", size=10, last_modified=0.0,
-                fetched_at=float(i), expires=math.inf,
+                expires=math.inf,
             ),
             now=float(i),
         )
     cache.put(
         CacheEntry(
             url="/new", client_id="c", size=50, last_modified=0.0,
-            fetched_at=100.0, expires=math.inf,
+            expires=math.inf,
         ),
         now=100.0,
     )

@@ -20,10 +20,9 @@ from repro.http import make_get, make_reply_200
 from repro.proxy import CacheEntry
 
 
-def entry(lm=0.0, fetched=0.0, expires=math.inf, lease=math.inf):
+def entry(lm=0.0, expires=math.inf, lease=math.inf):
     e = CacheEntry(
-        url="/a", client_id="c", size=10, last_modified=lm, fetched_at=fetched,
-        expires=expires,
+        url="/a", client_id="c", size=10, last_modified=lm, expires=expires,
     )
     e.lease_expires = lease
     return e

@@ -21,7 +21,7 @@ class TestFixedTtl:
     def test_same_ttl_for_all_ages(self):
         policy = FixedTtlPolicy(ttl=100.0)
         entry = CacheEntry(
-            url="/a", client_id="c", size=1, last_modified=0.0, fetched_at=0.0
+            url="/a", client_id="c", size=1, last_modified=0.0
         )
 
         class Reply:
@@ -35,8 +35,7 @@ class TestFixedTtl:
     def test_action(self):
         policy = FixedTtlPolicy(ttl=10.0)
         entry = CacheEntry(
-            url="/a", client_id="c", size=1, last_modified=0.0, fetched_at=0.0,
-            expires=10.0,
+            url="/a", client_id="c", size=1, last_modified=0.0, expires=10.0,
         )
         assert policy.action(entry, now=5.0) == SERVE
         assert policy.action(entry, now=10.0) == VALIDATE

@@ -37,12 +37,11 @@ class TestCacheUrlIndex:
         for client in ("c1", "c2", "c3"):
             cache.put(
                 CacheEntry(url="/a", client_id=client, size=10,
-                           last_modified=0.0, fetched_at=0.0),
+                           last_modified=0.0),
                 now=0.0,
             )
         cache.put(
-            CacheEntry(url="/b", client_id="c1", size=10, last_modified=0.0,
-                       fetched_at=0.0),
+            CacheEntry(url="/b", client_id="c1", size=10, last_modified=0.0),
             now=0.0,
         )
         assert cache.remove_url("/a") == 3
@@ -55,7 +54,7 @@ class TestCacheUrlIndex:
         for i in range(5):
             cache.put(
                 CacheEntry(url=f"/d{i}", client_id="c", size=10,
-                           last_modified=0.0, fetched_at=float(i)),
+                           last_modified=0.0),
                 now=float(i),
             )
         # Oldest entries evicted; remove_url on them returns 0.

@@ -8,13 +8,12 @@ import pytest
 from repro.proxy import Cache, CacheEntry, entry_key
 
 
-def entry(url="/a", client="c1", size=100, lm=0.0, expires=math.inf, fetched=0.0):
+def entry(url="/a", client="c1", size=100, lm=0.0, expires=math.inf):
     return CacheEntry(
         url=url,
         client_id=client,
         size=size,
         last_modified=lm,
-        fetched_at=fetched,
         expires=expires,
     )
 
