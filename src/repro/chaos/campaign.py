@@ -148,7 +148,7 @@ def _verdict(
         ok=result.violations == 0,
         fault_count=len(schedule),
         violation_count=result.violations,
-        stale_serves=int(chaos.get("stale_serves", 0)),
+        stale_serves=result.stale_serves,
         allowed_staleness=dict(chaos.get("allowed_staleness", {})),
         messages_sent=int(network.get("messages_sent", 0)),
         messages_lost=int(network.get("messages_lost", 0)),

@@ -118,10 +118,9 @@ class ProxyCache:
     Two chaos hooks, both inert by default: :attr:`observer` (an object
     with ``on_stale_serve(proxy, entry, outcome)``, called after each
     unvalidated serve the ``oracle`` finds outdated — the consistency
-    auditor) and :attr:`clock_skew` (seconds added
-    to this host's notion of wall-clock time when the *policy* judges a
-    cached copy, modelling a drifting local clock against lease expiries
-    and TTLs).
+    auditor) and :attr:`clock_skew` (seconds added to this host's notion
+    of wall-clock time when the *policy* judges a cached copy, modelling
+    a drifting local clock against lease expiries and TTLs).
     """
 
     def __init__(
