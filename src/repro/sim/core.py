@@ -75,7 +75,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        start_time = float(start_time)
+        if not -_INF < start_time < _INF:
+            raise ValueError(f"start_time must be finite, got {start_time!r}")
+        self._now = start_time
         self._seq = 0
         #: Optional EventTracer (see repro.sim.tracing).
         self._tracer = None
@@ -220,8 +223,10 @@ class Simulator:
                 return
             except StopSimulation:
                 return
-        if until < self._now:
-            raise ValueError(f"until={until!r} is in the past (now={self._now!r})")
+        if not self._now <= until < _INF:
+            raise ValueError(
+                f"until must be finite and >= now ({self._now!r}), got {until!r}"
+            )
         try:
             while True:
                 entry = self._peek_live()
