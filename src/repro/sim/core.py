@@ -13,8 +13,8 @@ and the same sequence of API calls.
 The queue is one binary heap of ``[time, seq, fn, args]`` lists, and each
 entry is its own callback: processing it calls ``fn(*args)``.  The
 ``(time, seq)`` prefix is unique, so list comparison never reaches ``fn``.
-Replay traffic keeps the heap shallow (a few dozen entries), so each push
-and pop costs a handful of comparisons.  An entry is also the handle that
+A replay keeps only a handful of live entries queued, so each push and
+pop costs a few comparisons.  An entry is also the handle that
 :meth:`Simulator.cancel` takes.
 
 Processing an entry sets its ``fn`` to ``None``, the same mark a
@@ -23,10 +23,12 @@ nothing.  An attached :class:`~repro.sim.tracing.EventTracer` sees every
 processed entry, so tracing a run changes nothing about how it is
 scheduled.
 
-Cancelled entries are discarded lazily when they surface, and the queue is
-compacted outright once cancelled entries outnumber live ones (mirroring
-the cache heap's ``note_expiry_update`` compaction), so long-lived runs
-with many abandoned reply timers keep a bounded queue.
+Cancelled entries are discarded when they surface, and the queue is
+compacted as soon as cancelled entries outnumber live ones.  Nearly every
+proxy request arms a reply timeout that is cancelled milliseconds later,
+so without compaction these dead timers would outnumber the live entries
+about ten to one; with it the queue holds at most twice its live entries,
+at an amortised O(1) cost per cancel.
 """
 
 from __future__ import annotations
@@ -49,16 +51,14 @@ class StopSimulation(Exception):
     """Raised internally to stop :meth:`Simulator.run` early."""
 
 
-#: Compact the queue once this many cancelled entries accumulate *and*
-#: they outnumber the live entries (see Simulator._note_cancel).
-_COMPACT_MIN_CANCELLED = 64
-
-
 class Simulator:
     """The event loop.
 
     Scheduled entries wait in one binary heap and are processed in
-    (time, insertion) order.
+    (time, insertion) order.  :attr:`now` is the current simulated time
+    in seconds, a plain attribute that only the simulator sets (at
+    construction, as each entry is processed, and when ``run(until)``
+    returns); callers read it and never assign it.
 
     Typical use::
 
@@ -78,7 +78,7 @@ class Simulator:
         start_time = float(start_time)
         if not -_INF < start_time < _INF:
             raise ValueError(f"start_time must be finite, got {start_time!r}")
-        self._now = start_time
+        self.now = start_time
         self._seq = 0
         #: Optional EventTracer (see repro.sim.tracing).
         self._tracer = None
@@ -89,11 +89,6 @@ class Simulator:
         self._cancelled_queued = 0
 
     # -- inspection -------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def queue_depth(self) -> int:
@@ -116,7 +111,7 @@ class Simulator:
         if not 0.0 <= delay < _INF:
             raise ValueError(f"callback delay must be finite and >= 0, got {delay!r}")
         self._seq += 1
-        entry = [self._now + delay, self._seq, fn, args]
+        entry = [self.now + delay, self._seq, fn, args]
         heappush(self._queue, entry)
         return entry
 
@@ -128,9 +123,9 @@ class Simulator:
         that could move it by a rounding step.  ``when`` must be finite
         and not in the past.
         """
-        if not self._now <= when < _INF:
+        if not self.now <= when < _INF:
             raise ValueError(
-                f"callback time must be finite and >= now ({self._now!r}), "
+                f"callback time must be finite and >= now ({self.now!r}), "
                 f"got {when!r}"
             )
         self._seq += 1
@@ -148,7 +143,12 @@ class Simulator:
         if handle[2] is not None:
             handle[2] = None
             handle[3] = ()
-            self._note_cancel()
+            # Compact once cancelled entries outnumber live ones: the
+            # queue then holds at most twice its live entries, and each
+            # compaction is paid for by the cancels since the last.
+            self._cancelled_queued += 1
+            if self._cancelled_queued * 2 > len(self._queue):
+                self._compact()
 
     # -- queue internals ---------------------------------------------------
 
@@ -159,21 +159,6 @@ class Simulator:
             heappop(queue)
             self._cancelled_queued -= 1
         return queue[0] if queue else None
-
-    def _note_cancel(self) -> None:
-        """Bookkeeping for :meth:`cancel`: maybe compact.
-
-        Threshold-based compaction (mirroring the cache heap's
-        ``note_expiry_update`` compaction): once cancelled entries pass a
-        floor *and* outnumber live ones, rebuild the queue without them so
-        abandoned reply timers cannot grow it unboundedly.
-        """
-        self._cancelled_queued += 1
-        if (
-            self._cancelled_queued > _COMPACT_MIN_CANCELLED
-            and self._cancelled_queued * 2 > len(self._queue)
-        ):
-            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the queue with cancelled entries dropped."""
@@ -200,7 +185,7 @@ class Simulator:
         except IndexError:
             raise _QueueEmpty("pop from an empty event queue") from None
         when, _seq, fn, args = entry
-        self._now = when
+        self.now = when
         if self._tracer is not None:
             self._tracer.observe(when, entry)
         entry[2] = None
@@ -223,9 +208,9 @@ class Simulator:
                 return
             except StopSimulation:
                 return
-        if not self._now <= until < _INF:
+        if not self.now <= until < _INF:
             raise ValueError(
-                f"until must be finite and >= now ({self._now!r}), got {until!r}"
+                f"until must be finite and >= now ({self.now!r}), got {until!r}"
             )
         try:
             while True:
@@ -235,7 +220,7 @@ class Simulator:
                 self.step()
         except StopSimulation:
             return
-        self._now = max(self._now, until)
+        self.now = max(self.now, until)
 
     def stop(self) -> None:
         """Stop :meth:`run` from inside a callback."""

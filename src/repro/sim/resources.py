@@ -88,7 +88,7 @@ class Resource:
         """
         if self._holder is None:
             self._holder = _USE
-            self._last_change = self.sim._now
+            self._last_change = self.sim.now
             self.sim.call_later(seconds, self._end_use, then, args)
         else:
             self._queue.append(Claim(self._start_use, (seconds, then, args)))
@@ -109,7 +109,7 @@ class Resource:
         claim = Claim(fn, args)
         if self._holder is None:
             self._holder = claim
-            self._last_change = self.sim._now
+            self._last_change = self.sim.now
             fn(claim, *args)
         else:
             self._queue.append(claim)
@@ -127,7 +127,7 @@ class Resource:
 
     def _hand_over(self) -> None:
         """Free the unit, granting it to the oldest queued claim if any."""
-        now = self.sim._now
+        now = self.sim.now
         self._busy_time += now - self._last_change
         self._last_change = now
         if self._queue:

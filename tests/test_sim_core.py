@@ -220,20 +220,57 @@ def test_call_at_keeps_fifo_order_with_call_later():
 def test_cancelled_timers_queue_stays_bounded():
     # Regression: cancelled entries were only discarded when they reached
     # the queue head, so a retry loop that cancels far-future timers on
-    # every iteration grew the queue without bound.  Threshold compaction
-    # keeps the depth proportional to the *live* entry count.
+    # every iteration grew the queue without bound.  Compaction keeps the
+    # depth within twice the *live* entry count, plus the one entry a
+    # cancel can leave before it compacts.
     sim = Simulator()
     fired = []
     sim.call_later(1e9, fired.append, "live")  # one live far-future entry
-    max_depth = 0
     for _ in range(5000):
         handle = sim.call_later(1e6, lambda: None)
         sim.cancel(handle)
-        max_depth = max(max_depth, sim.queue_depth)
-    assert max_depth < 2 * 64 + 16  # bounded by the compaction floor
-    assert sim.queue_depth <= max_depth
+        assert sim.queue_depth <= 2 * 1 + 1
     sim.run()
     assert fired == ["live"]  # compaction never dropped the live entry
+
+
+def test_reply_timers_keep_the_queue_live_proportional():
+    """The replay's shape: a few live near-term chains, and one far-future
+    reply timeout armed before each step and cancelled after it.
+
+    The dead timers must never outgrow the live entries, and compacting
+    them must leave the live ones firing in (time, insertion) order.
+    """
+    sim = Simulator()
+    pending = set()  # (time, insertion index) of each live entry
+    fired = []
+    counter = [0]
+
+    def arm(delay, hops):
+        counter[0] += 1
+        key = (sim.now + delay, counter[0])
+        pending.add(key)
+        sim.call_later(delay, hop, key, delay, hops)
+
+    def hop(key, delay, hops):
+        pending.remove(key)
+        fired.append(key)
+        if hops:
+            arm(delay, hops - 1)
+
+    # Binary-fraction periods, so chains meet at the same instants.
+    for delay, hops in ((0.25, 400), (0.5, 300), (0.125, 500)):
+        arm(delay, hops)
+    timeouts = []
+    while pending:
+        handle = sim.call_later(30.0, timeouts.append, sim.now)
+        sim.step()
+        sim.cancel(handle)
+        assert sim.queue_depth <= 2 * len(pending) + 1
+    sim.run()
+    assert timeouts == []
+    assert len(fired) == 401 + 301 + 501
+    assert fired == sorted(fired)
 
 
 def test_compaction_preserves_processing_order():
