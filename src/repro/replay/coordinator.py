@@ -40,6 +40,8 @@ from ..sim import Simulator
 
 __all__ = ["TimeCoordinator", "CoordinatorError"]
 
+_INF = float("inf")
+
 
 class CoordinatorError(RuntimeError):
     """The replay cannot advance; carries the interval bounds."""
@@ -126,7 +128,12 @@ class TimeCoordinator:
         interval = self.interval
         duration = self.duration
         while True:
-            due = min(p.next_due for p in participants)
+            # A plain loop and comparison rather than min(): this scan runs
+            # once per busy interval and its result feeds every jump.
+            due = _INF
+            for participant in participants:
+                if participant.next_due < due:
+                    due = participant.next_due
             # Jump over the intervals in which nothing is due, adding one
             # interval at a time: trace_time then takes exactly the values
             # of a loop that called everyone in every interval.
@@ -135,7 +142,9 @@ class TimeCoordinator:
                 if not start < duration:
                     self.sim.call_at(at, self._finish)
                     return
-                end = min(start + interval, duration)
+                end = start + interval
+                if end > duration:
+                    end = duration
                 if not end > start:
                     # Float underflow: start + interval == start.  Advancing
                     # would loop forever on zero-width intervals.
