@@ -41,7 +41,7 @@ class Message:
     category: str = "other"
     payload: Any = None
     reply_to: Optional[int] = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -211,7 +211,11 @@ class Network:
                 message, "unknown address", False, on_sent, args,
             )
             return
-        if src in self._down or dst in self._down or not self.is_reachable(src, dst):
+        if (
+            src in self._down
+            or dst in self._down
+            or (self._partitions and not self.is_reachable(src, dst))
+        ):
             self.sim.call_later(
                 self.connect_timeout, self._fail,
                 message, "host unreachable", False, on_sent, args,
@@ -275,7 +279,7 @@ class Network:
         dst = message.dst
         if dst in self._down:
             reason = "destination died in flight"
-        elif not self.is_reachable(message.src, dst):
+        elif self._partitions and not self.is_reachable(message.src, dst):
             reason = "partition formed in flight"
         else:
             if duplicate:
