@@ -71,6 +71,9 @@ class HashRing:
         self._ring: List[Tuple[int, str]] = []
         self._points: List[int] = []
         self._nodes: Set[str] = set()
+        #: key -> its ring point.  A point depends on the key alone, not
+        #: on the membership, so an entry stays valid as nodes come and go.
+        self._key_points: Dict[str, int] = {}
         for node in nodes:
             self.add_node(node)
 
@@ -120,7 +123,10 @@ class HashRing:
         if not self._ring:
             return None
         exclude = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
-        index = bisect.bisect_right(self._points, self._hash(key))
+        point = self._key_points.get(key)
+        if point is None:
+            point = self._key_points[key] = self._hash(key)
+        index = bisect.bisect_right(self._points, point)
         size = len(self._ring)
         for step in range(size):
             node = self._ring[(index + step) % size][1]

@@ -129,6 +129,25 @@ def test_ring_exclude_equals_removal():
         assert ring.owner(key, exclude=("shard-2",)) == removed.owner(key)
 
 
+def test_ring_hashes_each_key_once_across_membership_changes(monkeypatch):
+    # A key's ring point does not depend on membership, so the ring
+    # hashes each routed key once and still follows every change.
+    members = [n for n in _NODES if n != "shard-4"] + ["shard-9"]
+    expected = [HashRing(members, vnodes=64).owner(k) for k in _KEYS]
+    ring = HashRing(_NODES, vnodes=64)
+    for key in _KEYS:
+        ring.owner(key)
+    hashed = []
+    real = HashRing._hash
+    monkeypatch.setattr(
+        HashRing, "_hash", staticmethod(lambda key: hashed.append(key) or real(key))
+    )
+    ring.remove_node("shard-4")
+    ring.add_node("shard-9")
+    assert [ring.owner(k) for k in _KEYS] == expected
+    assert len(hashed) == 64  # the new node's virtual nodes, no key
+
+
 def test_ring_len_and_nodes():
     ring = HashRing(_NODES, vnodes=64)
     assert set(ring.nodes) == set(_NODES)
