@@ -24,11 +24,11 @@ processed entry, so tracing a run changes nothing about how it is
 scheduled.
 
 Cancelled entries are discarded when they surface, and the queue is
-compacted as soon as cancelled entries outnumber live ones.  Nearly every
-proxy request arms a reply timeout that is cancelled milliseconds later,
-so without compaction these dead timers would outnumber the live entries
-about ten to one; with it the queue holds at most twice its live entries,
-at an amortised O(1) cost per cancel.
+compacted as soon as cancelled entries outnumber live ones.  Every proxy
+fill or validation arms a reply timeout that its reply cancels
+milliseconds later, so without compaction these dead timers would
+outnumber the live entries about ten to one; with it the queue holds at
+most twice its live entries, at an amortised O(1) cost per cancel.
 """
 
 from __future__ import annotations
