@@ -128,8 +128,7 @@ class TimeCoordinator:
         interval = self.interval
         duration = self.duration
         while True:
-            # A plain loop and comparison rather than min(): this scan runs
-            # once per busy interval and its result feeds every jump.
+            # A loop rather than min(), which costs a generator per call.
             due = _INF
             for participant in participants:
                 if participant.next_due < due:
