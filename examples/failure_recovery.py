@@ -14,7 +14,8 @@ Usage::
     python examples/failure_recovery.py
 """
 
-from repro import FailureInjector, Simulator, invalidation
+from repro import Simulator, invalidation
+from repro.chaos import Fault, apply_schedule
 from repro.net import FixedLatency, Network
 from repro.proxy import Cache, ProxyCache
 from repro.server import FileStore, ServerSite
@@ -33,6 +34,10 @@ def build():
         oracle=lambda url: fs.get(url).last_modified,
     )
     return sim, net, fs, server, proxy
+
+
+def inject(sim, net, server, proxy, fault):
+    apply_schedule([fault], sim, net, server, {proxy.address: proxy})
 
 
 def fetch(sim, proxy, client, url, label):
@@ -54,9 +59,9 @@ def fetch(sim, proxy, client, url, label):
 def scenario_proxy_crash():
     print("Scenario 1: proxy crash misses an invalidation")
     sim, net, fs, server, proxy = build()
-    injector = FailureInjector(sim=sim, network=net)
     fetch(sim, proxy, "alice", "/index.html", "t0")
-    injector.schedule_proxy_crash(proxy, at=sim.now + 1, recover_at=sim.now + 60)
+    inject(sim, net, server, proxy,
+           Fault("proxy_crash", sim.now + 1, sim.now + 60, target="proxy-0"))
     sim.run(until=sim.now + 2)
     print("    proxy crashed; modifying /index.html on the server")
     fs.modify("/index.html", now=sim.now)
@@ -70,10 +75,10 @@ def scenario_proxy_crash():
 def scenario_server_crash():
     print("Scenario 2: server-site crash and recovery fan-out")
     sim, net, fs, server, proxy = build()
-    injector = FailureInjector(sim=sim, network=net)
     fetch(sim, proxy, "bob", "/index.html", "t0")
     fetch(sim, proxy, "bob", "/paper.ps", "t0")
-    injector.schedule_server_crash(server, at=sim.now + 1, recover_at=sim.now + 30)
+    inject(sim, net, server, proxy,
+           Fault("server_crash", sim.now + 1, sim.now + 30, target="server"))
     sim.run(until=sim.now + 2)
     print("    server down; /index.html changes during the outage")
     fs.modify("/index.html", now=sim.now)
@@ -90,11 +95,10 @@ def scenario_server_crash():
 def scenario_partition():
     print("Scenario 3: network partition, periodic TCP retry")
     sim, net, fs, server, proxy = build()
-    injector = FailureInjector(sim=sim, network=net)
     fetch(sim, proxy, "carol", "/index.html", "t0")
-    injector.schedule_partition(
-        {"server"}, {"proxy-0"}, at=sim.now + 1, heal_at=sim.now + 40
-    )
+    inject(sim, net, server, proxy,
+           Fault("partition", sim.now + 1, sim.now + 40, target="proxy-0",
+                 params={"group_a": ["server"], "group_b": ["proxy-0"]}))
     sim.run(until=sim.now + 2)
     print("    partition up; modifying /index.html (invalidation will retry)")
     fs.modify("/index.html", now=sim.now)

@@ -27,7 +27,7 @@ Subpackages: :mod:`repro.sim` (DES kernel), :mod:`repro.net` (network),
 accelerator), :mod:`repro.proxy` (proxy cache), :mod:`repro.core`
 (protocols + Table 1 analysis), :mod:`repro.traces` (trace substrate),
 :mod:`repro.workload` (modifier), :mod:`repro.replay` (testbed harness),
-:mod:`repro.metrics`, :mod:`repro.failures`.
+:mod:`repro.metrics`, :mod:`repro.chaos` (fault injection).
 """
 
 from .api import PROTOCOLS, build_protocol, protocol_names, run_sweep
@@ -48,7 +48,6 @@ from .core import (
     symbolic_counts,
     two_tier_lease,
 )
-from .failures import FailureInjector
 from .replay import (
     ExperimentConfig,
     ExperimentResult,
@@ -101,5 +100,4 @@ __all__ = [
     # infrastructure
     "Simulator",
     "RngRegistry",
-    "FailureInjector",
 ]

@@ -48,7 +48,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
+
+from ..net import LinkFault
 
 __all__ = [
     "Fault",
@@ -301,13 +303,168 @@ def random_schedule(
     return FaultSchedule(seed=seed, horizon=horizon, faults=faults)
 
 
+def _origin_side(group: Sequence[str], cluster) -> List[str]:
+    """``group`` with ``server`` widened to every shard of ``cluster``."""
+    expanded = []
+    for address in group:
+        expanded.append(address)
+        if cluster is not None and address == "server":
+            expanded.extend(s.address for s in cluster.shards)
+    return expanded
+
+
+def _start_and_end(fault: Fault, network, server, proxies, cluster):
+    """The ``(start, end)`` action pairs that realise ``fault``.
+
+    Each action performs its half of the fault and returns the
+    ``(kind, target)`` it logs.  Most faults are one pair; a partition
+    or link fault against a sharded origin is one pair per widened
+    endpoint.
+    """
+    kind, params = fault.kind, fault.params
+    if kind.startswith("shard_") and cluster is None:
+        raise ValueError(
+            f"schedule contains {kind} but the run has no "
+            "accelerator cluster (shards=1)"
+        )
+
+    if kind == "proxy_crash":
+        # Warm restarts keep the on-disk cache and mark every entry
+        # questionable (Section 4); cold ones wipe it.
+        proxy = proxies[fault.target]
+        cold = bool(params.get("cold", False))
+
+        def crash():
+            proxy.crash()
+            return "proxy-crash", proxy.address
+
+        def recover():
+            flagged = proxy.recover(cold=cold)
+            label = (
+                "proxy-recover(cold)" if cold
+                else f"proxy-recover({flagged} questionable)"
+            )
+            return label, proxy.address
+
+        return [(crash, recover)]
+
+    if kind == "server_crash":
+        # Recovery sends INVALIDATE-by-server to every known site, or to
+        # the operator's proxy roster when the site log was lost too.
+        lose_sitelog = bool(params.get("lose_sitelog", False))
+
+        def crash():
+            server.crash(lose_sitelog=lose_sitelog)
+            label = "server-crash(sitelog lost)" if lose_sitelog else "server-crash"
+            return label, server.address
+
+        def recover():
+            server.recover()
+            return "server-recover", server.address
+
+        return [(crash, recover)]
+
+    if kind == "partition":
+        # Each partition heals by its own handle, so overlapping
+        # partitions heal independently.
+        group_a = _origin_side(params["group_a"], cluster)
+        group_b = _origin_side(params["group_b"], cluster)
+        target = f"{group_a}|{group_b}"
+        handle: List[int] = []
+
+        def cut():
+            handle.append(network.partition(group_a, group_b))
+            return "partition", target
+
+        def heal():
+            network.heal(handle[0] if handle else None)
+            return "heal", target
+
+        return [(cut, heal)]
+
+    if kind == "link_fault":
+        drop, dup = float(params.get("drop_prob", 0.0)), float(params.get("dup_prob", 0.0))
+        delay, jitter = float(params.get("extra_delay", 0.0)), float(params.get("jitter", 0.0))
+        link = LinkFault(drop_prob=drop, dup_prob=dup, extra_delay=delay, jitter=jitter)
+        label = f"link-fault(drop={drop},dup={dup},delay={delay},jitter={jitter})"
+        seed = int(params.get("rng_seed", 0))
+        endpoints = [
+            (src, dst)
+            for src in _origin_side([params["src"]], cluster)
+            for dst in _origin_side([params["dst"]], cluster)
+        ]
+        pairs = []
+        for offset, (src, dst) in enumerate(endpoints):
+            rng = random.Random(seed + offset)
+
+            def install(src=src, dst=dst, rng=rng):
+                network.set_link_fault(src, dst, link, rng=rng)
+                return label, f"{src}->{dst}"
+
+            def clear(src=src, dst=dst):
+                network.clear_link_fault(src, dst)
+                return "link-heal", f"{src}->{dst}"
+
+            pairs.append((install, clear))
+        return pairs
+
+    if kind == "clock_skew":
+        # Negative skew runs the host's clock behind: the direction
+        # lease expiry must tolerate through ``lease_grace``.
+        proxy = proxies[fault.target]
+        skew = float(params["skew"])
+
+        def apply():
+            proxy.clock_skew = skew
+            return f"clock-skew({skew:+g}s)", proxy.address
+
+        def reset():
+            proxy.clock_skew = 0.0
+            return "clock-skew(reset)", proxy.address
+
+        return [(apply, reset)]
+
+    shard = fault.target
+    if kind == "shard_crash":
+        # While down, the ring routes the shard's documents to its
+        # successor; recovery hands those site-list entries back.
+        lose_sitelog = bool(params.get("lose_sitelog", False))
+
+        def crash():
+            cluster.crash_shard(shard, lose_sitelog=lose_sitelog)
+            label = "shard-crash(sitelog lost)" if lose_sitelog else "shard-crash"
+            return label, shard
+
+        def recover():
+            cluster.recover_shard(shard)
+            return "shard-recover", shard
+
+        return [(crash, recover)]
+
+    # shard_rebalance: a drained shard stays up but takes no new routes.
+    def drain():
+        cluster.drain_shard(shard)
+        return "shard-drain", shard
+
+    def restore():
+        cluster.restore_shard(shard)
+        return "shard-restore", shard
+
+    return [(drain, restore)]
+
+
 def apply_schedule(
-    schedule: FaultSchedule, injector, server, proxies, cluster=None
-) -> None:
-    """Arm every fault in ``schedule`` against a built testbed.
+    faults: Iterable[Fault], sim, network, server, proxies, cluster=None
+) -> List[Dict[str, Any]]:
+    """Arm every fault in ``faults`` against a built testbed.
+
+    Each fault's start fires at ``fault.at`` and its end at
+    ``fault.until``, on ``sim``'s clock; a fault whose window has
+    already begun starts at once.
 
     Args:
-        injector: a :class:`repro.failures.FailureInjector`.
+        sim: the :class:`repro.sim.Simulator` the testbed runs on.
+        network: the testbed's :class:`repro.net.Network`.
         server: the :class:`repro.server.ServerSite` (or the
             :class:`repro.server.AcceleratorCluster` facade).
         proxies: ``{address: ProxyCache}`` for the leaf proxies.
@@ -316,75 +473,22 @@ def apply_schedule(
             and link faults naming ``server`` are widened to cover the
             shard addresses too, so the "server side of the cut" keeps
             meaning the whole origin tier.
+
+    Returns:
+        The fault log: one ``{"time", "kind", "target"}`` dict per start
+        or end, appended as each fires.
     """
+    log: List[Dict[str, Any]] = []
 
-    def origin_side(group):
-        expanded = []
-        for address in group:
-            expanded.append(address)
-            if cluster is not None and address == "server":
-                expanded.extend(s.address for s in cluster.shards)
-        return expanded
+    def arm(when: float, action) -> None:
+        def fire() -> None:
+            kind, target = action()
+            log.append({"time": sim.now, "kind": kind, "target": target})
 
-    for fault in schedule.faults:
-        params = fault.params
-        if fault.kind == "proxy_crash":
-            injector.schedule_proxy_crash(
-                proxies[fault.target], at=fault.at, recover_at=fault.until,
-                cold=bool(params.get("cold", False)),
-            )
-        elif fault.kind == "server_crash":
-            injector.schedule_server_crash(
-                server, at=fault.at, recover_at=fault.until,
-                lose_sitelog=bool(params.get("lose_sitelog", False)),
-            )
-        elif fault.kind == "partition":
-            injector.schedule_partition(
-                origin_side(params["group_a"]),
-                origin_side(params["group_b"]),
-                at=fault.at, heal_at=fault.until,
-            )
-        elif fault.kind == "link_fault":
-            seed = int(params.get("rng_seed", 0))
-            endpoints = [(params["src"], params["dst"])]
-            if cluster is not None:
-                endpoints = [
-                    (src, dst)
-                    for src in origin_side([params["src"]])
-                    for dst in origin_side([params["dst"]])
-                ]
-            for offset, (src, dst) in enumerate(endpoints):
-                injector.schedule_link_fault(
-                    src, dst, at=fault.at, until=fault.until,
-                    drop_prob=float(params.get("drop_prob", 0.0)),
-                    dup_prob=float(params.get("dup_prob", 0.0)),
-                    extra_delay=float(params.get("extra_delay", 0.0)),
-                    jitter=float(params.get("jitter", 0.0)),
-                    rng=random.Random(seed + offset),
-                )
-        elif fault.kind == "clock_skew":
-            injector.schedule_clock_skew(
-                proxies[fault.target], at=fault.at, until=fault.until,
-                skew=float(params["skew"]),
-            )
-        elif fault.kind == "shard_crash":
-            if cluster is None:
-                raise ValueError(
-                    "schedule contains shard_crash but the run has no "
-                    "accelerator cluster (shards=1)"
-                )
-            injector.schedule_shard_crash(
-                cluster, fault.target, at=fault.at, recover_at=fault.until,
-                lose_sitelog=bool(params.get("lose_sitelog", False)),
-            )
-        elif fault.kind == "shard_rebalance":
-            if cluster is None:
-                raise ValueError(
-                    "schedule contains shard_rebalance but the run has no "
-                    "accelerator cluster (shards=1)"
-                )
-            injector.schedule_shard_rebalance(
-                cluster, fault.target, at=fault.at, until=fault.until,
-            )
-        else:  # pragma: no cover - Fault.__post_init__ rejects these
-            raise ValueError(f"unknown fault kind {fault.kind!r}")
+        sim.call_later(when - sim.now, fire)
+
+    for fault in faults:
+        for start, end in _start_and_end(fault, network, server, proxies, cluster):
+            arm(fault.at, start)
+            arm(fault.until, end)
+    return log

@@ -438,19 +438,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if observation is not None:
             site.fanout_listener = observation.fanout_listener
 
-    injector = None
     schedule_obj = None
     if config.fault_schedule is not None:
         from ..chaos.faults import FaultSchedule, apply_schedule
-        from ..failures import FailureInjector
 
         schedule_obj = config.fault_schedule
         if isinstance(schedule_obj, dict):
             schedule_obj = FaultSchedule.from_dict(schedule_obj)
-        injector = FailureInjector(sim, network)
-        apply_schedule(
-            schedule_obj, injector, server, {p.address: p for p in proxies},
-            cluster=cluster,
+        fault_log = apply_schedule(
+            schedule_obj.faults, sim, network, server,
+            {p.address: p for p in proxies}, cluster=cluster,
         )
 
     # Modification schedule in trace time (identical across protocols).
@@ -598,7 +595,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 CATEGORY_INVALIDATE
             ),
         }
-    if config.audit or injector is not None:
+    if config.audit or schedule_obj is not None:
         chaos = auditor.report(counters) if config.audit else {}
         chaos["network"] = {
             "messages_sent": stats.messages_sent,
@@ -609,11 +606,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         }
         if schedule_obj is not None:
             chaos["schedule"] = schedule_obj.to_dict()
-        if injector is not None:
-            chaos["fault_log"] = [
-                {"time": e.time, "kind": e.kind, "target": e.target}
-                for e in injector.log
-            ]
+            chaos["fault_log"] = fault_log
         result.chaos = chaos
     if observation is not None:
         observation.finish(

@@ -52,6 +52,8 @@ class TestFaultValidation:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             Fault(kind="proxy_crash", at=2.0, until=2.0)
+        with pytest.raises(ValueError):
+            Fault(kind="proxy_crash", at=10.0, until=5.0)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):

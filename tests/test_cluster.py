@@ -336,15 +336,15 @@ def test_shard_faults_require_cluster():
         faults=(Fault("shard_crash", 10.0, 50.0, target="shard-1"),),
     )
     with pytest.raises(ValueError, match="no accelerator cluster"):
-        apply_schedule(schedule, injector=None, server=None, proxies={},
-                       cluster=None)
+        apply_schedule(schedule.faults, sim=None, network=None, server=None,
+                       proxies={}, cluster=None)
     rebalance = FaultSchedule(
         seed=0, horizon=100.0,
         faults=(Fault("shard_rebalance", 10.0, 50.0, target="shard-1"),),
     )
     with pytest.raises(ValueError, match="no accelerator cluster"):
-        apply_schedule(rebalance, injector=None, server=None, proxies={},
-                       cluster=None)
+        apply_schedule(rebalance.faults, sim=None, network=None, server=None,
+                       proxies={}, cluster=None)
 
 
 def test_random_schedule_shard_kinds_gated():

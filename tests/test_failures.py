@@ -6,12 +6,8 @@ restarts, site-log loss, link faults, clock skew, bounded retries) are
 below them.
 """
 
-import random
-
-import pytest
-
+from repro.chaos import Fault, apply_schedule
 from repro.core import invalidation
-from repro.failures import FailureInjector
 from repro.net import FixedLatency, Network
 from repro.proxy import Cache, ProxyCache
 from repro.server import FileStore, ServerSite
@@ -33,7 +29,25 @@ def build(max_retries=None):
         cache=Cache(),
         oracle=lambda url: fs.get(url).last_modified,
     )
-    return sim, net, fs, server, proxy, FailureInjector(sim=sim, network=net)
+    return sim, net, fs, server, proxy
+
+
+def inject(sim, net, server, proxy, *faults):
+    """Arm ``faults`` against the testbed; returns the fault log."""
+    return apply_schedule(faults, sim, net, server, {proxy.address: proxy})
+
+
+def partition(at, until):
+    """The server cut off from proxy-0 over ``[at, until)``."""
+    return Fault("partition", at, until, target="proxy-0",
+                 params={"group_a": ["server"], "group_b": ["proxy-0"]})
+
+
+def link_fault(at, until, **probs):
+    """A seeded fault on the server -> proxy-0 link over ``[at, until)``."""
+    return Fault("link_fault", at, until, target="server->proxy-0",
+                 params={"src": "server", "dst": "proxy-0", "rng_seed": 5,
+                         **probs})
 
 
 def request(sim, proxy, client, url):
@@ -44,24 +58,15 @@ def request(sim, proxy, client, url):
     return outcome
 
 
-class TestValidation:
-    def test_recovery_must_follow_crash(self):
-        sim, net, fs, server, proxy, inj = build()
-        with pytest.raises(ValueError):
-            inj.schedule_proxy_crash(proxy, at=10.0, recover_at=5.0)
-        with pytest.raises(ValueError):
-            inj.schedule_server_crash(server, at=10.0, recover_at=10.0)
-        with pytest.raises(ValueError):
-            inj.schedule_partition({"a"}, {"b"}, at=3.0, heal_at=3.0)
-
-
 class TestProxyFailure:
     def test_missed_invalidation_handled_by_questionable_marking(self):
         """Scenario 1: proxy down during invalidation; no stale serve."""
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
 
-        inj.schedule_proxy_crash(proxy, at=sim.now + 1.0, recover_at=sim.now + 100.0)
+        inject(sim, net, server, proxy,
+               Fault("proxy_crash", sim.now + 1.0, sim.now + 100.0,
+                     target="proxy-0"))
         sim.run(until=sim.now + 2.0)
 
         # Modify while the proxy is down; invalidation can't reach it, but
@@ -78,12 +83,14 @@ class TestProxyFailure:
         assert outcome.status in (200, None) or outcome.validated
 
     def test_recovery_marks_everything_questionable(self):
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
         request(sim, proxy, "c1", "/b")
-        inj.schedule_proxy_crash(proxy, at=sim.now + 1.0, recover_at=sim.now + 2.0)
+        log = inject(sim, net, server, proxy,
+                     Fault("proxy_crash", sim.now + 1.0, sim.now + 2.0,
+                           target="proxy-0"))
         sim.run(until=sim.now + 3.0)
-        events = [e.kind for e in inj.log]
+        events = [e["kind"] for e in log]
         assert "proxy-crash" in events
         assert any(k.startswith("proxy-recover(2") for k in events)
         outcome = request(sim, proxy, "c1", "/b")
@@ -94,9 +101,11 @@ class TestProxyFailure:
 class TestServerFailure:
     def test_modification_during_outage_not_served_stale(self):
         """Scenario 2: server dies, document changes, server recovers."""
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_server_crash(server, at=sim.now + 1.0, recover_at=sim.now + 50.0)
+        inject(sim, net, server, proxy,
+               Fault("server_crash", sim.now + 1.0, sim.now + 50.0,
+                     target="server"))
         sim.run(until=sim.now + 2.0)
         # "Modified" while down: e.g. restored from backup with new data.
         fs.modify("/a", now=sim.now)
@@ -109,10 +118,12 @@ class TestServerFailure:
         assert not outcome.stale_served
 
     def test_site_lists_rebuilt_after_crash(self):
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
         assert server.table.total_entries() == 1
-        inj.schedule_server_crash(server, at=sim.now + 1.0, recover_at=sim.now + 2.0)
+        inject(sim, net, server, proxy,
+               Fault("server_crash", sim.now + 1.0, sim.now + 2.0,
+                     target="server"))
         sim.run(until=sim.now + 5.0)
         assert server.table.total_entries() == 0  # volatile state lost
         request(sim, proxy, "c1", "/a")  # questionable -> IMS re-registers
@@ -122,11 +133,9 @@ class TestServerFailure:
 class TestPartition:
     def test_invalidation_delivered_after_heal(self):
         """Scenario 3: TCP retry carries the invalidation across a heal."""
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_partition(
-            {"server"}, {"proxy-0"}, at=sim.now + 1.0, heal_at=sim.now + 30.0
-        )
+        inject(sim, net, server, proxy, partition(sim.now + 1.0, sim.now + 30.0))
         sim.run(until=sim.now + 2.0)
         fs.modify("/a", now=sim.now)
         server.check_in("/a")
@@ -137,22 +146,16 @@ class TestPartition:
         assert not outcome.stale_served
 
     def test_requests_fail_during_partition(self):
-        sim, net, fs, server, proxy, inj = build()
-        inj.schedule_partition(
-            {"server"}, {"proxy-0"}, at=sim.now + 1.0, heal_at=sim.now + 100.0
-        )
+        sim, net, fs, server, proxy = build()
+        inject(sim, net, server, proxy, partition(sim.now + 1.0, sim.now + 100.0))
         sim.run(until=sim.now + 2.0)
         outcome = request(sim, proxy, "c2", "/a")
         assert outcome.failed
 
     def test_overlapping_partitions_heal_independently(self):
-        sim, net, fs, server, proxy, inj = build()
-        inj.schedule_partition(
-            {"server"}, {"proxy-0"}, at=sim.now + 1.0, heal_at=sim.now + 50.0
-        )
-        inj.schedule_partition(
-            {"server"}, {"proxy-0"}, at=sim.now + 2.0, heal_at=sim.now + 10.0
-        )
+        sim, net, fs, server, proxy = build()
+        inject(sim, net, server, proxy, partition(sim.now + 1.0, sim.now + 50.0))
+        inject(sim, net, server, proxy, partition(sim.now + 2.0, sim.now + 10.0))
         # After the second partition heals, the first still blocks.
         sim.run(until=sim.now + 20.0)
         assert not net.is_reachable("server", "proxy-0")
@@ -162,24 +165,24 @@ class TestPartition:
 
 class TestColdRestart:
     def test_cold_restart_wipes_cache(self):
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
         request(sim, proxy, "c1", "/b")
-        inj.schedule_proxy_crash(
-            proxy, at=sim.now + 1.0, recover_at=sim.now + 2.0, cold=True
-        )
+        log = inject(sim, net, server, proxy,
+                     Fault("proxy_crash", sim.now + 1.0, sim.now + 2.0,
+                           target="proxy-0", params={"cold": True}))
         sim.run(until=sim.now + 3.0)
-        assert any(e.kind == "proxy-recover(cold)" for e in inj.log)
+        assert any(e["kind"] == "proxy-recover(cold)" for e in log)
         outcome = request(sim, proxy, "c1", "/a")
         assert not outcome.had_cached_copy
         assert outcome.transfer and not outcome.stale_served
 
     def test_warm_restart_keeps_cache(self):
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_proxy_crash(
-            proxy, at=sim.now + 1.0, recover_at=sim.now + 2.0, cold=False
-        )
+        inject(sim, net, server, proxy,
+               Fault("proxy_crash", sim.now + 1.0, sim.now + 2.0,
+                     target="proxy-0", params={"cold": False}))
         sim.run(until=sim.now + 3.0)
         outcome = request(sim, proxy, "c1", "/a")
         assert outcome.had_cached_copy
@@ -190,27 +193,25 @@ class TestSiteLogLoss:
     def test_roster_recovery_after_sitelog_loss(self):
         """Server loses the persistent known-sites log: recovery must
         still reach every proxy, via the operator-configured roster."""
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         server.proxy_roster = {"proxy-0"}
         request(sim, proxy, "c1", "/a")
-        inj.schedule_server_crash(
-            server, at=sim.now + 1.0, recover_at=sim.now + 5.0,
-            lose_sitelog=True,
-        )
+        log = inject(sim, net, server, proxy,
+                     Fault("server_crash", sim.now + 1.0, sim.now + 5.0,
+                           target="server", params={"lose_sitelog": True}))
         sim.run(until=sim.now + 10.0)
-        assert any("sitelog lost" in e.kind for e in inj.log)
+        assert any("sitelog lost" in e["kind"] for e in log)
         assert len(server.known_sites.all_sites()) == 0
         assert proxy.server_invalidations_received == 1  # roster reached it
         outcome = request(sim, proxy, "c1", "/a")
         assert outcome.validated and not outcome.stale_served
 
     def test_sitelog_loss_without_roster_misses_proxies(self):
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_server_crash(
-            server, at=sim.now + 1.0, recover_at=sim.now + 5.0,
-            lose_sitelog=True,
-        )
+        inject(sim, net, server, proxy,
+               Fault("server_crash", sim.now + 1.0, sim.now + 5.0,
+                     target="server", params={"lose_sitelog": True}))
         sim.run(until=sim.now + 10.0)
         assert proxy.server_invalidations_received == 0
 
@@ -218,12 +219,10 @@ class TestSiteLogLoss:
 class TestLinkFaults:
     def test_lossy_link_retries_until_delivery(self):
         """The reliable channel carries an INVALIDATE across a lossy link."""
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_link_fault(
-            "server", "proxy-0", at=sim.now + 1.0, until=sim.now + 40.0,
-            drop_prob=0.8, rng=random.Random(5),
-        )
+        inject(sim, net, server, proxy,
+               link_fault(sim.now + 1.0, sim.now + 40.0, drop_prob=0.8))
         sim.run(until=sim.now + 2.0)
         fs.modify("/a", now=sim.now)
         server.check_in("/a")
@@ -235,12 +234,10 @@ class TestLinkFaults:
         assert not outcome.stale_served
 
     def test_duplicating_link_is_idempotent(self):
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_link_fault(
-            "server", "proxy-0", at=sim.now + 1.0, until=sim.now + 40.0,
-            dup_prob=1.0, rng=random.Random(5),
-        )
+        inject(sim, net, server, proxy,
+               link_fault(sim.now + 1.0, sim.now + 40.0, dup_prob=1.0))
         sim.run(until=sim.now + 2.0)
         fs.modify("/a", now=sim.now)
         server.check_in("/a")
@@ -250,30 +247,28 @@ class TestLinkFaults:
         outcome = request(sim, proxy, "c1", "/a")
         assert outcome.transfer and not outcome.stale_served
 
-    def test_injector_validates_window(self):
-        sim, net, fs, server, proxy, inj = build()
-        with pytest.raises(ValueError):
-            inj.schedule_link_fault("server", "*", at=5.0, until=5.0)
-
 
 class TestClockSkew:
     def test_skew_applied_and_reset(self):
-        sim, net, fs, server, proxy, inj = build()
-        inj.schedule_clock_skew(proxy, at=1.0, until=10.0, skew=-25.0)
+        sim, net, fs, server, proxy = build()
+        log = inject(sim, net, server, proxy,
+                     Fault("clock_skew", 1.0, 10.0, target="proxy-0",
+                           params={"skew": -25.0}))
         sim.run(until=5.0)
         assert proxy.clock_skew == -25.0
         sim.run(until=15.0)
         assert proxy.clock_skew == 0.0
-        kinds = [e.kind for e in inj.log]
+        kinds = [e["kind"] for e in log]
         assert any(k.startswith("clock-skew(-25") for k in kinds)
         assert "clock-skew(reset)" in kinds
 
     def test_skew_harmless_for_plain_invalidation(self):
         # Infinite leases: the local clock never decides anything.
-        sim, net, fs, server, proxy, inj = build()
+        sim, net, fs, server, proxy = build()
         request(sim, proxy, "c1", "/a")
-        inj.schedule_clock_skew(proxy, at=sim.now + 1.0, until=sim.now + 50.0,
-                                skew=-30.0)
+        inject(sim, net, server, proxy,
+               Fault("clock_skew", sim.now + 1.0, sim.now + 50.0,
+                     target="proxy-0", params={"skew": -30.0}))
         sim.run(until=sim.now + 2.0)
         outcome = request(sim, proxy, "c1", "/a")
         assert outcome.served_from_cache and not outcome.stale_served
@@ -284,11 +279,11 @@ class TestBoundedRetries:
         """With max_retries set, an undeliverable INVALIDATE is abandoned
         (entry turns dirty) and flushed when the proxy next contacts the
         server — never forgotten."""
-        sim, net, fs, server, proxy, inj = build(max_retries=2)
+        sim, net, fs, server, proxy = build(max_retries=2)
         request(sim, proxy, "c1", "/a")
-        inj.schedule_proxy_crash(
-            proxy, at=sim.now + 1.0, recover_at=sim.now + 200.0
-        )
+        inject(sim, net, server, proxy,
+               Fault("proxy_crash", sim.now + 1.0, sim.now + 200.0,
+                     target="proxy-0"))
         sim.run(until=sim.now + 2.0)
         fs.modify("/a", now=sim.now)
         server.check_in("/a")
