@@ -1,17 +1,14 @@
 """Optional simulation observability.
 
 Attaching an :class:`EventTracer` to a :class:`~repro.sim.core.Simulator`
-records what the event loop processes — event counts by type, processing
-rate over simulated time, and (optionally) a bounded tail of recent
-events for post-mortem debugging of stuck or runaway models.
+records what the event loop processes — event counts by owner,
+processing rate over simulated time, and (optionally) a bounded tail of
+recent events for post-mortem debugging of stuck or runaway models.
 
 Each processed queue entry is a plain function scheduled with
-``Simulator.call_later``/``call_at`` and is counted under the kind
-``Callback``.
-
-With ``owners=True`` the tracer also counts each event under the code
-that owns it (:attr:`EventTracer.owners`): the qualified name of its
-function.
+``Simulator.call_later``/``call_at``; the tracer counts it under the
+code that owns it (:attr:`EventTracer.owners`): the qualified name of
+its function.
 
 Tracing is strictly opt-in and adds a single attribute check to the hot
 loop when disabled.  It never changes how a run is scheduled.
@@ -39,42 +36,36 @@ class EventTracer:
 
     Args:
         sim: the simulator to attach to (one tracer per simulator).
-        keep_last: size of the recent-event ring buffer; 0 disables
-            recording and keeps only counters.
-        owners: also count events per owning function in
-            :attr:`owners` (off by default; the counts add up to
-            :attr:`total`).
+        keep_last: size of the recent-event ring buffer of
+            ``(time, owner)`` pairs; 0 disables recording and keeps only
+            counters.
     """
 
-    def __init__(
-        self, sim: Simulator, keep_last: int = 0, owners: bool = False
-    ) -> None:
+    def __init__(self, sim: Simulator, keep_last: int = 0) -> None:
         if getattr(sim, "_tracer", None) is not None:
             raise ValueError("simulator already has a tracer")
         self.sim = sim
-        self.counts: Counter = Counter()
+        #: Events per owner's qualified name; the counts add up to
+        #: :attr:`total`.
+        self.owners: Counter = Counter()
         self.total = 0
         self.first_time: Optional[float] = None
         self.last_time: Optional[float] = None
         self._ring: Optional[Deque[Tuple[float, str]]] = (
             deque(maxlen=keep_last) if keep_last > 0 else None
         )
-        #: Events per owner's qualified name, or ``None`` when not asked for.
-        self.owners: Optional[Counter] = Counter() if owners else None
         sim._tracer = self
 
     def observe(self, now: float, entry: list) -> None:
         """Count one processed queue entry; :meth:`Simulator.step` calls this."""
-        kind = "Callback"
-        self.counts[kind] += 1
+        owner = _qualname(entry[2])
+        self.owners[owner] += 1
         self.total += 1
         if self.first_time is None:
             self.first_time = now
         self.last_time = now
         if self._ring is not None:
-            self._ring.append((now, kind))
-        if self.owners is not None:
-            self.owners[_qualname(entry[2])] += 1
+            self._ring.append((now, owner))
 
     def detach(self) -> None:
         """Stop tracing."""
@@ -93,16 +84,16 @@ class EventTracer:
         return self.total / (self.last_time - self.first_time)
 
     def publish(self, registry, **labels) -> None:
-        """Publish per-event-type counts into a metrics registry.
+        """Publish per-owner event counts into a metrics registry.
 
-        Emits one ``sim_events`` counter per processed event type plus a
+        Emits one ``sim_events`` counter per owner plus a
         ``sim_events_per_sim_second`` gauge; ``labels`` are attached to
         every series.  This is how ``Observation(deep=True)`` folds the
         kernel's event stream into the same registry the replay metrics
         live in.
         """
-        for kind, count in sorted(self.counts.items()):
-            registry.counter("sim_events", kind=kind, **labels).inc(count)
+        for owner, count in sorted(self.owners.items()):
+            registry.counter("sim_events", owner=owner, **labels).inc(count)
         registry.gauge("sim_events_per_sim_second", **labels).set(
             self.events_per_sim_second()
         )
@@ -111,8 +102,8 @@ class EventTracer:
         """Human-readable one-screen digest."""
         lines = [f"{self.total} events over "
                  f"[{self.first_time}, {self.last_time}] sim-seconds"]
-        for kind, count in self.counts.most_common():
-            lines.append(f"  {kind:16s} {count}")
+        for owner, count in self.owners.most_common():
+            lines.append(f"  {count:8d} {owner}")
         return "\n".join(lines)
 
 

@@ -71,7 +71,7 @@ from repro.net import Network
 from repro.obs import Observation
 from repro.replay.experiment import ExperimentConfig, run_experiment
 from repro.replay.serialize import result_to_dict
-from repro.sim import EventTracer, RngRegistry, tracing
+from repro.sim import RngRegistry
 from repro.traces import generate_trace, profile
 from repro.workload import generate_schedule
 
@@ -309,16 +309,11 @@ def test_sparse_case_has_a_modification_only_interval():
     assert modified - requested
 
 
-def test_owner_breakdown_adds_up_and_moves_no_result(monkeypatch):
-    tracers = []
-
-    def owner_tracer(sim, keep_last=0):
-        tracers.append(EventTracer(sim, keep_last=keep_last, owners=True))
-        return tracers[-1]
-
-    monkeypatch.setattr(tracing, "EventTracer", owner_tracer)
-    result = run_case("invalidation-observed-deep")
-    (tracer,) = tracers
+def test_owner_breakdown_adds_up_and_moves_no_result():
+    config = case_config("invalidation-observed-deep")
+    result = run_experiment(config)
+    config.observation.close()
+    tracer = config.observation.tracer
     assert sum(tracer.owners.values()) == tracer.total > 0
     assert tracer.owners["Resource._end_use"] > 0
     assert digest(result) == _golden()["invalidation-observed-deep"]

@@ -337,7 +337,7 @@ def test_fill_on_idle_server_is_a_chain_of_proxy_callbacks():
     # the send outcome, the `AnyOf`, the insert sleep and its end) and the
     # reply waiter.
     sim, net, fs, server, proxy = build(poll_every_time())
-    tracer = EventTracer(sim, owners=True)
+    tracer = EventTracer(sim)
     calls = []
     proxy.submit("c1", "/a", calls.append)
     sim.run()

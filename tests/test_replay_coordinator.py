@@ -254,7 +254,7 @@ def test_idle_intervals_schedule_no_events():
     kernel event: of 1,000 intervals, the one busy one calls its
     participant once, and the replay runs one event, its end."""
     sim = Simulator()
-    tracer = EventTracer(sim, owners=True)
+    tracer = EventTracer(sim)
     coord = TimeCoordinator(sim, interval=100.0)
     calls = []
     coord.register(DueAt(coord, [350.0], "once", calls, seconds=1.0))
@@ -289,7 +289,7 @@ def test_inline_arrivals_still_end_at_the_deadline():
     its per-touch overhead, and the modifier-only interval costs one
     event, its first touch."""
     sim = Simulator()
-    tracer = EventTracer(sim, owners=True)
+    tracer = EventTracer(sim)
     coord = TimeCoordinator(sim, interval=10.0)
     starts = []
 
@@ -444,7 +444,7 @@ def test_busy_pseudo_clients_schedule_no_coordinator_event():
     """An interval in which only pseudo-clients are busy ends at their
     last arrival, with no event of the coordinator's own."""
     sim = Simulator()
-    tracer = EventTracer(sim, owners=True)
+    tracer = EventTracer(sim)
     proxy = proxy_for(sim)
     counters = ReplayCounters()
     coord = TimeCoordinator(sim, interval=100.0)

@@ -21,7 +21,10 @@ def test_counts_processed_events():
     sim.cancel(sim.call_later(4.0, nothing))
     sim.run()
     assert tracer.total == 3
-    assert tracer.counts == {"Callback": 3}
+    assert tracer.owners == {
+        "test_counts_processed_events.<locals>.first": 1,
+        "nothing": 2,
+    }
     assert tracer.first_time == 1.0
     assert tracer.last_time == 3.0
 
@@ -33,7 +36,7 @@ def test_ring_buffer_bounded():
         sim.call_later(float(i), nothing)
     sim.run()
     assert len(tracer.recent) == 3
-    assert tracer.recent[-1] == (9.0, "Callback")
+    assert tracer.recent[-1] == (9.0, "nothing")
 
 
 def test_recording_disabled_by_default():
@@ -72,7 +75,7 @@ def test_rate_and_summary():
         sim.call_later(float(i), nothing)
     sim.run()
     assert tracer.events_per_sim_second() == pytest.approx(1.1)
-    assert "Callback" in tracer.summary()
+    assert "nothing" in tracer.summary()
     assert "11 events" in tracer.summary()
 
 
@@ -86,16 +89,16 @@ def test_rate_degenerate_cases():
 
 
 class TestOwners:
-    def test_off_by_default(self):
+    def test_counted_without_asking(self):
         sim = Simulator()
         tracer = EventTracer(sim)
         sim.call_later(1.0, nothing)
         sim.run()
-        assert tracer.owners is None
+        assert tracer.owners == {"nothing": 1}
 
     def test_callbacks_are_owned_by_their_code(self):
         sim = Simulator()
-        tracer = EventTracer(sim, owners=True)
+        tracer = EventTracer(sim)
         fired = []
 
         class Timer:
