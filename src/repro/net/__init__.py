@@ -1,7 +1,7 @@
 """Simulated network substrate: fabric, latency models, reliable channel."""
 
 from .channel import Delivery, ReliableChannel
-from .latency import FixedLatency, LanModel, LatencyModel, PerturbedLatency, WanModel
+from .latency import FixedLatency, LanModel, LatencyModel, WanModel
 from .message import Address, Message
 from .network import LinkFault, Network
 from .stats import NetworkStats
@@ -16,7 +16,6 @@ __all__ = [
     "LanModel",
     "WanModel",
     "FixedLatency",
-    "PerturbedLatency",
     "ReliableChannel",
     "Delivery",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "LanModel",
     "WanModel",
     "FixedLatency",
-    "PerturbedLatency",
 ]
 
 
@@ -114,39 +113,3 @@ class WanModel(LatencyModel):
         jitter = self.rng.expovariate(1.0 / self.jitter) if self.jitter > 0 else 0.0
         return self.base_delay + jitter + bits / self.bandwidth_bps
 
-
-class PerturbedLatency(LatencyModel):
-    """A base model perturbed by a fixed spike plus seeded jitter.
-
-    Used by the chaos harness to model latency spikes and message
-    reordering on a faulted link: the extra uniform jitter makes two
-    back-to-back messages' delivery order a coin flip, which is exactly
-    the reordering a congested path produces.
-
-    Args:
-        base: the underlying latency model.
-        extra_delay: fixed seconds added to every message.
-        jitter: uniform [0, jitter] seconds added per message.
-        rng: random stream for jitter; deterministic when provided.
-    """
-
-    def __init__(
-        self,
-        base: LatencyModel,
-        extra_delay: float = 0.0,
-        jitter: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if extra_delay < 0 or jitter < 0:
-            raise ValueError("extra_delay and jitter must be non-negative")
-        self.base = base
-        self.extra_delay = extra_delay
-        self.jitter = jitter
-        self.rng = rng or random.Random(0)
-
-    def delay(self, message: Message) -> float:
-        """The base model's delay plus the spike and one jitter draw."""
-        extra = self.extra_delay
-        if self.jitter > 0:
-            extra += self.rng.uniform(0.0, self.jitter)
-        return self.base.delay(message) + extra
