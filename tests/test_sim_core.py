@@ -324,7 +324,7 @@ _ANY_OP = st.tuples(st.sampled_from(["call_later", "sleep"]), _DELAYS, _KEEP)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    first=st.lists(_SCHEDULE, min_size=130, max_size=200),
+    first=st.lists(_SCHEDULE, max_size=200),
     rest=st.lists(_ANY_OP, max_size=150),
 )
 def test_processing_order_matches_reference_queue(first, rest):
@@ -335,14 +335,14 @@ def test_processing_order_matches_reference_queue(first, rest):
     resumes the loop, so the ops after it are scheduled at a later
     clock.  Entries whose ``keep`` flag is off are cancelled before the
     next sleep and at the end of each list.  ``first`` holds no sleep
-    and cancels more than 64 entries, most of those it schedules, so the
-    queue is compacted.  A reference model keys every entry by (time,
-    insertion index): each entry must be the model's minimum live key
-    when it fires, and ``peek()`` must report the model's first time
-    between steps.
+    and cancels most of the entries it schedules, so cancelled entries
+    come to outnumber live ones and the queue is compacted.  A reference
+    model keys every entry by (time, insertion index): each entry must
+    be the model's minimum live key when it fires, and ``peek()`` must
+    report the model's first time between steps.
     """
     doomed_first = sum(not keep for _kind, _delay, keep in first)
-    assume(doomed_first > 64 and 2 * doomed_first > len(first))
+    assume(2 * doomed_first > len(first))
     sim = Simulator()
     pending = {}  # insertion index -> (time, index)
     fired = []
