@@ -383,9 +383,13 @@ def _start_and_end(fault: Fault, network, server, proxies, cluster):
         return [(cut, heal)]
 
     if kind == "link_fault":
-        drop, dup = float(params.get("drop_prob", 0.0)), float(params.get("dup_prob", 0.0))
-        delay, jitter = float(params.get("extra_delay", 0.0)), float(params.get("jitter", 0.0))
-        link = LinkFault(drop_prob=drop, dup_prob=dup, extra_delay=delay, jitter=jitter)
+        drop = float(params.get("drop_prob", 0.0))
+        dup = float(params.get("dup_prob", 0.0))
+        delay = float(params.get("extra_delay", 0.0))
+        jitter = float(params.get("jitter", 0.0))
+        link = LinkFault(
+            drop_prob=drop, dup_prob=dup, extra_delay=delay, jitter=jitter
+        )
         label = f"link-fault(drop={drop},dup={dup},delay={delay},jitter={jitter})"
         seed = int(params.get("rng_seed", 0))
         endpoints = [
