@@ -43,6 +43,13 @@ class; none of its site-list entries is registered while an INVALIDATE
 for it is in flight, so neither folding batching into ``ServerSite`` nor
 the registered-at rule for clearing entries may move it.
 
+``invalidation-audit-shards4-shardcrash`` is the one case whose auditor
+excuses stale serves as ``origin-down`` on a cluster: ``shard-1`` is
+down from 100 s to 400 s of a 4-shard batched replay at a 0.5-day
+lifetime, so the tier is not all up while proxies serve copies whose
+INVALIDATE the crashed shard could not send.  It was recorded while the
+cluster still mirrored the single accelerator's ``up`` flag.
+
 ``adaptive_lease-1k-audit`` is the one case that runs the adaptive-lease
 controller.  Its 1 KB state budget makes the controller shrink the lease
 (8 adjustments, 420 s down to 34.6 s), and the IMS traffic that forces
@@ -114,6 +121,14 @@ _SERVER_CRASH_IN_PROXY_OUTAGE = FaultSchedule(
     ),
 )
 
+#: One shard down for 300 s: stale serves of its documents are excused
+#: only because the tier is not all up.
+_SHARD_1_CRASH = FaultSchedule(
+    seed=0,
+    horizon=1500.0,
+    faults=(Fault("shard_crash", 100.0, 400.0, target="shard-1"),),
+)
+
 _GIVE_UP = {"retry_interval": 5.0, "max_retries": 2}
 
 
@@ -167,6 +182,12 @@ def _cases():
         {"audit": True, "protocol_kwargs": _GIVE_UP,
          "fault_schedule": _TWO_PROXY_OUTAGES, "shards": 4, "batch_max": 32},
     )
+    cases["invalidation-audit-shards4-shardcrash"] = (
+        "invalidation",
+        {"audit": True, "scale": 0.05, "lifetime_days": 0.5, "shards": 4,
+         "batch_window": 1.0, "batch_max": 32,
+         "fault_schedule": _SHARD_1_CRASH},
+    )
     cases["adaptive_lease-1k-audit"] = (
         "adaptive_lease",
         {"audit": True, "protocol_kwargs": {"state_budget_bytes": 1024}},
@@ -206,6 +227,9 @@ REACHES = {
     "invalidation-recovery-giveup": lambda r: (
         _abandoned(r) > 0 and _recovered_server(r)
     ),
+    "invalidation-audit-shards4-shardcrash": lambda r: (
+        r.chaos["allowed_staleness"].get("origin-down", 0) > 0
+    ),
     # At the default 64 KB budget the case makes no IMS at all.
     "adaptive_lease-1k-audit": lambda r: r.ims > 0,
 }
@@ -213,12 +237,12 @@ REACHES = {
 _TRACES = {}
 
 
-def _trace(name="EPA"):
-    if name not in _TRACES:
-        _TRACES[name] = generate_trace(
-            profile(name).scaled(0.02), RngRegistry(seed=3)
+def _trace(name="EPA", scale=0.02):
+    if (name, scale) not in _TRACES:
+        _TRACES[name, scale] = generate_trace(
+            profile(name).scaled(scale), RngRegistry(seed=3)
         )
-    return _TRACES[name]
+    return _TRACES[name, scale]
 
 
 def case_config(case: str) -> ExperimentConfig:
@@ -229,7 +253,7 @@ def case_config(case: str) -> ExperimentConfig:
     if observation is not None:
         observation = Observation(deep=observation == "deep")
     return ExperimentConfig(
-        trace=_trace(overrides.pop("trace", "EPA")),
+        trace=_trace(overrides.pop("trace", "EPA"), overrides.pop("scale", 0.02)),
         protocol=PROTOCOLS[protocol](**overrides.pop("protocol_kwargs", {})),
         mean_lifetime=overrides.pop("lifetime_days", 7) * 86400.0,
         seed=overrides.pop("seed", 11),
