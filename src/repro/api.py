@@ -22,8 +22,9 @@ Design rules:
   full list of valid choices, mirroring
   :meth:`repro.replay.ExperimentConfig.validate`.
 * **No new behaviour.**  :func:`run_experiment` and :func:`run_sweep`
-  delegate to :mod:`repro.replay`; the facade adds discovery and
-  validation, never semantics.
+  are :func:`repro.replay.run_experiment` and :func:`repro.replay.sweep`
+  themselves, re-exported; the facade adds protocol discovery, never
+  semantics.
 
 The ``repro.core`` factory functions remain importable, undeprecated —
 the facade wraps them rather than replacing them.  The old
@@ -48,10 +49,8 @@ from .core import (
     two_tier_lease,
 )
 from .core.protocol import Protocol
-from .replay import ExperimentConfig, ExperimentResult
-from .replay import run_experiment as _run_experiment
-from .replay import sweep as _sweep
-from .replay.sweep import SweepPoint, SweepResult
+from .replay import run_experiment
+from .replay import sweep as run_sweep
 
 __all__ = [
     "PROTOCOLS",
@@ -144,43 +143,7 @@ def build_protocol(name: str, **config: Any) -> Protocol:
     return factory(**config)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment; the facade's front door to the replay testbed.
-
-    Validates the configuration (a second time — construction already
-    validates — so configs mutated via ``dataclasses.replace`` chains
-    are re-checked at the point of use), then delegates to
-    :func:`repro.replay.run_experiment` unchanged.
-    """
-    config.validate()
-    return _run_experiment(config)
-
-
-def run_sweep(
-    base: ExperimentConfig,
-    points: Sequence[SweepPoint],
-    runner: Optional[object] = None,
-    derive_seeds: bool = False,
-) -> List[SweepResult]:
-    """Run an experiment grid; the facade's front door to sweeps.
-
-    Args:
-        base: the configuration every point derives from.
-        points: ``(label, {field: value, ...})`` override tuples.
-        runner: ``None`` for the default serial executor, or a
-            sweep-level executor such as
-            :class:`repro.replay.ParallelSweepRunner`.
-        derive_seeds: give each point its own label-derived seed.
-    """
-    base.validate()
-    if runner is None:
-        return _sweep(base, points, derive_seeds=derive_seeds)
-    return _sweep(base, points, runner=runner, derive_seeds=derive_seeds)
-
-
 #: (old path, new path) rows for the migration table in ``docs/api.md``.
 MIGRATIONS: Tuple[Tuple[str, str], ...] = (
     ("repro.cli.PROTOCOL_FACTORIES[name]()", "repro.api.build_protocol(name)"),
-    ("repro.replay.run_experiment(config)", "repro.api.run_experiment(config)"),
-    ("repro.replay.sweep(base, points)", "repro.api.run_sweep(base, points)"),
 )

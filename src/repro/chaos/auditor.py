@@ -8,7 +8,9 @@ consistency, and it classifies each such serve:
 * For a **weak** protocol (adaptive TTL, piggyback), staleness is the
   accepted trade-off — recorded, never a violation.
 * For a **strong** protocol, staleness is allowed only while someone
-  still *owes* the proxy an invalidation:
+  still *owes* the proxy an invalidation.  The auditor asks the
+  accelerator sites themselves — the one server, or each shard of a
+  cluster — so an obligation is open when any site holds it:
 
   - ``write-pending`` — the modification's INVALIDATE is registered but
     not yet delivered (the paper's definition: the write has not
@@ -16,8 +18,9 @@ consistency, and it classifies each such serve:
     Behind parent caches the auditor walks the upstream chain: each
     parent may still owe the hop below it, the origin the top hop (this
     holds for ``recovery-pending`` too);
-  - ``origin-down`` — the origin is crashed, so the write itself cannot
-    complete until recovery;
+  - ``origin-down`` — an accelerator site is crashed (the one server, or
+    any shard of a cluster), so the write itself cannot complete until
+    recovery;
   - ``recovery-pending`` — a post-crash INVALIDATE-by-server for this
     proxy is still in flight;
   - ``detection-pending`` — browser-based detection only: the author has
@@ -67,20 +70,22 @@ class ConsistencyAuditor:
     """Classifies every stale serve while a replay runs.
 
     Args:
-        server: the :class:`repro.server.ServerSite` whose obligations
-            ledger distinguishes in-flight windows from violations.
+        sites: the accelerator sites (:class:`repro.server.ServerSite`:
+            the one server, or every shard of a cluster) whose
+            obligations ledgers distinguish in-flight windows from
+            violations.
         strong: whether the protocol under test claims strong consistency.
         detection: the experiment's modification-detection mode
             (``"notify"`` or ``"browser"``); browser mode has one extra
             allowed window (the author has not viewed the page yet).
         parents: the :class:`repro.hierarchy.ParentProxy` caches between
-            the proxies and ``server``, if any.
+            the proxies and the sites, if any.
     """
 
     def __init__(
-        self, server, strong: bool, detection: str = "notify", parents=()
+        self, sites, strong: bool, detection: str = "notify", parents=()
     ) -> None:
-        self.server = server
+        self.sites = list(sites)
         self.strong = strong
         self.detection = detection
         self._parents = {p.address: p for p in parents}
@@ -114,15 +119,15 @@ class ConsistencyAuditor:
                 return "recovery-pending"
             client_id = hop = parent.address
             parent = self._parents.get(parent.server_address)
-        server = self.server
-        if server.write_pending(url, client_id):
+        sites = self.sites
+        if any(s.write_pending(url, client_id) for s in sites):
             return "write-pending"
-        if not server.up:
+        if not all(s.up for s in sites):
             return "origin-down"
-        if server.recovery_pending(hop):
+        if any(s.recovery_pending(hop) for s in sites):
             return "recovery-pending"
-        if self.detection == "browser" and server.change_pending_detection(
-            entry.url
+        if self.detection == "browser" and any(
+            s.change_pending_detection(entry.url) for s in sites
         ):
             return "detection-pending"
         return None

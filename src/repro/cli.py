@@ -547,8 +547,8 @@ def _cmd_compare(args, out) -> int:
 def _make_runner(args):
     """Build a ParallelSweepRunner when any parallel flag is set.
 
-    Returns ``None`` for a plain serial sweep so ``sweep()`` keeps its
-    default runner (and zero multiprocessing overhead).  Progress lines
+    Returns ``None`` for a plain serial sweep, which ``sweep()`` runs
+    in-process (zero multiprocessing overhead).  Progress lines
     go to stderr so ``--json`` output stays machine-readable.
     """
     wanted = (
@@ -567,13 +567,6 @@ def _make_runner(args):
         resume=args.resume,
         progress=lambda line: print(line, file=sys.stderr),
     )
-
-
-def _run_points(base, points, args, derive_seeds=False):
-    runner = _make_runner(args)
-    if runner is None:
-        return sweep(base, points, derive_seeds=derive_seeds)
-    return sweep(base, points, runner=runner, derive_seeds=derive_seeds)
 
 
 def _cmd_sweep(args, out) -> int:
@@ -608,7 +601,10 @@ def _cmd_sweep(args, out) -> int:
                 )
             )
     try:
-        results = _run_points(base, points, args, derive_seeds=args.derive_seeds)
+        results = sweep(
+            base, points, runner=_make_runner(args),
+            derive_seeds=args.derive_seeds,
+        )
     except (ValueError, SweepPointFailed) as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -665,7 +661,7 @@ def _cmd_table(args, out) -> int:
         for proto in TABLE_PROTOCOLS
     ]
     try:
-        results = _run_points(base, points, args)
+        results = sweep(base, points, runner=_make_runner(args))
     except (ValueError, SweepPointFailed) as exc:
         print(f"error: {exc}", file=out)
         return 2

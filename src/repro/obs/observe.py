@@ -191,7 +191,6 @@ class Observation:
         sim: Any,
         result: Any,
         network_stats: Any,
-        server: Any,
         proxies: Any,
         iostat: Any,
     ) -> None:
@@ -214,11 +213,9 @@ class Observation:
             iostat.disk_writes_per_sec()
         )
         gauges.gauge("sitelist_storage_bytes", **labels).set(
-            server.table.storage_bytes()
+            result.sitelist_storage_bytes
         )
-        gauges.gauge("sitelist_entries", **labels).set(
-            server.table.total_entries()
-        )
+        gauges.gauge("sitelist_entries", **labels).set(result.sitelist_entries)
         cluster = getattr(result, "cluster", None)
         if cluster is not None:
             gauges.gauge("cluster_shards", **labels).set(cluster["shards"])

@@ -358,6 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             batch_max=config.batch_max,
         )
         server = cluster
+        sites = cluster.shards
     else:
         server = ServerSite(
             sim,
@@ -368,6 +369,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             costs=scaled_server_costs,
             wire=config.wire,
         )
+        sites = [server]
 
     parents = []
     if config.hierarchy_parents:
@@ -426,12 +428,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     from ..chaos.auditor import ConsistencyAuditor
 
     auditor = ConsistencyAuditor(
-        server, strong=protocol.strong, detection=config.detection,
+        sites, strong=protocol.strong, detection=config.detection,
         parents=parents,
     )
     for proxy in proxies:
         proxy.observer = auditor
-    for site in cluster.shards if cluster is not None else [server]:
+    for site in sites:
         # Operator-configured roster: lets a site that lost its persistent
         # site log still reach every cache it serves directly on recovery.
         site.proxy_roster = {p.address for p in parents or proxies}
@@ -493,7 +495,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             duration=trace.duration,
         )
 
-    iostat = IostatSampler(sim, server)
+    iostat = IostatSampler(sim, sites)
     lease_controller = None
     if protocol.adaptive_lease_budget:
         from ..server import AdaptiveLeaseController
@@ -520,9 +522,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if protocol.accelerator.grant_leases:
         # Reclaim expired leases before reading end-of-run storage, as a
         # lease-aware server would.
-        server.table.purge_expired(sim.now)
-    avg_len, max_len = server.table.modified_list_lengths()
-    inval_times = server.invalidation_times
+        for site in sites:
+            site.table.purge_expired(sim.now)
+    tables = [site.table for site in sites]
+    lengths = [n for table in tables for n in table.lengths_at_modification]
+    inval_times = [t for site in sites for t in site.invalidation_times]
     result = ExperimentResult(
         protocol=protocol.name,
         trace_name=trace.name,
@@ -541,19 +545,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         disk_utilization=iostat.disk_utilization(),
         disk_reads_per_sec=iostat.disk_reads_per_sec(),
         disk_writes_per_sec=iostat.disk_writes_per_sec(),
-        sitelist_storage_bytes=server.table.storage_bytes(),
-        sitelist_entries=server.table.total_entries(),
-        sitelist_avg_len=avg_len,
-        sitelist_max_len=max_len,
+        sitelist_storage_bytes=sum(t.storage_bytes() for t in tables),
+        sitelist_entries=sum(t.total_entries() for t in tables),
+        sitelist_avg_len=sum(lengths) / len(lengths) if lengths else 0.0,
+        sitelist_max_len=max(lengths, default=0),
         invalidation_time_avg=(
             sum(inval_times) / len(inval_times) if inval_times else 0.0
         ),
         invalidation_time_max=max(inval_times) if inval_times else 0.0,
-        invalidations_sent=server.invalidations_sent,
-        sitelist_evictions=server.table.evictions,
-        origin_requests=server.requests_handled,
-        origin_replies_200=server.replies_200,
-        origin_replies_304=server.replies_304,
+        invalidations_sent=sum(s.invalidations_sent for s in sites),
+        sitelist_evictions=sum(t.evictions for t in tables),
+        origin_requests=sum(s.requests_handled for s in sites),
+        origin_replies_200=sum(s.replies_200 for s in sites),
+        origin_replies_304=sum(s.replies_304 for s in sites),
         parent_upstream_fetches=sum(p.upstream_fetches for p in parents),
         parent_invalidations_forwarded=sum(
             p.invalidations_forwarded for p in parents
@@ -602,7 +606,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "messages_lost": stats.messages_lost,
             "lost_by_reason": stats.lost_by_reason(),
             "duplicates_delivered": stats.duplicates_delivered,
-            "invalidations_abandoned": server.invalidations_abandoned,
+            "invalidations_abandoned": sum(
+                s.invalidations_abandoned for s in sites
+            ),
         }
         if schedule_obj is not None:
             chaos["schedule"] = schedule_obj.to_dict()
@@ -613,7 +619,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             sim=sim,
             result=result,
             network_stats=stats,
-            server=server,
             proxies=proxies,
             iostat=iostat,
         )

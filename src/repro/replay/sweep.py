@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 
@@ -112,7 +112,7 @@ class SweepResult:
 def sweep(
     base: ExperimentConfig,
     points: Sequence[SweepPoint],
-    runner: Callable[[ExperimentConfig], ExperimentResult] = run_experiment,
+    runner: Optional[Callable[[ExperimentConfig], ExperimentResult]] = None,
     derive_seeds: bool = False,
 ) -> List[SweepResult]:
     """Run the experiment grid derived from ``base``.
@@ -122,8 +122,10 @@ def sweep(
         points: ``(label, {field: value, ...})`` overrides.  Overriding
             ``protocol`` per point is the common case for protocol
             comparisons.
-        runner: either a per-config callable (the serial path; injection
-            point for caching/testing) or a sweep-level executor exposing
+        runner: ``None`` (the default) to run each point serially with
+            :func:`run_experiment`; a per-config callable (the serial
+            path with another runner, the injection point for
+            caching/testing); or a sweep-level executor exposing
             ``run_sweep(base, points, derive_seeds=...)`` such as
             :class:`repro.replay.parallel.ParallelSweepRunner`.
         derive_seeds: see :func:`point_config`.
@@ -131,6 +133,8 @@ def sweep(
     run_sweep = getattr(runner, "run_sweep", None)
     if run_sweep is not None:
         return run_sweep(base, points, derive_seeds=derive_seeds)
+    if runner is None:
+        runner = run_experiment
     results = []
     for label, overrides in points:
         config = point_config(base, label, overrides, derive_seeds=derive_seeds)

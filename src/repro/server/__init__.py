@@ -1,7 +1,7 @@
 """Origin-server substrate: file store, costs, site lists, server site."""
 
 from .accelerator import AcceleratorConfig
-from .cluster import AcceleratorCluster, ClusterTable, HashRing
+from .cluster import AcceleratorCluster, HashRing
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import Document, FileStore
 from .httpd import ServerSite
@@ -22,7 +22,6 @@ __all__ = [
     "AcceleratorConfig",
     "ServerSite",
     "AcceleratorCluster",
-    "ClusterTable",
     "HashRing",
     "AdaptiveLeaseController",
     "SiteEntry",

@@ -9,28 +9,27 @@ consistency story intact:
   partition across N accelerator shards; adding/removing a shard moves
   only ~K/N keys (the classic rebalance property, tested in
   ``tests/test_cluster.py``).
-* :class:`AcceleratorCluster` — the facade the replay harness talks to.
+* :class:`AcceleratorCluster` — the router in front of the shards.
   Each shard is a plain :class:`~repro.server.httpd.ServerSite`, built
   with the cluster's ``batch_window``/``batch_max``, so the shards
   batch their INVALIDATE fan-out through the same one fan-out routine
   the single accelerator uses.  The cluster registers the public
-  ``server`` address, routes each request to the owning shard
-  in-process (no extra wire hop: the shards and the router are one tier
-  sharing a LAN-attached fleet), and mirrors the single ``ServerSite``
-  surface (counters, obligations ledger queries, crash / recovery) so
-  every existing layer — iostat, observability, the auditor — works
-  unmodified.  Per-site hooks are not mirrored: the experiment runner
-  sets each shard's ``proxy_roster`` and ``fanout_listener`` itself
-  when it builds the replay.  ``shards=1`` is routed through the plain
-  ``ServerSite`` by the experiment runner, so the legacy path stays
-  bit-identical.
+  ``server`` address and routes each request and modification report to
+  the owning shard in-process (no extra wire hop: the shards and the
+  router are one tier sharing a LAN-attached fleet).  It keeps routing,
+  failover, rebalance and crash / recovery, and nothing else: it reads
+  no counter, site list or obligation on the replay's behalf.  The
+  experiment runner treats its ``shards`` as the replay's sites, exactly
+  as it treats the one ``ServerSite`` of an unsharded run, and sums,
+  pools and queries them itself (iostat, end-of-run results, the
+  auditor, per-site hooks).  ``shards=1`` builds no cluster at all.
 
-Failover reuses the single accelerator's recovery semantics.  When a shard crashes, the
-hash ring routes its documents to the surviving shards (they share the
-one :class:`~repro.server.filestore.FileStore`); the cluster reports
-``up=False`` while degraded, which the auditor treats as the
-origin-down allowed-staleness window.  On recovery the shard replays its
-persistent known-sites log as INVALIDATE-by-server messages (marking
+Failover reuses the single accelerator's recovery semantics.  When a
+shard crashes, the hash ring routes its documents to the surviving
+shards (they share the one :class:`~repro.server.filestore.FileStore`);
+while one is down, not every site is up, which the auditor treats as
+the origin-down allowed-staleness window.  On recovery the shard replays
+its persistent known-sites log as INVALIDATE-by-server messages (marking
 proxies' copies questionable) and the cluster hands the site lists that
 accumulated on failover shards back to the recovered owner, so later
 modifications find their registrants.  Planned rebalances (the chaos
@@ -53,7 +52,7 @@ from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
 from .httpd import ServerSite
 
-__all__ = ["HashRing", "AcceleratorCluster", "ClusterTable"]
+__all__ = ["HashRing", "AcceleratorCluster"]
 
 
 class HashRing:
@@ -135,76 +134,15 @@ class HashRing:
         return None
 
 
-class ClusterTable:
-    """Aggregate invalidation-table view over every shard.
-
-    Implements the slice of the :class:`~repro.server.sitelist.InvalidationTable`
-    surface the replay/observability layers read, summing across shards.
-    Reads ``shard.table`` dynamically so post-crash table replacement is
-    reflected automatically.
-    """
-
-    def __init__(self, shards: List[ServerSite]) -> None:
-        self._shards = shards
-
-    def purge_expired(self, now: float) -> int:
-        """Purge expired leases on every shard; returns total dropped."""
-        return sum(s.table.purge_expired(now) for s in self._shards)
-
-    def total_entries(self, now: Optional[float] = None) -> int:
-        """Site-list entries across all shards."""
-        return sum(s.table.total_entries(now) for s in self._shards)
-
-    def storage_bytes(self) -> int:
-        """Site-list memory across all shards, accounting bytes."""
-        return sum(s.table.storage_bytes() for s in self._shards)
-
-    def max_list_length(self) -> int:
-        """Largest current site list across the cluster."""
-        lengths = [s.table.max_list_length() for s in self._shards]
-        return max(lengths) if lengths else 0
-
-    def modified_list_lengths(self) -> Tuple[float, int]:
-        """(average, max) modified-list length pooled across shards."""
-        lengths: List[int] = []
-        for shard in self._shards:
-            lengths.extend(shard.table._lengths_at_modification)
-        if not lengths:
-            return (0.0, 0)
-        return (sum(lengths) / len(lengths), max(lengths))
-
-    @property
-    def evictions(self) -> int:
-        """Lease-grace evictions summed across shards."""
-        return sum(s.table.evictions for s in self._shards)
-
-
-class _AggregateResource:
-    """Mean ``busy_time`` over shard resources.
-
-    The iostat sampler divides ``busy_time()`` by elapsed time to get a
-    utilization in [0, 1]; averaging (not summing) keeps that invariant
-    for a fleet of single-CPU/single-disk shard hosts.
-    """
-
-    def __init__(self, resources) -> None:
-        self._resources = list(resources)
-
-    def busy_time(self) -> float:
-        total = sum(r.busy_time() for r in self._resources)
-        return total / len(self._resources)
-
-
 class AcceleratorCluster:
     """The sharded accelerator tier, behind the single ``server`` address.
 
-    Mirrors the :class:`~repro.server.httpd.ServerSite` surface the rest
-    of the testbed expects — request receive, modification check-in,
-    obligations-ledger queries, crash/recovery, counters — while
-    partitioning documents across :class:`ServerSite` shards by
-    consistent hashing and routing in-process (the router adds no wire
-    messages; replies carry the shard's source address and proxies match
-    them by ``reply_to``).
+    Partitions documents across :class:`ServerSite` shards by consistent
+    hashing and routes each request to its owner in-process (the router
+    adds no wire messages; replies carry the shard's source address and
+    proxies match them by ``reply_to``).  Besides routing it does
+    failover, rebalance and whole-tier crash/recovery; everything the
+    replay measures is read from :attr:`shards` directly.
     """
 
     def __init__(
@@ -223,13 +161,8 @@ class AcceleratorCluster:
     ) -> None:
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        self.sim = sim
         self.network = network
         self.address = address
-        self.filestore = filestore
-        self.accel = accel or AcceleratorConfig()
-        self.costs = costs
-        self.wire = wire
 
         self.shards: List[ServerSite] = [
             ServerSite(
@@ -237,7 +170,7 @@ class AcceleratorCluster:
                 network,
                 f"shard-{i}",
                 filestore,
-                accel=self.accel,
+                accel=accel,
                 costs=costs,
                 wire=wire,
                 batch_window=batch_window,
@@ -254,10 +187,6 @@ class AcceleratorCluster:
         self._drained: Set[str] = set()
         self._excluded: Set[str] = set()
 
-        self.table = ClusterTable(self.shards)
-        self.cpu = _AggregateResource([s.cpu for s in self.shards])
-        self.disk = _AggregateResource([s.disk for s in self.shards])
-
         #: Requests routed per shard address (the imbalance panel input).
         self.requests_routed: Dict[str, int] = {
             shard.address: 0 for shard in self.shards
@@ -267,7 +196,6 @@ class AcceleratorCluster:
         self.shard_crashes = 0
         self.rebalances = 0
 
-        self.up = True
         network.register(address, self._receive)
 
     # -- routing ------------------------------------------------------------
@@ -283,7 +211,6 @@ class AcceleratorCluster:
 
     def _refresh_excluded(self) -> None:
         self._excluded = self._crashed | self._drained
-        self.up = not self._crashed
 
     def _receive(self, message: Message) -> None:
         if not isinstance(message, HttpRequest):
@@ -309,91 +236,6 @@ class AcceleratorCluster:
     def check_document(self, url: str) -> bool:
         """Route the browser-based mtime check to the owning shard."""
         return self._by_address[self.owner_of(url)].check_document(url)
-
-    # -- obligations ledger (queried by the chaos auditor) ------------------
-
-    def write_pending(self, url: str, client_id: str) -> bool:
-        """True while any shard still owes INVALIDATE(url) to the client."""
-        return any(s.write_pending(url, client_id) for s in self.shards)
-
-    def recovery_pending(self, proxy: str) -> bool:
-        """True while any shard owes a post-crash INVALIDATE-by-server."""
-        return any(s.recovery_pending(proxy) for s in self.shards)
-
-    def change_pending_detection(self, url: str) -> bool:
-        """True when a change has not yet been seen by any accelerator."""
-        return any(s.change_pending_detection(url) for s in self.shards)
-
-    # -- aggregate counters (read by the results/metrics layers) ------------
-
-    @property
-    def requests_handled(self) -> int:
-        """Requests completed across all shards."""
-        return sum(s.requests_handled for s in self.shards)
-
-    @property
-    def replies_200(self) -> int:
-        """200 replies across all shards."""
-        return sum(s.replies_200 for s in self.shards)
-
-    @property
-    def replies_304(self) -> int:
-        """304 replies across all shards."""
-        return sum(s.replies_304 for s in self.shards)
-
-    @property
-    def invalidations_sent(self) -> int:
-        """INVALIDATE messages delivered, across all shards."""
-        return sum(s.invalidations_sent for s in self.shards)
-
-    @property
-    def invalidations_abandoned(self) -> int:
-        """Abandoned deliveries queued for flush-on-contact, all shards."""
-        return sum(s.invalidations_abandoned for s in self.shards)
-
-    @property
-    def disk_reads(self) -> int:
-        """Disk reads across all shards."""
-        return sum(s.disk_reads for s in self.shards)
-
-    @property
-    def disk_writes(self) -> int:
-        """Disk writes across all shards."""
-        return sum(s.disk_writes for s in self.shards)
-
-    @property
-    def piggybacked_urls(self) -> int:
-        """Piggybacked invalidation URLs across all shards (PSI)."""
-        return sum(s.piggybacked_urls for s in self.shards)
-
-    @property
-    def batches_sent(self) -> int:
-        """Batched INVALIDATE messages delivered, across all shards."""
-        return sum(s.batches_sent for s in self.shards)
-
-    @property
-    def batched_invalidations(self) -> int:
-        """Individual (url, client) pairs delivered in batches."""
-        return sum(s.batched_invalidations for s in self.shards)
-
-    @property
-    def invalidation_times(self) -> List[float]:
-        """Fan-out durations pooled across shards (open -> delivered)."""
-        times: List[float] = []
-        for shard in self.shards:
-            times.extend(shard.invalidation_times)
-        return times
-
-    @property
-    def lease_override(self) -> Optional[float]:
-        """Adaptive-lease override (shared by every shard)."""
-        return self.shards[0].lease_override
-
-    @lease_override.setter
-    def lease_override(self, value: Optional[float]) -> None:
-        """Set the override on every shard."""
-        for shard in self.shards:
-            shard.lease_override = value
 
     # -- site-list handoff --------------------------------------------------
 

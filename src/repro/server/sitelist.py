@@ -111,9 +111,9 @@ class InvalidationTable:
         #: length statistics are "taken among the site lists of files that
         #: have been modified").
         self.modified_urls: set = set()
-        #: Historical max length of each modified URL's site list at the
-        #: moment of its modifications.
-        self._lengths_at_modification: List[int] = []
+        #: Live site-list length of each modified URL at the moment of
+        #: each of its modifications, in modification order.
+        self.lengths_at_modification: List[int] = []
         #: Expired entries dropped over this table's lifetime (the
         #: lease-grace eviction counter the results layer surfaces).
         self.evictions = 0
@@ -150,7 +150,7 @@ class InvalidationTable:
         self.modified_urls.add(url)
         lst = self.site_list(url)
         live = lst.live_entries(now)
-        self._lengths_at_modification.append(len(live))
+        self.lengths_at_modification.append(len(live))
         return live
 
     def clear_after_invalidation(
@@ -234,7 +234,7 @@ class InvalidationTable:
         Lengths are sampled at modification time, matching the paper's
         per-invalidation costs.
         """
-        lengths = self._lengths_at_modification
+        lengths = self.lengths_at_modification
         if not lengths:
             return (0.0, 0)
         return (sum(lengths) / len(lengths), max(lengths))

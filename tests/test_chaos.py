@@ -231,7 +231,7 @@ class TestAuditorUnit:
         staleness_age = 3.0
 
     def test_unexcused_staleness_is_violation(self):
-        auditor = ConsistencyAuditor(self._Server(), strong=True)
+        auditor = ConsistencyAuditor([self._Server()], strong=True)
         auditor.on_stale_serve(self._Proxy(), self._Entry(), self._Outcome())
         assert auditor.violation_count == 1
         assert auditor.violations[0].kind == "silent-staleness"
@@ -239,10 +239,26 @@ class TestAuditorUnit:
     def test_origin_down_excuses(self):
         server = self._Server()
         server.up = False
-        auditor = ConsistencyAuditor(server, strong=True)
+        auditor = ConsistencyAuditor([server], strong=True)
         auditor.on_stale_serve(self._Proxy(), self._Entry(), self._Outcome())
         assert auditor.violation_count == 0
         assert auditor.allowed["origin-down"] == 1
+
+    def test_any_site_excuses(self):
+        # A cluster's shards are asked one by one: one shard's open
+        # obligation, or one shard being down, excuses the serve.
+        owing = self._Server()
+        owing.write_pending = lambda url, cid: True
+        down = self._Server()
+        down.up = False
+        for sites, reason in (
+            ([self._Server(), owing], "write-pending"),
+            ([self._Server(), down], "origin-down"),
+        ):
+            auditor = ConsistencyAuditor(sites, strong=True)
+            auditor.on_stale_serve(self._Proxy(), self._Entry(), self._Outcome())
+            assert auditor.violation_count == 0
+            assert auditor.allowed == {reason: 1}
 
     class _Parent:
         def __init__(self, address, server_address, owed=()):
@@ -258,7 +274,7 @@ class TestAuditorUnit:
         ]
         proxy = self._Proxy()
         proxy.server_address = "mid"
-        return ConsistencyAuditor(server, strong=True, parents=parents), proxy
+        return ConsistencyAuditor([server], strong=True, parents=parents), proxy
 
     @pytest.mark.parametrize(
         "owed_by_mid, owed_by_top, origin_owes, reason",

@@ -149,7 +149,7 @@ class TestAuditorBehindParent:
         # INVALIDATE to the parent, and counted silent staleness; the
         # parent still owed child-1 the forward.
         sim, net, fs, server, parent, children = build()
-        auditor = ConsistencyAuditor(server, strong=True, parents=[parent])
+        auditor = ConsistencyAuditor([server], strong=True, parents=[parent])
         for child in children:
             child.observer = auditor
         request(sim, children[0], "c1", "/a")

@@ -156,7 +156,7 @@ class TestIostatSampler:
         net = Network(sim, latency=FixedLatency(0.0))
         fs = FileStore.from_catalog({"/a": 100})
         server = ServerSite(sim, net, "server", fs)
-        sampler = IostatSampler(sim, server)
+        sampler = IostatSampler(sim, [server])
 
         # Hold the CPU for 30 of the first 60 seconds.
         server.cpu.acquire(
@@ -170,7 +170,7 @@ class TestIostatSampler:
         net = Network(sim, latency=FixedLatency(0.0))
         fs = FileStore.from_catalog({"/a": 100})
         server = ServerSite(sim, net, "server", fs)
-        sampler = IostatSampler(sim, server)
+        sampler = IostatSampler(sim, [server])
         server.disk_reads = 40
         server.disk_writes = 20
         sim.run(until=20.0)

@@ -55,7 +55,7 @@ class Torture:
             )
             for i in range(2)
         ]
-        self.auditor = ConsistencyAuditor(self.server, strong=True)
+        self.auditor = ConsistencyAuditor([self.server], strong=True)
         for proxy in self.proxies:
             proxy.observer = self.auditor
         self.server_down = False
