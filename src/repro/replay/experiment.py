@@ -165,9 +165,9 @@ class ExperimentConfig:
         Raises :class:`ValueError` with actionable messages — string
         enums suggest the closest valid spelling, so a typo like
         ``detection="notfy"`` points at ``"notify"`` instead of only
-        listing the alternatives.  Construction runs this automatically;
-        callers assembling configs via ``dataclasses.replace`` or the
-        :mod:`repro.api` facade can call it again for free.
+        listing the alternatives.  Construction runs this automatically,
+        and so does ``dataclasses.replace``; the config is frozen, so a
+        valid config stays valid.
         """
         if self.mean_lifetime <= 0:
             raise ValueError("mean_lifetime must be positive")
