@@ -50,6 +50,13 @@ lifetime, so the tier is not all up while proxies serve copies whose
 INVALIDATE the crashed shard could not send.  It was recorded while the
 cluster still mirrored the single accelerator's ``up`` flag.
 
+``invalidation-audit-shards4-rebalance`` is the one case that routes
+around a planned drain: ``shard-2`` is drained from 250 s to 400 s of a
+4-shard batched replay while ``shard-3`` is crashed from 300 s to 450 s,
+so a drained and a crashed shard are excluded at once and the site
+lists move at the drain, the restore and the recovery.  It was recorded
+while the cluster still looked each request's owner up on the hash ring.
+
 ``adaptive_lease-1k-audit`` is the one case that runs the adaptive-lease
 controller.  Its 1 KB state budget makes the controller shrink the lease
 (8 adjustments, 420 s down to 34.6 s), and the IMS traffic that forces
@@ -129,6 +136,17 @@ _SHARD_1_CRASH = FaultSchedule(
     faults=(Fault("shard_crash", 100.0, 400.0, target="shard-1"),),
 )
 
+#: A planned drain of shard-2 overlapped by a crash of shard-3: both the
+#: drained and the crashed set feed the cluster's routing exclusions.
+_SHARD_2_DRAIN_SHARD_3_CRASH = FaultSchedule(
+    seed=0,
+    horizon=500.0,
+    faults=(
+        Fault("shard_rebalance", 250.0, 400.0, target="shard-2"),
+        Fault("shard_crash", 300.0, 450.0, target="shard-3"),
+    ),
+)
+
 _GIVE_UP = {"retry_interval": 5.0, "max_retries": 2}
 
 
@@ -188,6 +206,11 @@ def _cases():
          "batch_window": 1.0, "batch_max": 32,
          "fault_schedule": _SHARD_1_CRASH},
     )
+    cases["invalidation-audit-shards4-rebalance"] = (
+        "invalidation",
+        {"audit": True, "shards": 4, "batch_max": 32,
+         "fault_schedule": _SHARD_2_DRAIN_SHARD_3_CRASH},
+    )
     cases["adaptive_lease-1k-audit"] = (
         "adaptive_lease",
         {"audit": True, "protocol_kwargs": {"state_budget_bytes": 1024}},
@@ -229,6 +252,9 @@ REACHES = {
     ),
     "invalidation-audit-shards4-shardcrash": lambda r: (
         r.chaos["allowed_staleness"].get("origin-down", 0) > 0
+    ),
+    "invalidation-audit-shards4-rebalance": lambda r: (
+        r.cluster["rebalances"] > 0 and r.cluster["handoffs"] > 0
     ),
     # At the default 64 KB budget the case makes no IMS at all.
     "adaptive_lease-1k-audit": lambda r: r.ims > 0,
