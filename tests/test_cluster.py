@@ -19,24 +19,31 @@ Four layers of guarantees:
    with zero auditor violations, shard faults without a cluster are
    rejected loudly, and the site-list lease-grace eviction counts and
    reclaims correctly.
+5. **Routing** — the cluster's remembered owner of a document always
+   equals a fresh ring's answer for the current crashes and drains, and
+   an INVALIDATE one shard abandoned is re-sent at the proxy's next
+   request even when another shard serves that request.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.faults import Fault, FaultSchedule, apply_schedule, random_schedule
 from repro.core.adaptive_ttl import adaptive_ttl
 from repro.core.invalidation import invalidation
 from repro.core.leases import lease_invalidation, two_tier_lease
 from repro.core.polling import poll_every_time
+from repro.http import HttpResponse, Invalidate, make_get
 from repro.net import FixedLatency, Network
 from repro.obs import Observation
 from repro.proxy import Cache, ProxyCache
 from repro.replay.experiment import ExperimentConfig, run_experiment
 from repro.replay.serialize import result_to_dict
-from repro.server import FileStore, ServerSite
-from repro.server.cluster import HashRing
+from repro.server import AcceleratorConfig, FileStore, ServerSite
+from repro.server.cluster import AcceleratorCluster, HashRing
 from repro.server.sitelist import InvalidationTable
 from repro.sim import RngRegistry, Simulator
 from repro.traces import generate_trace, profile
@@ -473,3 +480,107 @@ def test_batch_window_violations_are_reported(batch_window, expected):
 @pytest.mark.parametrize("batch_window", [0.5, 1.0, 5.0])
 def test_batch_window_run_is_auditor_clean(batch_window):
     assert _clarknet_batched(batch_window).chaos["violation_count"] == 0
+
+
+# -- 6. routing: remembered owners and cross-shard flush-on-contact --------
+
+_DOCS = {f"/doc/{i}.html": 1000 + i for i in range(64)}
+
+
+def _build_cluster(num_shards=4, accel=None):
+    sim = Simulator()
+    net = Network(sim, latency=FixedLatency(0.001), connect_timeout=0.5)
+    fs = FileStore.from_catalog(_DOCS)
+    cluster = AcceleratorCluster(
+        sim, net, "server", fs, accel=accel, num_shards=num_shards
+    )
+    return sim, net, fs, cluster
+
+
+_SHARD_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(
+                ["crash_shard", "recover_shard", "drain_shard", "restore_shard"]
+            ),
+            st.integers(min_value=0, max_value=3),
+        ),
+        st.tuples(st.sampled_from(["crash", "recover"]), st.none()),
+    ),
+    max_size=25,
+)
+
+
+@given(_SHARD_OPS)
+@settings(max_examples=40, deadline=None)
+def test_owner_of_matches_a_fresh_ring_after_every_membership_change(ops):
+    sim, net, fs, cluster = _build_cluster()
+    addresses = [shard.address for shard in cluster.shards]
+    fresh = HashRing(addresses)
+    drained = set()
+
+    def check():
+        crashed = {shard.address for shard in cluster.shards if not shard.up}
+        for url in _DOCS:
+            expected = fresh.owner(url, exclude=crashed | drained)
+            if expected is None:  # everything excluded: the primary owner
+                expected = fresh.owner(url)
+            assert cluster.owner_of(url) == expected
+
+    check()
+    for op, index in ops:
+        if index is None:
+            getattr(cluster, op)()
+        else:
+            getattr(cluster, op)(addresses[index])
+            if op == "drain_shard":
+                drained.add(addresses[index])
+            elif op == "restore_shard":
+                drained.discard(addresses[index])
+        check()
+
+
+def test_abandoned_invalidate_is_resent_when_another_shard_serves_the_proxy():
+    accel = AcceleratorConfig(invalidation=True, max_retries=0)
+    sim, net, fs, cluster = _build_cluster(accel=accel)
+    urls = sorted(_DOCS)
+    stale = urls[0]
+    owner = cluster.owner_of(stale)
+    other = next(url for url in urls if cluster.owner_of(url) != owner)
+    shard = cluster._by_address[owner]
+    arrivals = []
+    net.register("p2", lambda message: arrivals.append((sim.now, message)))
+    net.send(make_get("p2", "server", stale, client_id="c1"))
+    sim.run()
+    net.set_down("p2")
+    fs.modify(stale, now=sim.now)
+    cluster.check_in(stale)
+    sim.run()
+    assert shard.invalidations_abandoned == 1
+    net.set_up("p2")
+    del arrivals[:]
+
+    # The next request goes to a different shard; the contact is still
+    # the owner's chance to re-send, at the instant the request arrives.
+    start = sim.now
+    net.send(make_get("p2", "server", other, client_id="c2"))
+    sim.run()
+    (inval_at, inval), (reply_at, reply) = sorted(
+        arrivals, key=lambda arrival: arrival[0]
+    )
+    assert isinstance(inval, Invalidate) and inval.url == stale
+    assert inval.src == owner
+    arrived = start + 0.001
+    assert inval_at == pytest.approx(
+        arrived + shard.costs.cpu_invalidate_msg + 0.001
+    )
+    assert isinstance(reply, HttpResponse) and reply.url == other
+    assert reply.src != owner
+    assert not shard.write_pending(stale, "c1")
+
+    # Re-sent once: a further contact owes nothing.
+    del arrivals[:]
+    net.send(make_get("p2", "server", other, client_id="c2"))
+    sim.run()
+    assert not [m for _at, m in arrivals if isinstance(m, Invalidate)]
+    assert shard.invalidations_sent == 1
