@@ -5,11 +5,7 @@ from .coordinator import CoordinatorError, TimeCoordinator
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 from .parallel import ParallelSweepRunner, SweepPointFailed
 from .pseudo_client import PseudoClient, shard_for_client, shard_records
-from .results import (
-    comparison_rows,
-    format_comparison_table,
-    format_invalidation_costs,
-)
+from .results import format_comparison_table, format_invalidation_costs
 from .serialize import (
     read_checkpoint,
     read_results_json,
@@ -37,7 +33,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "comparison_rows",
     "format_comparison_table",
     "format_invalidation_costs",
     "audit_result",

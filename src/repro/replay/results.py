@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 from .experiment import ExperimentResult
 
-__all__ = ["format_comparison_table", "format_invalidation_costs", "comparison_rows"]
+__all__ = ["format_comparison_table", "format_invalidation_costs"]
 
 
 def _fmt_bytes(n: int) -> str:

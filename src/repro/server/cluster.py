@@ -24,6 +24,18 @@ consistency story intact:
   pools and queries them itself (iostat, end-of-run results, the
   auditor, per-site hooks).  ``shards=1`` builds no cluster at all.
 
+Routing a request costs about one dict lookup, because two things are
+cached.  The cluster remembers each document's serving shard
+(``url -> shard``); that answer depends only on the ring membership,
+which never changes after the cluster is built, and on the excluded
+(crashed or drained) shards, so ``_refresh_excluded``, the one place the
+exclusions change, is the one place the memo is cleared.  And a node's
+virtual-node ring points depend only on its name and ``vnodes``, so
+:class:`HashRing` hashes them once per process, for every ring that
+holds the node; a document's own ring point stays per ring.  The
+cluster-wide flush-on-contact asks a non-owner shard to re-send only
+when it owes the contacting proxy an abandoned INVALIDATE.
+
 Failover reuses the single accelerator's recovery semantics.  When a
 shard crashes, the hash ring routes its documents to the surviving
 shards (they share the one :class:`~repro.server.filestore.FileStore`);
@@ -63,6 +75,10 @@ class HashRing:
     membership — replays and parallel sweeps agree on placement.
     """
 
+    #: ``(node, vnodes)`` -> the node's virtual-node ring entries.  They
+    #: depend on nothing else, so every ring in the process shares them.
+    _node_points: Dict[Tuple[str, int], Tuple[Tuple[int, str], ...]] = {}
+
     def __init__(self, nodes: Iterable[str] = (), vnodes: int = 64) -> None:
         if vnodes < 1:
             raise ValueError("need at least one virtual node per node")
@@ -90,9 +106,12 @@ class HashRing:
         if node in self._nodes:
             return
         self._nodes.add(node)
-        self._ring.extend(
-            (self._hash(f"{node}#{i}"), node) for i in range(self.vnodes)
-        )
+        points = self._node_points.get((node, self.vnodes))
+        if points is None:
+            points = self._node_points[node, self.vnodes] = tuple(
+                (self._hash(f"{node}#{i}"), node) for i in range(self.vnodes)
+            )
+        self._ring.extend(points)
         self._rebuild()
 
     def remove_node(self, node: str) -> None:
@@ -186,6 +205,10 @@ class AcceleratorCluster:
         self._crashed: Set[str] = set()
         self._drained: Set[str] = set()
         self._excluded: Set[str] = set()
+        #: url -> the shard serving it under the current exclusions.  The
+        #: ring's membership never changes after construction, so only
+        #: :meth:`_refresh_excluded` has to forget these.
+        self._owners: Dict[str, ServerSite] = {}
 
         #: Requests routed per shard address (the imbalance panel input).
         self.requests_routed: Dict[str, int] = {
@@ -200,30 +223,41 @@ class AcceleratorCluster:
 
     # -- routing ------------------------------------------------------------
 
+    def _owner(self, url: str) -> ServerSite:
+        """The shard serving ``url``, remembered until the exclusions change."""
+        shard = self._owners.get(url)
+        if shard is None:
+            owner = self.ring.owner(url, exclude=self._excluded)
+            if owner is None:
+                # Whole tier down/drained: fall back to the primary owner
+                # (its down state swallows the request, like a dead server).
+                owner = self.ring.owner(url)
+            shard = self._owners[url] = self._by_address[owner]
+        return shard
+
     def owner_of(self, url: str) -> str:
         """The address of the shard currently serving ``url``."""
-        owner = self.ring.owner(url, exclude=self._excluded)
-        if owner is None:
-            # Whole tier down/drained: fall back to the primary owner
-            # (its down state swallows the request, like a dead server).
-            owner = self.ring.owner(url)
-        return owner
+        return self._owner(url).address
 
     def _refresh_excluded(self) -> None:
         self._excluded = self._crashed | self._drained
+        self._owners.clear()
 
     def _receive(self, message: Message) -> None:
         if not isinstance(message, HttpRequest):
             return
-        owner = self.owner_of(message.url)
-        # Cluster-wide flush-on-next-contact: any *other* shard owing
+        shard = self._owners.get(message.url)
+        if shard is None:
+            shard = self._owner(message.url)
+        # Cluster-wide flush-on-next-contact: any *other* live shard owing
         # this proxy abandoned invalidations uses the contact to retry
         # (the owner handles its own debt when it receives the request).
-        for shard in self.shards:
-            if shard.address != owner and shard.up:
-                shard.note_contact(message.src)
-        self.requests_routed[owner] += 1
-        shard = self._by_address[owner]
+        # A debt is rare, so each shard is asked only when it has one.
+        proxy = message.src
+        for other in self.shards:
+            if proxy in other._owed and other is not shard and other.up:
+                other.note_contact(proxy)
+        self.requests_routed[shard.address] += 1
         message.dst = shard.address
         shard._receive(message)
 
@@ -231,11 +265,11 @@ class AcceleratorCluster:
 
     def check_in(self, url: str) -> None:
         """Route the check-in utility's report to the owning shard."""
-        self._by_address[self.owner_of(url)].check_in(url)
+        self._owner(url).check_in(url)
 
     def check_document(self, url: str) -> bool:
         """Route the browser-based mtime check to the owning shard."""
-        return self._by_address[self.owner_of(url)].check_document(url)
+        return self._owner(url).check_document(url)
 
     # -- site-list handoff --------------------------------------------------
 
@@ -267,25 +301,15 @@ class AcceleratorCluster:
         for shard in self.shards:
             if not shard.up:
                 continue
-            stale = [
-                url
-                for url in shard.table._lists
-                if self.owner_of(url) != shard.address
-            ]
+            lists = shard.table._lists
+            stale = [url for url in lists if self._owner(url) is not shard]
             orphan_seen = [
                 url
                 for url in shard._seen_mtime
-                if url not in shard.table._lists
-                and self.owner_of(url) != shard.address
+                if url not in lists and self._owner(url) is not shard
             ]
-            for url in stale:
-                self._transfer_url(
-                    shard, self._by_address[self.owner_of(url)], url
-                )
-            for url in orphan_seen:
-                self._transfer_url(
-                    shard, self._by_address[self.owner_of(url)], url
-                )
+            for url in stale + orphan_seen:
+                self._transfer_url(shard, self._owner(url), url)
 
     # -- shard failure / rebalance ------------------------------------------
 

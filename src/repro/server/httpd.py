@@ -71,6 +71,10 @@ __all__ = ["ServerSite"]
 #: one INVALIDATE discharges, or that are still owed.
 Pairs = Dict[Tuple[str, str], float]
 
+#: The key of an owed INVALIDATE-by-server among the pairs owed to a
+#: proxy (its value is unused); the flush sends it before the pairs.
+_BY_SERVER = (None, None)
+
 
 class _Run:
     """One run of :meth:`ServerSite._run`: its steps and where it is."""
@@ -142,9 +146,11 @@ class ServerSite:
         self._pending_inval: Pairs = {}
         self._pending_server_inval: Set[str] = set()
         #: Abandoned deliveries (``max_retries`` exhausted) queued for
-        #: re-send on the target proxy's next contact with the server.
-        self._dirty_by_proxy: Dict[str, Pairs] = {}
-        self._dirty_server_inval: Set[str] = set()
+        #: re-send on the target proxy's next contact with the server,
+        #: ``proxy -> pairs``; the key :data:`_BY_SERVER` among a proxy's
+        #: pairs stands for an INVALIDATE-by-server.  A proxy is a key
+        #: only while something is owed to it.
+        self._owed: Dict[str, Pairs] = {}
         #: INVALIDATE runs in flight, in start order; a crash ends them.
         self._runs: Dict[_Run, None] = {}
         #: Operator-configured fleet membership: every proxy host that may
@@ -553,10 +559,11 @@ class ServerSite:
 
     def _requeue(self, message: Invalidate, pairs: Pairs) -> None:
         """Owe an undelivered INVALIDATE to its proxy's next contact."""
+        owed = self._owed.setdefault(message.dst, {})
         if message.server is not None:
-            self._dirty_server_inval.add(message.dst)
+            owed[_BY_SERVER] = 0.0
         else:
-            self._dirty_by_proxy.setdefault(message.dst, {}).update(pairs)
+            owed.update(pairs)
 
     def note_contact(self, proxy: str) -> None:
         """Re-send the abandoned INVALIDATEs owed to ``proxy``, if any.
@@ -565,14 +572,13 @@ class ServerSite:
         reachable right now.  The flush claims the CPU at once, so it
         goes before the contacting request's accept stage.
         """
-        owed = self._dirty_by_proxy.pop(proxy, None)
-        if owed is None and proxy not in self._dirty_server_inval:
+        owed = self._owed.pop(proxy, None)
+        if owed is None:
             return  # the common case: nothing owed
         steps = []
-        if proxy in self._dirty_server_inval:
-            self._dirty_server_inval.discard(proxy)
+        if owed.pop(_BY_SERVER, None) is not None:
             steps.append((self._server_message(proxy), {}, self._requeue))
-        for (url, cid), opened in (owed or {}).items():
+        for (url, cid), opened in owed.items():
             message = make_invalidate_url(
                 self.address, proxy, url, cid, wire=self.wire
             )

@@ -12,14 +12,13 @@ Public surface::
     assert fired == ["done"] and sim.now == 1.0
 """
 
-from .core import Simulator, StopSimulation
+from .core import Simulator
 from .resources import Claim, Resource
 from .rng import RngRegistry
 from .tracing import EventTracer
 
 __all__ = [
     "Simulator",
-    "StopSimulation",
     "Resource",
     "Claim",
     "RngRegistry",

@@ -36,7 +36,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional
 
-__all__ = ["Simulator", "StopSimulation"]
+__all__ = ["Simulator"]
 
 _INF = float("inf")
 

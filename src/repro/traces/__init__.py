@@ -12,7 +12,7 @@ from .stats import (
     request_interval_stats,
 )
 from .summary import TraceSummary, summarize
-from .synthetic import client_id, document_url, generate_trace
+from .synthetic import client_id, generate_trace
 from .zipf import ZipfSampler
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "DAY",
     "HOUR",
     "generate_trace",
-    "document_url",
     "client_id",
     "summarize",
     "TraceSummary",

@@ -23,7 +23,7 @@ from .catalog import TraceProfile
 from .record import Trace, TraceRecord
 from .zipf import ZipfSampler
 
-__all__ = ["generate_trace", "document_url", "client_id"]
+__all__ = ["generate_trace", "client_id"]
 
 #: Lognormal shape parameter for document sizes.
 _SIZE_SIGMA = 1.4

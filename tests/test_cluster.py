@@ -1,6 +1,6 @@
 """Sharded accelerator cluster tests.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 1. **Single accelerator** — ``shards=1`` runs produce serialized
    results with no cluster artefacts, for every protocol family (the
@@ -138,7 +138,9 @@ def test_ring_exclude_equals_removal():
 
 def test_ring_hashes_each_key_once_across_membership_changes(monkeypatch):
     # A key's ring point does not depend on membership, so the ring
-    # hashes each routed key once and still follows every change.
+    # hashes each routed key once and still follows every change.  A
+    # node's virtual-node points depend on the node alone, so they are
+    # hashed once per process, whichever ring first holds the node.
     members = [n for n in _NODES if n != "shard-4"] + ["shard-9"]
     expected = [HashRing(members, vnodes=64).owner(k) for k in _KEYS]
     ring = HashRing(_NODES, vnodes=64)
@@ -152,7 +154,13 @@ def test_ring_hashes_each_key_once_across_membership_changes(monkeypatch):
     ring.remove_node("shard-4")
     ring.add_node("shard-9")
     assert [ring.owner(k) for k in _KEYS] == expected
-    assert len(hashed) == 64  # the new node's virtual nodes, no key
+    assert len(hashed) == 0  # shard-9's points were hashed for ``expected``
+    # A node no ring has held costs its 64 virtual nodes, and no key.
+    ring.add_node("shard-new-to-this-process")
+    owners = [ring.owner(k) for k in _KEYS]
+    assert len(hashed) == 64
+    assert not set(hashed) & set(_KEYS)
+    assert "shard-new-to-this-process" in owners
 
 
 def test_ring_len_and_nodes():
@@ -487,13 +495,11 @@ def test_batch_window_run_is_auditor_clean(batch_window):
 _DOCS = {f"/doc/{i}.html": 1000 + i for i in range(64)}
 
 
-def _build_cluster(num_shards=4, accel=None):
+def _build_cluster(accel=None):
     sim = Simulator()
     net = Network(sim, latency=FixedLatency(0.001), connect_timeout=0.5)
     fs = FileStore.from_catalog(_DOCS)
-    cluster = AcceleratorCluster(
-        sim, net, "server", fs, accel=accel, num_shards=num_shards
-    )
+    cluster = AcceleratorCluster(sim, net, "server", fs, accel=accel, num_shards=4)
     return sim, net, fs, cluster
 
 
