@@ -386,3 +386,44 @@ class TestFlushOnContact:
         )
         assert reply_at == pytest.approx(reply_sent + 0.001)
         assert not site.write_pending("/a", "c1")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "crash() keeps _owed, so the first contact after recovery "
+            "re-sends the pre-crash per-URL INVALIDATE on top of the "
+            "recovery INVALIDATE-by-server"
+        ),
+    )
+    def test_recovery_does_not_resend_invalidates_abandoned_before_the_crash(
+        self,
+    ):
+        accel = AcceleratorConfig(invalidation=True, max_retries=0)
+        sim, net, fs, site, inbox = setup_site(accel=accel)
+        arrivals = []
+        net.register("p2", lambda message: arrivals.append((sim.now, message)))
+        net.send(make_get("p2", "server", "/a", client_id="c1"))
+        sim.run()
+        net.set_down("p2")
+        fs.modify("/a", now=sim.now)
+        site.check_in("/a")
+        sim.run()
+        assert site.invalidations_abandoned == 1
+        net.set_up("p2")
+        site.crash()
+        site.recover()
+        recovered = sim.now
+        net.send(make_get("p2", "server", "/b", client_id="c2"))
+        sim.run()
+        assert any(
+            isinstance(message, Invalidate) and message.server == "server"
+            for _, message in arrivals
+        )
+        resent = [
+            at
+            for at, message in arrivals
+            if isinstance(message, Invalidate)
+            and message.url == "/a"
+            and at >= recovered
+        ]
+        assert resent == []
