@@ -7,11 +7,14 @@ skew, and shrinks any violating schedule to a minimal reproducer.
 
 Entry points: :func:`run_campaign` (library), ``python -m repro chaos``
 (CLI).  See ``docs/chaos.md``.
+
+The fault schedules and the auditor are defined in the replay package
+(:mod:`repro.replay.faults`, :mod:`repro.replay.auditor`), because every
+replay arms the one and runs the other; they are re-exported here.
 """
 
-from .auditor import ConsistencyAuditor, ViolationRecord
-from .campaign import CampaignReport, ScheduleVerdict, run_campaign, shrink_schedule
-from .faults import (
+from ..replay.auditor import ConsistencyAuditor, ViolationRecord
+from ..replay.faults import (
     FAULT_KINDS,
     MAX_CLOCK_SKEW,
     Fault,
@@ -19,6 +22,7 @@ from .faults import (
     apply_schedule,
     random_schedule,
 )
+from .campaign import CampaignReport, ScheduleVerdict, run_campaign, shrink_schedule
 
 __all__ = [
     "Fault",

@@ -13,13 +13,13 @@ strong consistency under faults?":
 3. run every schedule — serially or through a
    :class:`repro.replay.ParallelSweepRunner` (atomic JSON checkpoints,
    resume, per-point timeout) — with the
-   :class:`~repro.chaos.auditor.ConsistencyAuditor` attached;
+   :class:`~repro.replay.auditor.ConsistencyAuditor` attached;
 4. **shrink** every violating schedule to a minimal reproducer with a
    greedy fault-removal loop: repeatedly drop the first fault whose
    removal keeps the violation alive, until no single removal does.
 
 For lease-granting protocols the campaign raises the accelerator's
-``lease_grace`` above :data:`~repro.chaos.faults.MAX_CLOCK_SKEW`, the
+``lease_grace`` above :data:`~repro.replay.faults.MAX_CLOCK_SKEW`, the
 deployment rule that makes bounded clock skew survivable.
 """
 
@@ -31,8 +31,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..api import run_experiment, run_sweep
 from ..replay.experiment import ExperimentConfig, ExperimentResult
+from ..replay.faults import MAX_CLOCK_SKEW, FaultSchedule, random_schedule
 from ..replay.sweep import derive_point_seed
-from .faults import MAX_CLOCK_SKEW, FaultSchedule, random_schedule
 
 __all__ = [
     "ScheduleVerdict",

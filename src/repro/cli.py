@@ -50,9 +50,22 @@ import sys
 from typing import List, Optional
 
 from . import __version__
+from . import bench as benchmod
 from .api import PROTOCOLS, build_protocol
+from .chaos import run_campaign
 from .core import simulate_stream, symbolic_counts
 from .core.analysis import timed_stream_from_ops
+from .obs import (
+    MetricsRegistry,
+    Observation,
+    SpanSink,
+    check_report,
+    collect_report,
+    filter_spans,
+    format_timeline,
+    read_spans,
+    render_report,
+)
 from .replay import (
     ExperimentConfig,
     ParallelSweepRunner,
@@ -60,6 +73,7 @@ from .replay import (
     format_comparison_table,
     format_invalidation_costs,
     result_to_dict,
+    results_to_json,
     run_experiment,
     sweep,
     sweep_table,
@@ -497,8 +511,6 @@ def _cmd_replay(args, out) -> int:
     protocol = build_protocol(args.protocol)
     result = run_experiment(_make_config(args, protocol))
     if args.json:
-        from .replay import results_to_json
-
         print(results_to_json([result]), file=out)
         return 0
     print(format_comparison_table([result]), file=out)
@@ -536,8 +548,6 @@ def _cmd_compare(args, out) -> int:
     for name in ("polling", "invalidation", "ttl"):
         results.append(run_experiment(_make_config(args, build_protocol(name))))
     if args.json:
-        from .replay import results_to_json
-
         print(results_to_json(results), file=out)
         return 0
     print(format_comparison_table(results), file=out)
@@ -683,8 +693,6 @@ def _cmd_table(args, out) -> int:
 def _cmd_report(args, out) -> int:
     import time as _time
 
-    from .obs.report import check_report, collect_report, render_report
-
     if args.check:
         return check_report(out=out)
     generated = (
@@ -723,15 +731,6 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
-    from .obs import (
-        MetricsRegistry,
-        Observation,
-        SpanSink,
-        filter_spans,
-        format_timeline,
-        read_spans,
-    )
-
     if args.view:
         spans = filter_spans(
             read_spans(args.view),
@@ -784,8 +783,6 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_chaos(args, out) -> int:
     import json
-
-    from .chaos import run_campaign
 
     protocol = build_protocol(args.protocol)
     base = _make_config(args, protocol)
@@ -881,8 +878,6 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     import os
-
-    from . import bench as benchmod
 
     if args.profile:
         if args.profile not in benchmod.KERNEL_BENCHMARKS:

@@ -21,11 +21,11 @@ did), so TTL predictions are indicative rather than tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..traces.record import Trace
+from ..traces.stats import pair_streams
 from ..workload.modifier import Modification
-from ..workload.streams import MODIFY, READ
 from .adaptive_ttl import AdaptiveTtlPolicy
 from .analysis import MessageCounts, simulate_stream
 
@@ -43,32 +43,6 @@ class TracePrediction:
     @property
     def total_messages(self) -> int:
         return self.counts.total_messages
-
-
-def pair_streams(
-    trace: Trace, modifications: Sequence[Modification]
-) -> Dict[Tuple[str, str], List[Tuple[float, str]]]:
-    """Build the timed r/m stream for every (client, url) pair.
-
-    Each pair's stream holds that client's requests for the URL plus all
-    of the URL's modifications, time-merged (modification-first on ties,
-    matching the write-completion convention).
-    """
-    reads: Dict[Tuple[str, str], List[float]] = {}
-    for record in trace.records:
-        reads.setdefault((record.client, record.url), []).append(record.timestamp)
-
-    mods_by_url: Dict[str, List[float]] = {}
-    for mod in modifications:
-        mods_by_url.setdefault(mod.url, []).append(mod.time)
-
-    streams: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
-    for (client, url), read_times in reads.items():
-        events = [(t, 0, MODIFY) for t in mods_by_url.get(url, ())]
-        events.extend((t, 1, READ) for t in read_times)
-        events.sort()
-        streams[(client, url)] = [(t, op) for t, _, op in events]
-    return streams
 
 
 def _sum_counts(counts: Sequence[MessageCounts]) -> MessageCounts:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..sim.tracing import EventTracer
 from .registry import MetricsRegistry
 from .spans import SpanSink
 
@@ -108,8 +109,6 @@ class Observation:
         self._coordinator = coordinator
         self._duration = duration
         if self.deep:
-            from ..sim.tracing import EventTracer
-
             self.tracer = EventTracer(sim, keep_last=self.deep_keep_last)
 
     def phase(self) -> str:

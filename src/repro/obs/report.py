@@ -35,6 +35,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..api import build_protocol, run_sweep
+from ..bench import git_sha as bench_git_sha
+from ..core import simulate_stream, symbolic_counts
+from ..core.analysis import timed_stream_from_ops
+from ..replay import ExperimentConfig, read_checkpoint, result_to_dict
+from ..sim import RngRegistry
+from ..traces import generate_trace, summarize
+from ..traces import profile as lookup_profile
+from ..workload import DAYS, count_r_ri, parse_stream
+
 __all__ = [
     "REPORT_EXPERIMENTS",
     "REPORT_PROTOCOLS",
@@ -177,9 +187,6 @@ def build_manifest(
     a caller explicitly passes a timestamp — the committed ``RESULTS.md``
     omits it so report regeneration is diff-clean).
     """
-    from ..bench import git_sha as bench_git_sha
-    from ..replay import result_to_dict
-
     config = {
         "scale": scale,
         "seed": seed,
@@ -217,8 +224,6 @@ def load_checkpoint_results(
     ``ValueError`` when any required (trace, lifetime, protocol) cell is
     missing, naming the absent labels.
     """
-    from ..replay.serialize import read_checkpoint
-
     found: Dict[str, object] = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
         try:
@@ -271,13 +276,6 @@ def collect_report(
             accelerator and the report byte-identical to earlier
             releases.  A sharded matrix adds a shard-balance panel.
     """
-    from ..api import run_sweep
-    from ..replay import ExperimentConfig
-    from ..sim import RngRegistry
-    from ..traces import generate_trace, summarize
-    from ..traces import profile as lookup_profile
-    from ..workload import DAYS
-
     say = progress or (lambda line: None)
     traces: Dict[str, object] = {}
     for _table, trace_name, _days in experiments:
@@ -292,8 +290,6 @@ def collect_report(
         say(f"loading matrix from checkpoints in {from_checkpoints}")
         results = load_checkpoint_results(from_checkpoints, experiments)
     else:
-        from ..api import build_protocol
-
         _table0, trace0, days0 = experiments[0]
         base = ExperimentConfig(
             trace=traces[trace0],
@@ -475,10 +471,6 @@ def evaluate_claims(data: ReportData) -> List[ClaimCheck]:
 
 def _table1_rows() -> List[Tuple[str, str, str, str]]:
     """Recompute the Table 1 identities on the paper's example stream."""
-    from ..core import simulate_stream, symbolic_counts
-    from ..core.analysis import timed_stream_from_ops
-    from ..workload import count_r_ri, parse_stream
-
     ops = parse_stream(PAPER_STREAM)
     counts = count_r_ri(ops)
     reads, intervals = counts.reads, counts.intervals

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..core.protocol import Protocol
+from ..hierarchy import ParentProxy
 from ..http import (
     CATEGORY_GET,
     CATEGORY_IMS,
@@ -43,11 +44,20 @@ from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metrics import IostatSampler, ReplayCounters
 from ..net import LanModel, LatencyModel, Network
 from ..proxy import Cache, ProxyCache, ProxyCosts
-from ..server import DEFAULT_SERVER_COSTS, FileStore, ServerCosts, ServerSite
+from ..server import (
+    DEFAULT_SERVER_COSTS,
+    AcceleratorCluster,
+    AdaptiveLeaseController,
+    FileStore,
+    ServerCosts,
+    ServerSite,
+)
 from ..sim import RngRegistry, Simulator
 from ..traces import Trace
 from ..workload import Modifier, generate_schedule
+from .auditor import ConsistencyAuditor
 from .coordinator import TimeCoordinator
+from .faults import FaultSchedule, apply_schedule
 from .pseudo_client import PseudoClient, shard_records
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]
@@ -343,8 +353,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     cluster = None
     if config.shards > 1:
-        from ..server.cluster import AcceleratorCluster
-
         cluster = AcceleratorCluster(
             sim,
             network,
@@ -373,8 +381,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     parents = []
     if config.hierarchy_parents:
-        from ..hierarchy import ParentProxy
-
         parents = [
             ParentProxy(
                 sim,
@@ -425,8 +431,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         client.observation = observation
         clients.append(client)
 
-    from ..chaos.auditor import ConsistencyAuditor
-
     auditor = ConsistencyAuditor(
         sites, strong=protocol.strong, detection=config.detection,
         parents=parents,
@@ -442,8 +446,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     schedule_obj = None
     if config.fault_schedule is not None:
-        from ..chaos.faults import FaultSchedule, apply_schedule
-
         schedule_obj = config.fault_schedule
         if isinstance(schedule_obj, dict):
             schedule_obj = FaultSchedule.from_dict(schedule_obj)
@@ -498,8 +500,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     iostat = IostatSampler(sim, sites)
     lease_controller = None
     if protocol.adaptive_lease_budget:
-        from ..server import AdaptiveLeaseController
-
         lease_controller = AdaptiveLeaseController(
             sim,
             server,

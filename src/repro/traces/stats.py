@@ -7,6 +7,9 @@ calibrating synthetic generators against real logs:
   popularity distribution and its Zipf exponent (log-log least squares).
 * :func:`interarrival_stats` — request spacing.
 * :func:`client_activity` — per-client request counts.
+* :func:`pair_streams` — the timed read/modify stream of every (client,
+  document) pair, which :mod:`repro.core.prediction` runs the Section 3
+  model over.
 * :func:`request_interval_stats` — aggregate R / RI structure over all
   (client, document) pairs given a modification schedule: exactly the
   quantities the Section 3 analysis is parameterised by.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..workload.modifier import Modification
-from ..workload.streams import count_r_ri
+from ..workload.streams import MODIFY, READ, count_r_ri
 from .record import Trace
 
 __all__ = [
@@ -27,6 +30,7 @@ __all__ = [
     "fit_zipf_alpha",
     "interarrival_stats",
     "client_activity",
+    "pair_streams",
     "request_interval_stats",
     "IntervalStats",
 ]
@@ -107,6 +111,32 @@ class IntervalStats:
         )
 
 
+def pair_streams(
+    trace: Trace, modifications: Sequence[Modification]
+) -> Dict[Tuple[str, str], List[Tuple[float, str]]]:
+    """Build the timed r/m stream for every (client, url) pair.
+
+    Each pair's stream holds that client's requests for the URL plus all
+    of the URL's modifications, time-merged (modification-first on ties,
+    matching the write-completion convention).
+    """
+    reads: Dict[Tuple[str, str], List[float]] = {}
+    for record in trace.records:
+        reads.setdefault((record.client, record.url), []).append(record.timestamp)
+
+    mods_by_url: Dict[str, List[float]] = {}
+    for mod in modifications:
+        mods_by_url.setdefault(mod.url, []).append(mod.time)
+
+    streams: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
+    for (client, url), read_times in reads.items():
+        events = [(t, 0, MODIFY) for t in mods_by_url.get(url, ())]
+        events.extend((t, 1, READ) for t in read_times)
+        events.sort()
+        streams[(client, url)] = [(t, op) for t, _, op in events]
+    return streams
+
+
 def request_interval_stats(
     trace: Trace, modifications: Sequence[Modification]
 ) -> IntervalStats:
@@ -116,8 +146,6 @@ def request_interval_stats(
     possible network cost is ``total_intervals`` control messages plus
     ``total_intervals`` file transfers.
     """
-    from ..core.prediction import pair_streams  # local: avoids a cycle
-
     streams = pair_streams(trace, modifications)
     total_reads = 0
     total_intervals = 0

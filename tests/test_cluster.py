@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.faults import Fault, FaultSchedule, apply_schedule, random_schedule
+from repro.chaos import Fault, FaultSchedule, apply_schedule, random_schedule
 from repro.core.adaptive_ttl import adaptive_ttl
 from repro.core.invalidation import invalidation
 from repro.core.leases import lease_invalidation, two_tier_lease

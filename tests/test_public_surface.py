@@ -64,8 +64,10 @@ def _exports(init: Path) -> dict:
     tree = ast.parse(init.read_text())
     source = {}
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = init.parent / Path(*node.module.split("."))
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # ``from ..replay.faults import X`` re-exports another
+            # package's name: it is defined there, not here.
+            module = init.parents[node.level - 1] / Path(*node.module.split("."))
             path = module.with_suffix(".py")
             if not path.exists():
                 path = module / "__init__.py"
