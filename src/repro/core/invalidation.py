@@ -60,9 +60,9 @@ def invalidation(
             site (the paper's suggested mitigation for long fan-outs).
         retry_interval: TCP retry period for failure handling.
         max_retries: give up on an INVALIDATE after this many retries
-            (the copy's site-list entry turns *dirty* and is flushed on
-            the proxy's next contact); ``None`` retries forever, the
-            paper's behaviour.
+            (the server owes it to the proxy and re-sends it on the
+            proxy's next contact); ``None`` retries forever, the paper's
+            behaviour.
     """
     name = "invalidation"
     if multicast:

@@ -57,9 +57,9 @@ class AcceleratorConfig:
         retry_interval: seconds between TCP retries for undeliverable
             invalidations (Section 4 failure handling).
         max_retries: give up on an invalidation after this many delivery
-            attempts and mark the site-list entry dirty instead (flushed on
-            the proxy's next contact).  ``None`` retries forever, the
-            paper's Section 4 behaviour.
+            attempts and owe it to the proxy instead (re-sent on the
+            proxy's next contact).  ``None`` retries forever, the paper's
+            Section 4 behaviour.
         lease_grace: safety margin, in seconds, for clock skew between the
             server and its clients.  The server still invalidates entries
             whose lease expired up to ``lease_grace`` seconds ago, and only

@@ -548,14 +548,12 @@ class ServerSite:
     def _abandon(self, message: Invalidate, pairs: Pairs) -> None:
         """Record an abandoned INVALIDATE and queue it for flush-on-contact.
 
-        Keeps the site-list entries (marked dirty) and the pending
-        obligations: the copies out there are still stale and still owed
-        an invalidation, just via a different channel.
+        Keeps the site-list entries and the pending obligations: the
+        copies out there are still stale and still owed an invalidation,
+        just via a different channel, and ``_owed`` records which.
         """
         self.invalidations_abandoned += len(pairs) or 1  # by-server: once
         self._requeue(message, pairs)
-        for url, cid in pairs:
-            self.table.site_list(url).mark_dirty(cid)
 
     def _requeue(self, message: Invalidate, pairs: Pairs) -> None:
         """Owe an undelivered INVALIDATE to its proxy's next contact."""

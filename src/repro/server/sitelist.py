@@ -31,9 +31,6 @@ class SiteEntry:
     proxy: str
     registered_at: float
     lease_expires: float = math.inf
-    #: Set when an INVALIDATE for this entry was abandoned (max_retries
-    #: exhausted); the server re-invalidates on the proxy's next contact.
-    dirty: bool = False
 
     def live(self, now: float) -> bool:
         """True while the lease has not expired."""
@@ -80,12 +77,6 @@ class SiteList:
         if entry is not None and entry.registered_at <= registered_by:
             del self._entries[client_id]
 
-    def mark_dirty(self, client_id: str) -> None:
-        """Flag a site whose invalidation was abandoned (no-op if absent)."""
-        entry = self._entries.get(client_id)
-        if entry is not None:
-            entry.dirty = True
-
     def live_entries(self, now: float) -> List[SiteEntry]:
         """Entries whose lease is still valid, registration order."""
         return [e for e in self._entries.values() if e.live(now)]
@@ -107,12 +98,10 @@ class InvalidationTable:
 
     def __init__(self) -> None:
         self._lists: Dict[str, SiteList] = {}
-        #: URLs that have been modified at least once (Table 5's site-list
-        #: length statistics are "taken among the site lists of files that
-        #: have been modified").
-        self.modified_urls: set = set()
         #: Live site-list length of each modified URL at the moment of
-        #: each of its modifications, in modification order.
+        #: each of its modifications, in modification order (Table 5's
+        #: length statistics are "taken among the site lists of files
+        #: that have been modified").
         self.lengths_at_modification: List[int] = []
         #: Expired entries dropped over this table's lifetime (the
         #: lease-grace eviction counter the results layer surfaces).
@@ -147,7 +136,6 @@ class InvalidationTable:
 
     def note_modification(self, url: str, now: float) -> List[SiteEntry]:
         """Record a modification; returns the live sites to invalidate."""
-        self.modified_urls.add(url)
         lst = self.site_list(url)
         live = lst.live_entries(now)
         self.lengths_at_modification.append(len(live))
@@ -228,23 +216,6 @@ class InvalidationTable:
         """Total site-list memory, in accounting bytes."""
         return sum(lst.storage_bytes() for lst in self._lists.values())
 
-    def modified_list_lengths(self) -> Tuple[float, int]:
-        """(average, max) site-list length among modified documents.
-
-        Lengths are sampled at modification time, matching the paper's
-        per-invalidation costs.
-        """
-        lengths = self.lengths_at_modification
-        if not lengths:
-            return (0.0, 0)
-        return (sum(lengths) / len(lengths), max(lengths))
-
-    def max_list_length(self) -> int:
-        """Largest current site list across all documents."""
-        if not self._lists:
-            return 0
-        return max(len(lst) for lst in self._lists.values())
-
 
 class KnownSitesLog:
     """Persistent log of every client site the server has ever seen.
@@ -257,7 +228,6 @@ class KnownSitesLog:
 
     def __init__(self) -> None:
         self._sites: Dict[str, str] = {}
-        self.disk_writes = 0
 
     def __len__(self) -> int:
         return len(self._sites)
@@ -270,7 +240,6 @@ class KnownSitesLog:
         if client_id in self._sites:
             return False
         self._sites[client_id] = proxy
-        self.disk_writes += 1
         return True
 
     def all_sites(self) -> List[Tuple[str, str]]:

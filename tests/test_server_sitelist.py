@@ -73,7 +73,6 @@ class TestInvalidationTable:
         table.register("/a", "c2", "p", now=0.0, lease_expires=50.0)
         live = table.note_modification("/a", now=10.0)
         assert [e.client_id for e in live] == ["c2"]
-        assert "/a" in table.modified_urls
 
     def test_clear_after_invalidation(self):
         table = InvalidationTable()
@@ -89,20 +88,10 @@ class TestInvalidationTable:
         table.register("/cold", "c0", "p", now=0.0)
         table.note_modification("/hot", now=1.0)
         table.note_modification("/cold", now=2.0)
-        avg, peak = table.modified_list_lengths()
-        assert avg == 2.5
-        assert peak == 4
+        assert table.lengths_at_modification == [4, 1]
 
     def test_modified_list_lengths_empty(self):
-        assert InvalidationTable().modified_list_lengths() == (0.0, 0)
-
-    def test_max_list_length(self):
-        table = InvalidationTable()
-        assert table.max_list_length() == 0
-        table.register("/a", "c1", "p", now=0.0)
-        table.register("/a", "c2", "p", now=0.0)
-        table.register("/b", "c1", "p", now=0.0)
-        assert table.max_list_length() == 2
+        assert InvalidationTable().lengths_at_modification == []
 
     def test_purge_expired_everywhere(self):
         table = InvalidationTable()
@@ -118,7 +107,6 @@ class TestKnownSitesLog:
         assert log.record("c1", "p0") is True
         assert log.record("c1", "p0") is False
         assert log.record("c2", "p1") is True
-        assert log.disk_writes == 2
         assert len(log) == 2
         assert "c1" in log
 
