@@ -1,5 +1,7 @@
 """Tests for synthetic trace generation and calibration."""
 
+import hashlib
+
 import pytest
 
 from repro.sim import RngRegistry
@@ -56,6 +58,34 @@ def test_generated_trace_deterministic():
     b = generate_trace(prof, RngRegistry(seed=5))
     assert a.records == b.records
     assert a.documents == b.documents
+
+
+def trace_digest(trace):
+    """SHA-256 over every record's ``(repr(timestamp), client, url)`` and
+    the ``documents`` dict in its insertion order."""
+    h = hashlib.sha256()
+    for r in trace.records:
+        h.update(f"{r.timestamp!r} {r.client} {r.url}\n".encode())
+    for url, size in trace.documents.items():
+        h.update(f"{url} {size}\n".encode())
+    return h.hexdigest()
+
+
+#: Generated traces pinned by content: (profile, scale, seed, records, digest).
+#: A change to the generator that moves any timestamp, client, URL, size or
+#: catalog order moves the digest, even where no replay digest would.
+TRACE_PINS = [
+    ("SDSC", 0.05, 11, 1272, "26c71815d809e46f805f43e0df627e972f80ba0021cddacddbdd57001e67e84d"),
+    ("EPA", 0.05, 701, 2033, "ec1395c2d50fc074bc6362ade20b285a556b6794cae1a15b600497241b235ec6"),
+    ("SASK", 0.05, 907, 2574, "347ec77cd1eebc005a3ff339c3f4c8e9c008bd02c093ab6043c1d4cb9e84f23f"),
+]
+
+
+@pytest.mark.parametrize("name,scale,seed,count,digest", TRACE_PINS)
+def test_generated_trace_matches_pin(name, scale, seed, count, digest):
+    trace = generate_trace(PROFILES[name].scaled(scale), RngRegistry(seed=seed))
+    assert len(trace.records) == count
+    assert trace_digest(trace) == digest
 
 
 def test_generated_trace_seed_sensitivity():
