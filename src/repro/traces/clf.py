@@ -168,6 +168,9 @@ def read_clf(
     """
     records: List[TraceRecord] = []
     documents: Dict[str, int] = {}
+    # One string object per distinct host and URL, shared by every record
+    # that names it (and, for URLs, by the ``documents`` key).
+    strings: Dict[str, str] = {}
     base: Optional[float] = None
     last = 0.0
     for line in lines:
@@ -180,9 +183,10 @@ def read_clf(
             base = entry.timestamp
         at = max(0.0, entry.timestamp - base)
         last = max(last, at)
-        records.append(TraceRecord(timestamp=at, client=entry.host, url=entry.url))
-        size = entry.size or 0
-        documents[entry.url] = max(documents.get(entry.url, 0), size)
+        host = strings.setdefault(entry.host, entry.host)
+        url = strings.setdefault(entry.url, entry.url)
+        records.append(TraceRecord(at, host, url))
+        documents[url] = max(documents.get(url, 0), entry.size or 0)
     records.sort()
     return Trace(
         name=name,

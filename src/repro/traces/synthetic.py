@@ -106,34 +106,37 @@ def generate_trace(profile: TraceProfile, rng: RngRegistry) -> Trace:
     pick_rng = rng.stream(f"trace:{profile.name}:picks")
 
     sizes = _document_sizes(profile, size_rng)
-    documents: Dict[str, int] = {
-        document_url(i): size for i, size in enumerate(sizes)
-    }
+    # One string per document and per client: records and ``documents``
+    # keys reference these objects instead of formatting a copy each.
+    urls = [document_url(i) for i in range(profile.num_files)]
+    clients = [client_id(i) for i in range(profile.num_clients)]
+    documents: Dict[str, int] = dict(zip(urls, sizes))
 
     # Popularity rank is independent of document index (so document size
     # and popularity are uncorrelated, as in real logs to first order).
     doc_by_rank = list(range(profile.num_files))
     pick_rng.shuffle(doc_by_rank)
-    doc_sampler = ZipfSampler(profile.num_files, profile.doc_alpha, pick_rng)
-    client_sampler = ZipfSampler(profile.num_clients, profile.client_alpha, pick_rng)
+    url_by_rank = [urls[i] for i in doc_by_rank]
+    pick_doc = ZipfSampler(profile.num_files, profile.doc_alpha, pick_rng).sample
+    pick_client = ZipfSampler(profile.num_clients, profile.client_alpha, pick_rng).sample
 
     times = _sample_times(profile, time_rng, profile.total_requests)
-    history: Dict[int, List[str]] = {}
+    rand, randrange = pick_rng.random, pick_rng.randrange
+    revisit_prob = profile.revisit_prob
+    history: List[List[str]] = [[] for _ in clients]
     records = []
     for t in times:
-        client = client_sampler.sample()
-        seen = history.setdefault(client, [])
-        if seen and pick_rng.random() < profile.revisit_prob:
+        client = pick_client()
+        seen = history[client]
+        if seen and rand() < revisit_prob:
             # Temporal locality: the client re-reads something it already
             # fetched (weighted towards its frequent documents because the
             # history list keeps duplicates).
-            url = seen[pick_rng.randrange(len(seen))]
+            url = seen[randrange(len(seen))]
         else:
-            url = document_url(doc_by_rank[doc_sampler.sample()])
+            url = url_by_rank[pick_doc()]
         seen.append(url)
-        records.append(
-            TraceRecord(timestamp=t, client=client_id(client), url=url)
-        )
+        records.append(TraceRecord(t, clients[client], url))
     return Trace(
         name=profile.name,
         records=records,

@@ -152,6 +152,21 @@ def test_roundtrip_write_then_read():
     assert back.documents == {"/a": 100, "/b": 200}
 
 
+def test_read_clf_shares_one_string_per_host_and_url():
+    lines = [
+        f'{host} - - [01/Jul/1995:00:00:{second:02d} -0400] "GET {url} HTTP/1.0" 200 10'
+        for second, (host, url) in enumerate(
+            [("h1", "/a"), ("h2", "/a"), ("h1", "/b"), ("h2", "/b"), ("h1", "/a")]
+        )
+    ]
+    trace = read_clf(lines)
+    records = trace.records
+    assert len({id(r.url) for r in records}) == len({r.url for r in records}) == 2
+    assert len({id(r.client) for r in records}) == len({r.client for r in records}) == 2
+    keys = {url: url for url in trace.documents}
+    assert all(r.url is keys[r.url] for r in records)
+
+
 def test_format_clf_line_shape():
     line = format_clf_line(TraceRecord(timestamp=0.0, client="c", url="/u"), size=5)
     assert parse_clf_line(line) is not None

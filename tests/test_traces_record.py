@@ -1,5 +1,9 @@
 """Unit tests for TraceRecord and Trace."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.traces import Trace, TraceRecord
@@ -21,6 +25,41 @@ def test_record_validation():
 def test_records_order_by_timestamp():
     assert rec(1.0) < rec(2.0)
     assert sorted([rec(3.0), rec(1.0), rec(2.0)])[0].timestamp == 1.0
+
+
+def test_record_has_no_instance_dict():
+    # A replay holds every record of its trace; a per-record __dict__
+    # would double the record's size.
+    assert not hasattr(rec(1.0), "__dict__")
+
+
+def test_record_is_frozen():
+    record = rec(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.url = "/b"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.timestamp = 2.0
+
+
+def test_record_orders_and_hashes_as_its_field_tuple():
+    records = [rec(2.0, "a", "/b"), rec(1.0, "b", "/a"), rec(2.0, "a", "/a"), rec(1.0, "a", "/z")]
+    as_tuples = [(r.timestamp, r.client, r.url) for r in records]
+    assert [(r.timestamp, r.client, r.url) for r in sorted(records)] == sorted(as_tuples)
+    assert hash(rec(1.0, "c", "/a")) == hash((1.0, "c", "/a"))
+    assert rec(1.0) == rec(1.0) and len({rec(1.0), rec(1.0), rec(2.0)}) == 2
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_record_pickles_to_an_equal_record(protocol):
+    record = rec(12.5, "client-00003", "/doc/00007.html")
+    back = pickle.loads(pickle.dumps(record, protocol=protocol))
+    assert back == record and type(back) is type(record)
+
+
+def test_record_copies_to_an_equal_record():
+    record = rec(12.5, "client-00003", "/doc/00007.html")
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
 
 
 def test_trace_requires_time_order():

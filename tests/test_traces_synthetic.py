@@ -88,6 +88,15 @@ def test_generated_trace_matches_pin(name, scale, seed, count, digest):
     assert trace_digest(trace) == digest
 
 
+def test_generated_trace_shares_one_string_per_client_and_url(epa_small):
+    _prof, trace = epa_small
+    records = trace.records
+    assert len({id(r.url) for r in records}) == len({r.url for r in records})
+    assert len({id(r.client) for r in records}) == len({r.client for r in records})
+    keys = {url: url for url in trace.documents}
+    assert all(r.url is keys[r.url] for r in records)
+
+
 def test_generated_trace_seed_sensitivity():
     prof = PROFILES["SDSC"].scaled(0.03)
     a = generate_trace(prof, RngRegistry(seed=5))
