@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..metrics import ReplayCounters
 from ..proxy import ProxyCache
@@ -39,8 +39,15 @@ def shard_records(
 ) -> List[List[TraceRecord]]:
     """Split trace records across pseudo-clients by real-client id."""
     shards: List[List[TraceRecord]] = [[] for _ in range(num_shards)]
+    # Hash each distinct client once, not once per record.
+    shard_of: Dict[str, List[TraceRecord]] = {}
     for record in records:
-        shards[shard_for_client(record.client, num_shards)].append(record)
+        shard = shard_of.get(record.client)
+        if shard is None:
+            shard = shard_of[record.client] = shards[
+                shard_for_client(record.client, num_shards)
+            ]
+        shard.append(record)
     return shards
 
 

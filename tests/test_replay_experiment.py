@@ -69,6 +69,12 @@ class TestSharding:
                 if other is not shard:
                     assert clients.isdisjoint({r.client for r in other})
 
+    def test_shard_records_follows_shard_for_client(self, small_trace):
+        records = small_trace.records
+        assert shard_records(records, 4) == [
+            [r for r in records if shard_for_client(r.client, 4) == i] for i in range(4)
+        ]
+
 
 class TestReplayBasics:
     def test_every_request_replayed(self, small_trace, three_results):
