@@ -580,8 +580,6 @@ def _make_runner(args):
 
 
 def _cmd_sweep(args, out) -> int:
-    import json
-
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     unknown = [p for p in protocols if p not in PROTOCOLS]
     if not protocols or unknown:
@@ -782,8 +780,6 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_chaos(args, out) -> int:
-    import json
-
     protocol = build_protocol(args.protocol)
     base = _make_config(args, protocol)
     try:
