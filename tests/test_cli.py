@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,7 +164,16 @@ class TestSweep:
         assert "checkpoint" in text
 
 
+TABLE4_GOLDEN = Path(__file__).parent / "data" / "table4_scale0.02.txt"
+
+
 class TestTable:
+    def test_table4_output_is_pinned(self):
+        # stdout of ``repro table --table 4 --scale 0.02``, byte for byte.
+        code, text = run_cli("table", "--table", "4", "--scale", "0.02")
+        assert code == 0
+        assert text == TABLE4_GOLDEN.read_text()
+
     def test_table4_lists_all_trace_rows(self):
         code, text = run_cli("table", "--table", "4", "--scale", "0.02")
         assert code == 0
