@@ -23,36 +23,18 @@ from repro import (
     ExperimentResult,
     RngRegistry,
     Trace,
-    adaptive_ttl,
     generate_trace,
-    invalidation,
-    poll_every_time,
     run_experiment,
-    two_tier_lease,
 )
-from repro.replay import ParallelSweepRunner, audit_result, sweep
+from repro.api import build_protocol
+from repro.obs import REPORT_EXPERIMENTS, experiment_label, run_matrix
+from repro.replay import ParallelSweepRunner, audit_result
 from repro.traces import PROFILES
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Protocol factories by short name, used in cache keys.
-PROTOCOLS = {
-    "polling": poll_every_time,
-    "invalidation": invalidation,
-    "invalidation-decoupled": lambda: invalidation(blocking=False),
-    "ttl": adaptive_ttl,
-    "two-tier": lambda: two_tier_lease(lease_duration=1e9),
-}
-
-#: The paper's six replay experiments: (trace, mean lifetime in days).
-PAPER_EXPERIMENTS = [
-    ("EPA", 50.0),
-    ("SASK", 14.0),
-    ("ClarkNet", 50.0),
-    ("NASA", 7.0),
-    ("SDSC", 25.0),
-    ("SDSC", 2.5),
-]
+#: Master seed of every benchmark trace and replay.
+SEED = 42
 
 
 def bench_scale() -> float:
@@ -87,18 +69,22 @@ def harness(scale, trace_cache, result_cache):
             profile = PROFILES[trace_name]
             if scale != 1.0:
                 profile = profile.scaled(scale)
-            trace = generate_trace(profile, RngRegistry(seed=42))
+            trace = generate_trace(profile, RngRegistry(seed=SEED))
             trace_cache[trace_name] = trace
         return trace
 
-    def run(trace_name: str, lifetime_days: float, protocol_key: str,
-            **overrides) -> ExperimentResult:
-        key = (trace_name, lifetime_days, protocol_key, tuple(sorted(overrides.items())))
+    def run(trace_name: str, lifetime_days: float, protocol: str,
+            **protocol_options) -> ExperimentResult:
+        """Replay ``trace_name`` under ``build_protocol(protocol, ...)``."""
+        key = (
+            experiment_label(trace_name, lifetime_days, protocol),
+            tuple(sorted(protocol_options.items())),
+        )
         result = result_cache.get(key)
         if result is None:
             config = ExperimentConfig(
                 trace=get_trace(trace_name),
-                protocol=PROTOCOLS[protocol_key](),
+                protocol=build_protocol(protocol, **protocol_options),
                 # The lifetime is NOT scaled: with files scaled by s the
                 # modification count becomes s * the paper's count, which
                 # preserves the modification/request ratio the protocol
@@ -108,7 +94,7 @@ def harness(scale, trace_cache, result_cache):
                 # 57/571; SDSC-2.5d differs because one file count must
                 # serve both SDSC lifetimes, see DESIGN.md §3).
                 mean_lifetime=lifetime_days * DAYS,
-                **overrides,
+                seed=SEED,
             )
             result = run_experiment(config)
             # Cross-check the run's accounting layers before anything
@@ -117,57 +103,29 @@ def harness(scale, trace_cache, result_cache):
             result_cache[key] = result
         return result
 
-    def prewarm(workers: int) -> None:
-        """Fill the result cache by running the paper grid in parallel.
-
-        The 18 points (six trace/lifetime rows x three protocols) are
-        exactly the runs Tables 3-5 consume; warming them through
-        ``ParallelSweepRunner`` gives the table benchmarks a wall-clock
-        speedup without changing a single metric (each point is the same
-        hermetic ``run_experiment`` the serial path uses).  Checkpoints
-        land under ``benchmarks/results/checkpoints`` so an interrupted
-        benchmark session resumes instead of recomputing.
-        """
-        grid = [
-            (trace_name, days, proto)
-            for trace_name, days in PAPER_EXPERIMENTS
-            for proto in ("polling", "invalidation", "ttl")
-        ]
-        base = ExperimentConfig(
-            trace=get_trace(grid[0][0]),
-            protocol=PROTOCOLS[grid[0][2]](),
-            mean_lifetime=grid[0][1] * DAYS,
-        )
-        points = [
-            (
-                f"{trace_name}-{days:g}d-{proto}",
-                {
-                    "trace": get_trace(trace_name),
-                    "mean_lifetime": days * DAYS,
-                    "protocol": PROTOCOLS[proto](),
-                },
-            )
-            for trace_name, days, proto in grid
-        ]
-        checkpoint_dir = RESULTS_DIR / "checkpoints" / f"scale-{scale:g}"
+    workers = int(os.environ.get("REPRO_BENCH_PARALLEL", "0"))
+    if workers:
+        # Prewarm: replay the report's 18 points (six trace/lifetime rows
+        # x three protocols), exactly the runs Tables 3-5 consume, across
+        # worker processes.  Each point is the same hermetic
+        # run_experiment the serial path uses, so no metric changes.
+        # Checkpoints carry the report's labels: an interrupted session
+        # resumes, and `repro report --from-checkpoints` at the same
+        # scale renders them.
         runner = ParallelSweepRunner(
             workers=workers,
-            checkpoint_dir=str(checkpoint_dir),
+            checkpoint_dir=str(RESULTS_DIR / "checkpoints" / f"scale-{scale:g}"),
             resume=True,
             progress=print,
         )
-        for (trace_name, days, proto), point in zip(
-            grid, sweep(base, points, runner=runner)
-        ):
-            audit_result(point.result)
-            result_cache[(trace_name, days, proto, ())] = point.result
-
-    workers = int(os.environ.get("REPRO_BENCH_PARALLEL", "0"))
-    if workers:
-        prewarm(workers)
+        results = run_matrix(
+            REPORT_EXPERIMENTS, scale=scale, seed=SEED, runner=runner
+        )
+        for label, result in results.items():
+            audit_result(result)
+            result_cache[(label, ())] = result
 
     run.get_trace = get_trace
-    run.prewarm = prewarm
     return run
 
 

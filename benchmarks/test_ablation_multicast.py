@@ -13,24 +13,13 @@ multicast and measure the fan-out times and message counts.
 import pytest
 from conftest import write_results
 
-from repro import DAYS, ExperimentConfig, invalidation, run_experiment
-
 
 @pytest.fixture(scope="module")
-def runs(harness, result_cache, scale):
-    unicast = harness("SASK", 14.0, "invalidation")
-    key = ("SASK", 14.0, "invalidation-multicast", ())
-    multicast = result_cache.get(key)
-    if multicast is None:
-        multicast = run_experiment(
-            ExperimentConfig(
-                trace=harness.get_trace("SASK"),
-                protocol=invalidation(multicast=True),
-                mean_lifetime=14.0 * DAYS,
-            )
-        )
-        result_cache[key] = multicast
-    return {"unicast": unicast, "multicast": multicast}
+def runs(harness):
+    return {
+        "unicast": harness("SASK", 14.0, "invalidation"),
+        "multicast": harness("SASK", 14.0, "invalidation-multicast"),
+    }
 
 
 def render(runs) -> str:

@@ -14,28 +14,15 @@ worst-case latency spike appears.
 import pytest
 from conftest import write_results
 
-from repro import DAYS, ExperimentConfig, run_experiment
-from repro.core import piggyback_invalidation
-
 
 @pytest.fixture(scope="module")
-def runs(harness, result_cache):
+def runs(harness):
     # SDSC at 2.5-day lifetimes: the highest modification pressure, so
     # staleness differences are visible.
-    ttl = harness("SDSC", 2.5, "ttl")
-    inval = harness("SDSC", 2.5, "invalidation")
-    key = ("SDSC", 2.5, "psi", ())
-    psi = result_cache.get(key)
-    if psi is None:
-        psi = run_experiment(
-            ExperimentConfig(
-                trace=harness.get_trace("SDSC"),
-                protocol=piggyback_invalidation(),
-                mean_lifetime=2.5 * DAYS,
-            )
-        )
-        result_cache[key] = psi
-    return {"ttl": ttl, "psi": psi, "invalidation": inval}
+    return {
+        name: harness("SDSC", 2.5, name)
+        for name in ("ttl", "psi", "invalidation")
+    }
 
 
 def render(runs) -> str:

@@ -19,7 +19,7 @@ from conftest import write_results
 def runs(harness):
     return {
         "simple": harness("SASK", 14.0, "invalidation"),
-        "two-tier": harness("SASK", 14.0, "two-tier"),
+        "two-tier": harness("SASK", 14.0, "two-tier", lease_duration=1e9),
         "polling": harness("SASK", 14.0, "polling"),
     }
 

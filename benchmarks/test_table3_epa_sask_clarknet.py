@@ -16,21 +16,16 @@ import pytest
 from conftest import write_results
 
 from repro import format_comparison_table
+from repro.obs import REPORT_EXPERIMENTS, REPORT_PROTOCOLS
 
-EXPERIMENTS = [
-    ("EPA", 50.0),
-    ("SASK", 14.0),
-    ("ClarkNet", 50.0),
-]
-
-PROTOCOL_ORDER = ["polling", "invalidation", "ttl"]
+EXPERIMENTS = [(t, d) for table, t, d in REPORT_EXPERIMENTS if table == 3]
 
 
 @pytest.fixture(scope="module", params=EXPERIMENTS, ids=lambda e: f"{e[0]}-{e[1]:g}d")
 def experiment(request, harness):
     trace_name, lifetime = request.param
     results = {
-        key: harness(trace_name, lifetime, key) for key in PROTOCOL_ORDER
+        key: harness(trace_name, lifetime, key) for key in REPORT_PROTOCOLS
     }
     return trace_name, lifetime, results
 
@@ -41,7 +36,7 @@ def test_replay_benchmark(benchmark, experiment):
 
     def render():
         block = format_comparison_table(
-            [results[k] for k in PROTOCOL_ORDER],
+            [results[k] for k in REPORT_PROTOCOLS],
             title=(
                 f"Trace {trace_name}, {results['polling'].total_requests} "
                 f"requests, {results['polling'].files_modified} files modified "
@@ -97,7 +92,7 @@ def test_invalidation_vs_ttl_messages(experiment):
 
 def test_bytes_nearly_identical(experiment):
     _, _, results = experiment
-    sizes = [results[k].message_bytes for k in PROTOCOL_ORDER]
+    sizes = [results[k].message_bytes for k in REPORT_PROTOCOLS]
     assert max(sizes) <= min(sizes) * 1.05
 
 
@@ -125,7 +120,7 @@ def test_server_cpu_ordering(experiment):
     assert polling_cpu >= results["invalidation"].cpu_utilization
     assert polling_cpu >= results["ttl"].cpu_utilization
     # Sanity: utilisations in a server-shaped band, not ~0 or saturated.
-    for key in PROTOCOL_ORDER:
+    for key in REPORT_PROTOCOLS:
         assert 0.02 < results[key].cpu_utilization < 0.95
 
 

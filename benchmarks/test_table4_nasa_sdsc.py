@@ -10,20 +10,15 @@ import pytest
 from conftest import write_results
 
 from repro import format_comparison_table
+from repro.obs import REPORT_EXPERIMENTS, REPORT_PROTOCOLS
 
-EXPERIMENTS = [
-    ("NASA", 7.0),
-    ("SDSC", 25.0),
-    ("SDSC", 2.5),
-]
-
-PROTOCOL_ORDER = ["polling", "invalidation", "ttl"]
+EXPERIMENTS = [(t, d) for table, t, d in REPORT_EXPERIMENTS if table == 4]
 
 
 @pytest.fixture(scope="module", params=EXPERIMENTS, ids=lambda e: f"{e[0]}-{e[1]:g}d")
 def experiment(request, harness):
     trace_name, lifetime = request.param
-    results = {key: harness(trace_name, lifetime, key) for key in PROTOCOL_ORDER}
+    results = {key: harness(trace_name, lifetime, key) for key in REPORT_PROTOCOLS}
     return trace_name, lifetime, results
 
 
@@ -32,7 +27,7 @@ def test_replay_benchmark(benchmark, experiment):
 
     def render():
         block = format_comparison_table(
-            [results[k] for k in PROTOCOL_ORDER],
+            [results[k] for k in REPORT_PROTOCOLS],
             title=(
                 f"Trace {trace_name}, {results['polling'].total_requests} "
                 f"requests, {results['polling'].files_modified} files modified "
@@ -84,7 +79,7 @@ def test_invalidation_vs_ttl_messages(experiment):
 
 def test_bytes_nearly_identical(experiment):
     _, _, results = experiment
-    sizes = [results[k].message_bytes for k in PROTOCOL_ORDER]
+    sizes = [results[k].message_bytes for k in REPORT_PROTOCOLS]
     assert max(sizes) <= min(sizes) * 1.05
 
 

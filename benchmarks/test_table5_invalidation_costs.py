@@ -17,15 +17,16 @@ Paper shapes asserted:
 """
 
 import pytest
-from conftest import PAPER_EXPERIMENTS, write_results
+from conftest import write_results
 
 from repro import format_invalidation_costs
+from repro.obs import REPORT_EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
 def invalidation_results(harness):
     results = []
-    for trace_name, lifetime in PAPER_EXPERIMENTS:
+    for _table, trace_name, lifetime in REPORT_EXPERIMENTS:
         result = harness(trace_name, lifetime, "invalidation")
         # Distinguish the two SDSC rows the way the paper does.
         result.trace_name = f"{trace_name}({result.files_modified})"

@@ -56,15 +56,19 @@ from .chaos import run_campaign
 from .core import simulate_stream, symbolic_counts
 from .core.analysis import timed_stream_from_ops
 from .obs import (
+    REPORT_EXPERIMENTS,
+    REPORT_PROTOCOLS,
     MetricsRegistry,
     Observation,
     SpanSink,
     check_report,
     collect_report,
+    experiment_label,
     filter_spans,
     format_timeline,
     read_spans,
     render_report,
+    run_matrix,
 )
 from .replay import (
     ExperimentConfig,
@@ -286,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--from-checkpoints",
         metavar="DIR",
-        help="load the matrix from sweep checkpoints instead of replaying",
+        help="load the matrix from the checkpoints of an earlier "
+        "'repro report' or 'repro table' run instead of replaying "
+        "('repro sweep' checkpoints do not fit)",
     )
     report.add_argument(
         "--timestamp",
@@ -545,7 +551,7 @@ def _cmd_replay(args, out) -> int:
 
 def _cmd_compare(args, out) -> int:
     results = []
-    for name in ("polling", "invalidation", "ttl"):
+    for name in REPORT_PROTOCOLS:
         results.append(run_experiment(_make_config(args, build_protocol(name))))
     if args.json:
         print(results_to_json(results), file=out)
@@ -627,63 +633,31 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
-#: (trace, mean lifetime in days) rows of the paper's Tables 3 and 4.
-TABLE_SPECS = {
-    3: [("EPA", 50.0), ("SASK", 14.0), ("ClarkNet", 50.0)],
-    4: [("NASA", 7.0), ("SDSC", 25.0), ("SDSC", 2.5)],
-}
-
-#: Column order within each table block.
-TABLE_PROTOCOLS = ("polling", "invalidation", "ttl")
-
-
 def _cmd_table(args, out) -> int:
-    spec = TABLE_SPECS[args.table]
-    traces = {}
-    for trace_name, _days in spec:
-        if trace_name not in traces:
-            profile = lookup_profile(trace_name)
-            if args.scale != 1.0:
-                profile = profile.scaled(args.scale)
-            traces[trace_name] = generate_trace(
-                profile, RngRegistry(seed=args.seed)
-            )
-    first_trace, first_days = spec[0]
-    base = ExperimentConfig(
-        trace=traces[first_trace],
-        protocol=build_protocol(TABLE_PROTOCOLS[0]),
-        mean_lifetime=first_days * DAYS,
-        proxy_cache_bytes=args.cache_mb * 1024 * 1024,
-        seed=args.seed,
-    )
-    points = [
-        (
-            f"{trace_name}-{days:g}d/{proto}",
-            {
-                "trace": traces[trace_name],
-                "mean_lifetime": days * DAYS,
-                "protocol": build_protocol(proto),
-            },
-        )
-        for trace_name, days in spec
-        for proto in TABLE_PROTOCOLS
-    ]
+    rows = [row for row in REPORT_EXPERIMENTS if row[0] == args.table]
     try:
-        results = sweep(base, points, runner=_make_runner(args))
+        results = run_matrix(
+            rows,
+            scale=args.scale,
+            seed=args.seed,
+            runner=_make_runner(args),
+            proxy_cache_bytes=args.cache_mb * 1024 * 1024,
+        )
     except (ValueError, SweepPointFailed) as exc:
         print(f"error: {exc}", file=out)
         return 2
     blocks = []
-    for row, (trace_name, days) in enumerate(spec):
-        group = results[row * len(TABLE_PROTOCOLS):(row + 1) * len(TABLE_PROTOCOLS)]
+    for _table, trace_name, days in rows:
+        group = [
+            results[experiment_label(trace_name, days, proto)]
+            for proto in REPORT_PROTOCOLS
+        ]
         title = (
             f"Trace {trace_name}, lifetime {days:g} days, "
-            f"{group[0].result.total_requests} requests, "
-            f"{group[0].result.files_modified} files modified"
+            f"{group[0].total_requests} requests, "
+            f"{group[0].files_modified} files modified"
         )
-        blocks.append(
-            format_comparison_table([g.result for g in group], title=title)
-        )
+        blocks.append(format_comparison_table(group, title=title))
     print("\n\n".join(blocks), file=out)
     return 0
 

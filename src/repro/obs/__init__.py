@@ -11,9 +11,10 @@ Three pieces, each usable on its own:
   invalidate fan-out) with deterministic sampling, browsable via
   ``python -m repro trace``.
 * :func:`collect_report` / :func:`render_report`
-  (:mod:`repro.obs.report`) — the five-trace × three-protocol matrix
-  rendered side-by-side with the paper's published numbers as
-  ``RESULTS.md`` (``python -m repro report``).
+  (:mod:`repro.obs.report`) — the six-row × three-protocol matrix of
+  Tables 3-4, replayed by :func:`run_matrix` and rendered side-by-side
+  with the paper's published numbers as ``RESULTS.md``
+  (``python -m repro report``).
 
 :class:`Observation` binds the first two to one replay run::
 
@@ -54,6 +55,7 @@ from .report import (
     format_delta,
     load_checkpoint_results,
     render_report,
+    run_matrix,
 )
 from .spans import Span, SpanSink, filter_spans, format_timeline, read_spans
 
@@ -83,6 +85,7 @@ __all__ = [
     "delta_pct",
     "format_delta",
     "build_manifest",
+    "run_matrix",
     "collect_report",
     "load_checkpoint_results",
     "render_report",

@@ -54,6 +54,7 @@ __all__ = [
     "delta_pct",
     "format_delta",
     "build_manifest",
+    "run_matrix",
     "collect_report",
     "load_checkpoint_results",
     "render_report",
@@ -114,8 +115,10 @@ PAPER_BYTES_PER_REQUEST = (20.0, 30.0)
 def experiment_label(trace: str, days: float, protocol: str) -> str:
     """Sweep-point label for one matrix cell (``EPA-50d/polling``).
 
-    Matches the labels ``repro table`` writes, so checkpoints from either
-    command are interchangeable.
+    :func:`run_matrix` labels every point it replays with this function,
+    and ``repro report``, ``repro table`` and the benchmark harness all
+    replay through it, so their checkpoints are interchangeable by
+    construction.
     """
     return f"{trace}-{days:g}d/{protocol}"
 
@@ -213,14 +216,76 @@ def build_manifest(
 # collection: run the matrix, or load it from checkpoints
 # ---------------------------------------------------------------------------
 
+def _scaled_traces(
+    experiments: Sequence[Tuple[int, str, float]], scale: float, seed: int
+) -> Dict[str, object]:
+    """Generate each distinct trace of ``experiments`` once, by name."""
+    traces: Dict[str, object] = {}
+    for _table, trace_name, _days in experiments:
+        if trace_name not in traces:
+            profile = lookup_profile(trace_name)
+            if scale != 1.0:
+                profile = profile.scaled(scale)
+            traces[trace_name] = generate_trace(profile, RngRegistry(seed=seed))
+    return traces
+
+
+def run_matrix(
+    experiments: Sequence[Tuple[int, str, float]] = REPORT_EXPERIMENTS,
+    scale: float = 0.1,
+    seed: int = 42,
+    runner: Optional[object] = None,
+    **overrides: object,
+) -> Dict[str, object]:
+    """Replay each experiment row under every :data:`REPORT_PROTOCOLS` column.
+
+    Args:
+        experiments: (table, trace, lifetime-days) rows to replay.
+        scale: workload scale in (0, 1] of the generated traces.
+        seed: master seed of the traces and of every matrix point.
+        runner: optional :class:`repro.replay.ParallelSweepRunner` (or any
+            runner :func:`repro.replay.sweep` accepts).
+        overrides: further :class:`repro.replay.ExperimentConfig` fields
+            shared by every point (``proxy_cache_bytes``, ``shards``, ...).
+
+    Returns:
+        :func:`experiment_label` -> ExperimentResult, row by row.
+    """
+    traces = _scaled_traces(experiments, scale, seed)
+    _table0, trace0, days0 = experiments[0]
+    base = ExperimentConfig(
+        trace=traces[trace0],
+        protocol=build_protocol(REPORT_PROTOCOLS[0]),
+        mean_lifetime=days0 * DAYS,
+        seed=seed,
+        **overrides,
+    )
+    points = [
+        (
+            experiment_label(trace, days, proto),
+            {
+                "trace": traces[trace],
+                "mean_lifetime": days * DAYS,
+                "protocol": build_protocol(proto),
+            },
+        )
+        for _table, trace, days in experiments
+        for proto in REPORT_PROTOCOLS
+    ]
+    swept = run_sweep(base, points, runner=runner)
+    return {point.label: point.result for point in swept}
+
+
 def load_checkpoint_results(
     directory: str,
     experiments: Sequence[Tuple[int, str, float]] = REPORT_EXPERIMENTS,
 ) -> Dict[str, object]:
     """Load the report matrix from a sweep checkpoint directory.
 
-    Accepts checkpoints written by ``repro report --checkpoint-dir``,
-    ``repro table`` or ``repro sweep`` (same label convention).  Raises
+    Accepts the checkpoints of :func:`run_matrix`'s points, as written by
+    ``repro report --checkpoint-dir``, ``repro table --checkpoint-dir``
+    and the benchmark harness's parallel prewarm; ``repro sweep``'s
+    labels name no trace, so its checkpoints do not fit.  Raises
     ``ValueError`` when any required (trace, lifetime, protocol) cell is
     missing, naming the absent labels.
     """
@@ -277,44 +342,28 @@ def collect_report(
             releases.  A sharded matrix adds a shard-balance panel.
     """
     say = progress or (lambda line: None)
-    traces: Dict[str, object] = {}
-    for _table, trace_name, _days in experiments:
-        if trace_name not in traces:
-            profile = lookup_profile(trace_name)
-            if scale != 1.0:
-                profile = profile.scaled(scale)
-            traces[trace_name] = generate_trace(profile, RngRegistry(seed=seed))
-    summaries = {name: summarize(trace) for name, trace in traces.items()}
+    summaries = {
+        name: summarize(trace)
+        for name, trace in _scaled_traces(experiments, scale, seed).items()
+    }
 
     if from_checkpoints is not None:
         say(f"loading matrix from checkpoints in {from_checkpoints}")
         results = load_checkpoint_results(from_checkpoints, experiments)
     else:
-        _table0, trace0, days0 = experiments[0]
-        base = ExperimentConfig(
-            trace=traces[trace0],
-            protocol=build_protocol(REPORT_PROTOCOLS[0]),
-            mean_lifetime=days0 * DAYS,
+        say(
+            f"replaying {len(experiments) * len(REPORT_PROTOCOLS)} matrix "
+            f"point(s) at scale {scale:g}"
+        )
+        results = run_matrix(
+            experiments,
+            scale=scale,
             seed=seed,
+            runner=runner,
             shards=shards,
             batch_window=batch_window,
             batch_max=batch_max,
         )
-        points = [
-            (
-                experiment_label(trace_name, days, proto),
-                {
-                    "trace": traces[trace_name],
-                    "mean_lifetime": days * DAYS,
-                    "protocol": build_protocol(proto),
-                },
-            )
-            for _table, trace_name, days in experiments
-            for proto in REPORT_PROTOCOLS
-        ]
-        say(f"replaying {len(points)} matrix point(s) at scale {scale:g}")
-        swept = run_sweep(base, points, runner=runner)
-        results = {point.label: point.result for point in swept}
 
     manifest = build_manifest(
         scale, seed, experiments, results, git_sha=git_sha, generated=generated
@@ -742,8 +791,8 @@ def render_report(data: ReportData) -> str:
 # --check smoke
 # ---------------------------------------------------------------------------
 
-#: Reduced matrix used by ``repro report --check``.
-CHECK_EXPERIMENTS: Tuple[Tuple[int, str, float], ...] = ((3, "EPA", 50.0),)
+#: Reduced matrix used by ``repro report --check``: the first row.
+CHECK_EXPERIMENTS: Tuple[Tuple[int, str, float], ...] = REPORT_EXPERIMENTS[:1]
 
 
 def check_report(

@@ -9,6 +9,8 @@ import pytest
 from repro.api import PROTOCOLS
 from repro.bench import KERNEL_BENCHMARKS
 from repro.cli import build_parser, main
+from repro.obs import REPORT_EXPERIMENTS, collect_report, load_checkpoint_results
+from repro.replay import result_to_dict
 
 
 def run_cli(*argv):
@@ -173,6 +175,19 @@ class TestTable:
         code, text = run_cli("table", "--table", "4", "--scale", "0.02")
         assert code == 0
         assert text == TABLE4_GOLDEN.read_text()
+
+    def test_table4_checkpoints_are_the_report_matrix(self, tmp_path):
+        code, _ = run_cli(
+            "table", "--table", "4", "--scale", "0.02",
+            "--checkpoint-dir", str(tmp_path),
+        )
+        assert code == 0
+        rows = [row for row in REPORT_EXPERIMENTS if row[0] == 4]
+        loaded = load_checkpoint_results(str(tmp_path), rows)
+        report = collect_report(scale=0.02, seed=42, experiments=rows)
+        assert list(loaded) == list(report.results)
+        for label, result in report.results.items():
+            assert result_to_dict(loaded[label]) == result_to_dict(result)
 
     def test_table4_lists_all_trace_rows(self):
         code, text = run_cli("table", "--table", "4", "--scale", "0.02")

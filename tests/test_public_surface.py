@@ -30,7 +30,6 @@ ALLOWED = {
     "chaos.CampaignReport": "the type run_campaign returns",
     "chaos.ScheduleVerdict": "the type of CampaignReport.verdicts entries",
     "core.TracePrediction": "the type predict_message_counts returns",
-    "obs.REPORT_EXPERIMENTS": "the default experiment list of collect_report",
     "obs.Gauge": "the type MetricsRegistry.gauge returns",
     "obs.ReportData": "the type collect_report returns",
     "obs.ClaimCheck": "the type of the entries evaluate_claims returns",
