@@ -33,10 +33,7 @@ class InvalidationPolicy(ClientPolicy):
     invalidation is the ``lease = infinity`` special case.
     """
 
-    def __init__(self, want_leases: bool = False) -> None:
-        self.name = "invalidation"
-        self.want_lease_get = want_leases
-        self.want_lease_ims = want_leases
+    name = "invalidation"
 
     def action(self, entry: CacheEntry, now: float) -> str:
         return SERVE if entry.lease_valid(now) else VALIDATE
@@ -69,7 +66,7 @@ def invalidation(
         name += "-multicast"
     return Protocol(
         name=name,
-        client_policy=InvalidationPolicy(want_leases=False),
+        client_policy=InvalidationPolicy(),
         accelerator=AcceleratorConfig(
             invalidation=True,
             blocking_send=blocking,

@@ -46,7 +46,7 @@ def lease_invalidation(
         raise ValueError("lease_duration must be positive")
     return Protocol(
         name=f"lease-invalidation({lease_duration / 86400.0:g}d)",
-        client_policy=InvalidationPolicy(want_leases=True),
+        client_policy=InvalidationPolicy(),
         accelerator=AcceleratorConfig(
             invalidation=True,
             lease_get=lease_duration,
@@ -80,7 +80,7 @@ def adaptive_lease(
         raise ValueError("state_budget_bytes must be positive")
     return Protocol(
         name=f"adaptive-lease({state_budget_bytes // 1024}KB)",
-        client_policy=InvalidationPolicy(want_leases=True),
+        client_policy=InvalidationPolicy(),
         accelerator=AcceleratorConfig(
             invalidation=True,
             lease_get=initial_lease,
@@ -104,7 +104,7 @@ def two_tier_lease(
         raise ValueError("lease_duration must be positive")
     return Protocol(
         name=f"two-tier-lease({lease_duration / 86400.0:g}d)",
-        client_policy=InvalidationPolicy(want_leases=True),
+        client_policy=InvalidationPolicy(),
         accelerator=AcceleratorConfig(
             invalidation=True,
             lease_get=0.0,

@@ -41,9 +41,6 @@ class ClientPolicy:
 
     #: Human-readable policy name.
     name: str = "abstract"
-    #: Ask the server for a lease on GET / If-Modified-Since requests.
-    want_lease_get: bool = False
-    want_lease_ims: bool = False
 
     def action(self, entry: CacheEntry, now: float) -> str:
         """Return :data:`SERVE` or :data:`VALIDATE` for a cached copy.

@@ -53,7 +53,6 @@ from ..http import (
     make_reply_200,
     make_reply_304,
 )
-from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network, ReliableChannel
 from ..proxy.cache import Cache
 from ..proxy.entry import CacheEntry
@@ -95,8 +94,6 @@ class ParentProxy:
         server_address: str,
         cache: Cache = None,
         costs: ProxyCosts = ProxyCosts(),
-        wire: WireCosts = DEFAULT_WIRE,
-        retry_interval: float = 30.0,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -104,8 +101,7 @@ class ParentProxy:
         self.server_address = server_address
         self.cache = cache if cache is not None else Cache()
         self.costs = costs
-        self.wire = wire
-        self.channel = ReliableChannel(network, retry_interval=retry_interval)
+        self.channel = ReliableChannel(network)
         #: Seconds an upstream fetch waits for its reply once delivered
         #: (the leaf proxy's default).
         self.reply_timeout = 30.0
@@ -175,13 +171,12 @@ class ParentProxy:
             return
         if entry is None:
             upstream = make_get(
-                self.address, self.server_address, url,
-                client_id=self.address, wire=self.wire,
+                self.address, self.server_address, url, client_id=self.address
             )
         else:  # revalidate the questionable copy
             upstream = make_ims(
                 self.address, self.server_address, url, client_id=self.address,
-                ims_timestamp=entry.last_modified, wire=self.wire,
+                ims_timestamp=entry.last_modified,
             )
         fetch = _Fetch(url, entry, request)
         self._inflight[url] = fetch
@@ -244,7 +239,7 @@ class ParentProxy:
         self.requests_served += 1
         if request.is_ims and entry.last_modified <= request.ims_timestamp:
             self.network.send(
-                make_reply_304(request, entry.last_modified, wire=self.wire)
+                make_reply_304(request, entry.last_modified)
             )
         else:
             self.sim.call_later(
@@ -256,10 +251,7 @@ class ParentProxy:
         if epoch == self._epoch:  # the host has not crashed since
             self.network.send(
                 make_reply_200(
-                    request,
-                    body_bytes=entry.size,
-                    last_modified=entry.last_modified,
-                    wire=self.wire,
+                    request, body_bytes=entry.size, last_modified=entry.last_modified
                 )
             )
 
@@ -275,7 +267,6 @@ class ParentProxy:
             messages = (
                 make_invalidate_url(
                     self.address, entry.proxy, message.url, entry.client_id,
-                    wire=self.wire,
                 )
                 for entry in entries
             )
@@ -291,7 +282,7 @@ class ParentProxy:
     def _server_messages(self, server: str) -> Iterator[Invalidate]:
         """An INVALIDATE-by-server for every known child, owed from now."""
         messages = (
-            make_invalidate_server(self.address, child, server=server, wire=self.wire)
+            make_invalidate_server(self.address, child, server=server)
             for child in sorted(self._known_children)
         )
         for child in self._known_children:

@@ -66,8 +66,6 @@ class HttpRequest(Message):
             accelerator can register the site for invalidation.
         ims_timestamp: cached copy's Last-Modified time when this is a
             validation (If-Modified-Since) request; ``None`` for plain GETs.
-        want_lease: set by lease-based protocols to request a full lease
-            (two-tier leases grant full leases only on validation requests).
         reported_hits: cache hits served locally since this proxy's last
             contact for the URL, piggybacked for hit metering (Section 7).
     """
@@ -75,7 +73,6 @@ class HttpRequest(Message):
     url: str = ""
     client_id: str = ""
     ims_timestamp: Optional[float] = None
-    want_lease: bool = False
     reported_hits: int = 0
 
     @property
@@ -159,7 +156,6 @@ def make_get(
     url: str,
     client_id: str,
     wire: WireCosts = DEFAULT_WIRE,
-    want_lease: bool = False,
 ) -> HttpRequest:
     """Build a plain GET request."""
     return HttpRequest(
@@ -169,7 +165,6 @@ def make_get(
         category=CATEGORY_GET,
         url=url,
         client_id=client_id,
-        want_lease=want_lease,
     )
 
 
@@ -180,7 +175,6 @@ def make_ims(
     client_id: str,
     ims_timestamp: float,
     wire: WireCosts = DEFAULT_WIRE,
-    want_lease: bool = False,
 ) -> HttpRequest:
     """Build an If-Modified-Since validation request."""
     return HttpRequest(
@@ -191,7 +185,6 @@ def make_ims(
         url=url,
         client_id=client_id,
         ims_timestamp=ims_timestamp,
-        want_lease=want_lease,
     )
 
 

@@ -5,8 +5,9 @@ requests, 304 replies, INVALIDATE messages) separately from *file
 transfers* (200 replies carrying a body).  The byte sizes below are
 representative HTTP/1.0-era header sizes; they only matter for the
 "message bytes" rows of Tables 3–4, which are dominated by file bodies, so
-the comparisons are insensitive to the exact values.  All sizes are
-configurable per experiment.
+the comparisons are insensitive to the exact values.  Every replay uses
+:data:`DEFAULT_WIRE`; the message builders in :mod:`repro.http.messages`
+accept another model.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 __all__ = ["Address", "Message"]
 
@@ -31,7 +31,6 @@ class Message:
             and transmission-time computation.
         category: accounting bucket (``"get"``, ``"ims"``, ``"reply-200"``,
             ``"reply-304"``, ``"invalidate"``, ...).
-        payload: opaque application data.
         reply_to: correlation id of the request this message answers, if any.
     """
 
@@ -39,7 +38,6 @@ class Message:
     dst: Address
     size: int
     category: str = "other"
-    payload: Any = None
     reply_to: Optional[int] = None
     msg_id: int = field(default_factory=_message_ids.__next__)
 

@@ -79,12 +79,11 @@ class Network:
         self,
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
-        stats: Optional[NetworkStats] = None,
         connect_timeout: float = 3.0,
     ) -> None:
         self.sim = sim
         self.latency = latency or LanModel()
-        self.stats = stats or NetworkStats()
+        self.stats = NetworkStats()
         self.connect_timeout = connect_timeout
         self._handlers: Dict[Address, Callable[[Message], None]] = {}
         self._down: Set[Address] = set()

@@ -4,8 +4,7 @@ Three pieces, each usable on its own:
 
 * :class:`MetricsRegistry` (:mod:`repro.obs.registry`) — named, labelled
   counter/gauge/timer series unifying the scattered ``repro.metrics`` /
-  ``repro.net`` accounting, with no-op handles (:data:`NULL_REGISTRY`)
-  so instrumented code costs nothing measurable when observation is off.
+  ``repro.net`` accounting.  An unobserved replay never calls one.
 * :class:`SpanSink` / :class:`Span` (:mod:`repro.obs.spans`) — a JSONL
   event-trace of the request lifecycle (client → proxy → accelerator →
   invalidate fan-out) with deterministic sampling, browsable via
@@ -34,14 +33,7 @@ request route (slower, same events).
 """
 
 from .observe import Observation, capture_result
-from .registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    NullRegistry,
-    Timer,
-)
+from .registry import Counter, Gauge, MetricsRegistry, Timer
 from .report import (
     REPORT_EXPERIMENTS,
     REPORT_PROTOCOLS,
@@ -62,8 +54,6 @@ from .spans import Span, SpanSink, filter_spans, format_timeline, read_spans
 __all__ = [
     # registry
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Timer",

@@ -60,8 +60,6 @@ class Observation:
         deep: also attach a kernel :class:`~repro.sim.EventTracer`
             (counts every processed event; results are unchanged,
             speed is not).
-        deep_keep_last: ring-buffer size for the deep tracer's recent
-            events.
 
     One observation observes one run: pass a fresh instance per
     ``run_experiment`` call.  Observations are not picklable and are
@@ -75,12 +73,10 @@ class Observation:
         registry: Optional[MetricsRegistry] = None,
         sink: Optional[SpanSink] = None,
         deep: bool = False,
-        deep_keep_last: int = 64,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sink = sink
         self.deep = deep
-        self.deep_keep_last = deep_keep_last
         self.tracer = None
         self.protocol = ""
         self.trace_name = ""
@@ -109,7 +105,7 @@ class Observation:
         self._coordinator = coordinator
         self._duration = duration
         if self.deep:
-            self.tracer = EventTracer(sim, keep_last=self.deep_keep_last)
+            self.tracer = EventTracer(sim)
 
     def phase(self) -> str:
         """Current replay phase, derived from the coordinator's clock."""

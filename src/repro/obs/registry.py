@@ -19,11 +19,9 @@ Handles are cheap plain objects fetched with
 fetching the same (name, labels) pair twice returns the same handle, so
 producers in different layers accumulate into one series.
 
-``NULL_REGISTRY`` is a registry whose handles do nothing: code can be
-written unconditionally against a registry and pay a no-op method call
-when observation is off.  The replay's zero-allocation fast path does not
-even pay that — when :class:`repro.obs.Observation` is not attached, no
-registry call sites run at all (see :mod:`repro.obs.observe`).
+An unobserved replay never calls a registry: when no
+:class:`repro.obs.Observation` is attached, no registry call site runs
+at all (see :mod:`repro.obs.observe`).
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ __all__ = [
     "Gauge",
     "Timer",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
 ]
 
 #: Canonical key for one series: name plus sorted ``(label, value)`` pairs.
@@ -107,24 +103,6 @@ class Timer:
         return f"Timer({self.name}, {self.labels}, {self.stats!r})"
 
 
-class _NullHandle:
-    """A handle that accepts every recording call and does nothing."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:  # noqa: D102 - interface no-op
-        pass
-
-    def set(self, value: float) -> None:  # noqa: D102 - interface no-op
-        pass
-
-    def observe(self, seconds: float) -> None:  # noqa: D102 - interface no-op
-        pass
-
-
-_NULL_HANDLE = _NullHandle()
-
-
 class MetricsRegistry:
     """Holds every metric series of one observed run.
 
@@ -134,10 +112,6 @@ class MetricsRegistry:
     :class:`~repro.obs.Observation` is not picklable and therefore not
     shipped to sweep workers).
     """
-
-    #: Null registries report ``False`` so call sites can skip expensive
-    #: series preparation entirely.
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[SeriesKey, Counter] = {}
@@ -245,30 +219,3 @@ class MetricsRegistry:
                 value = f"{handle.value:g}"
             lines.append(f"{name}{{{label_text}}} {value}")
         return "\n".join(lines)
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry whose handles silently discard every recording.
-
-    Useful as a default argument: code written against a registry runs
-    unchanged (one no-op method call per recording) when nobody is
-    observing.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        """Return the shared do-nothing handle."""
-        return _NULL_HANDLE  # type: ignore[return-value]
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        """Return the shared do-nothing handle."""
-        return _NULL_HANDLE  # type: ignore[return-value]
-
-    def timer(self, name: str, **labels: Any) -> Timer:
-        """Return the shared do-nothing handle."""
-        return _NULL_HANDLE  # type: ignore[return-value]
-
-
-#: Shared inert registry (it holds no state, so sharing is safe).
-NULL_REGISTRY = NullRegistry()

@@ -29,7 +29,6 @@ from ..http import (
     make_get,
     make_ims,
 )
-from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network
 from ..sim import Simulator
 from .cache import Cache
@@ -58,7 +57,6 @@ class RequestOutcome:
     had_cached_copy: bool = False
     served_from_cache: bool = False
     validated: bool = False
-    fetched: bool = False
     status: Optional[int] = None
     transfer: bool = False
     body_bytes: int = 0
@@ -131,7 +129,6 @@ class ProxyCache:
         server_address: str,
         policy,
         cache: Optional[Cache] = None,
-        wire: WireCosts = DEFAULT_WIRE,
         costs: ProxyCosts = ProxyCosts(),
         oracle: Optional[Callable[[str], float]] = None,
         meter=None,
@@ -143,7 +140,6 @@ class ProxyCache:
         self.server_address = server_address
         self.policy = policy
         self.cache = cache if cache is not None else Cache()
-        self.wire = wire
         self.costs = costs
         self.oracle = oracle
         self.meter = meter
@@ -356,10 +352,7 @@ class ProxyCache:
                 self.server_address,
                 outcome.url,
                 client_id=outcome.client_id,
-                wire=self.wire,
-                want_lease=getattr(self.policy, "want_lease_get", False),
             )
-            outcome.fetched = True
         else:
             if entry.questionable:
                 self.questionable_validations += 1
@@ -369,8 +362,6 @@ class ProxyCache:
                 entry.url,
                 client_id=entry.client_id,
                 ims_timestamp=entry.last_modified,
-                wire=self.wire,
-                want_lease=getattr(self.policy, "want_lease_ims", False),
             )
             outcome.validated = True
         if self.meter is not None:

@@ -40,7 +40,6 @@ from ..http import (
     CATEGORY_REPLY_200,
     CATEGORY_REPLY_304,
 )
-from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metrics import IostatSampler, ReplayCounters
 from ..net import LanModel, LatencyModel, Network
 from ..proxy import Cache, ProxyCache, ProxyCosts
@@ -49,7 +48,6 @@ from ..server import (
     AcceleratorCluster,
     AdaptiveLeaseController,
     FileStore,
-    ServerCosts,
     ServerSite,
 )
 from ..sim import RngRegistry, Simulator
@@ -71,6 +69,32 @@ def _unknown_value(label: str, value, choices) -> str:
     return f"unknown {label} {value!r}{hint} (choose from {options})"
 
 
+# The testbed's fixed settings (Section 5.1).
+
+#: Coordinator lock-step, in trace seconds (the paper's 5-minute intervals).
+INTERVAL = 300.0
+#: Document sizes are divided by this for *time* computations (disk
+#: reads, network transfer), while byte accounting stays full-size: the
+#: paper's factor-100 scaling methodology.
+SIZE_SCALE = 100.0
+#: Pseudo-client driver overhead per request, wall seconds.
+THINK_TIME = 1.0
+#: Wall seconds the modifier spends per touch.
+MODIFIER_OVERHEAD = 0.5
+#: Capacity of each parent cache of a hierarchy.
+PARENT_CACHE_BYTES = 256 * 1024 * 1024
+#: The default server and proxy cost models with their per-KB times
+#: scaled by :data:`SIZE_SCALE`.  Messages use the default wire sizes.
+SERVER_COSTS = dataclasses.replace(
+    DEFAULT_SERVER_COSTS,
+    cpu_per_kb=DEFAULT_SERVER_COSTS.cpu_per_kb / SIZE_SCALE,
+    disk_read_per_kb=DEFAULT_SERVER_COSTS.disk_read_per_kb / SIZE_SCALE,
+)
+PROXY_COSTS = dataclasses.replace(
+    ProxyCosts(), cpu_serve_per_kb=ProxyCosts().cpu_serve_per_kb / SIZE_SCALE
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one replay run needs.
@@ -83,15 +107,9 @@ class ExperimentConfig:
         num_pseudo_clients: proxy workstations (paper: 4).
         proxy_cache_bytes: per-proxy cache capacity; ``None`` = unbounded.
         seed: master seed for every stochastic stream.
-        interval: coordinator lock-step, in trace seconds (paper: 300).
-        size_scale: divide document sizes by this for *time* computations
-            (disk reads, network transfer), while byte accounting stays
-            full-size — the paper's factor-100 scaling methodology.
-        think_time: pseudo-client driver overhead per request (wall s).
         mean_initial_age: mean initial document age (wall s); default 0
             matches the paper's testbed where scaled document copies are
             created at setup time.
-        modifier_overhead: wall seconds the modifier spends per touch.
         detection: how the accelerator learns of modifications —
             ``"notify"`` (the paper's check-in utility, immediate) or
             ``"browser"`` (Section 4's other approach: the author views
@@ -99,17 +117,16 @@ class ExperimentConfig:
             which triggers the accelerator's mtime check).
         browser_view_delay: mean wall delay before the author's view
             (uniform 0.5x-1.5x jitter), for ``detection="browser"``.
-        server_costs / proxy_costs / wire: cost-model overrides.
         latency_model: network latency override; default is the paper's
             100 Mb/s Ethernet LAN.  Pass a :class:`repro.net.WanModel`
             for the paper's "how would this look on the real Internet"
-            extrapolation (apply ``size_scale`` yourself when overriding).
+            extrapolation (give it ``size_scale=SIZE_SCALE`` yourself,
+            as the default LAN model gets).
         hierarchy_parents: when set, insert that many upper-level caches
             between the leaf proxies and the server (leaf ``i`` uses
             parent ``i mod N``) — the Worrell [14] configuration from the
             related-work discussion.  Only meaningful for invalidation
-            protocols.
-        parent_cache_bytes: capacity of each parent cache.
+            protocols.  Each parent caches :data:`PARENT_CACHE_BYTES`.
         shards: accelerator shards behind the ``server`` address.  The
             default 1 is the paper's single accelerator (bit-identical to
             the pre-cluster code path); ``> 1`` builds a
@@ -145,19 +162,11 @@ class ExperimentConfig:
     num_pseudo_clients: int = 4
     proxy_cache_bytes: Optional[int] = 64 * 1024 * 1024
     seed: int = 42
-    interval: float = 300.0
-    size_scale: float = 100.0
-    think_time: float = 1.0
     mean_initial_age: float = 0.0
-    modifier_overhead: float = 0.5
     detection: str = "notify"
     browser_view_delay: float = 120.0
-    server_costs: ServerCosts = DEFAULT_SERVER_COSTS
-    proxy_costs: ProxyCosts = ProxyCosts()
-    wire: WireCosts = DEFAULT_WIRE
     latency_model: Optional[LatencyModel] = None
     hierarchy_parents: Optional[int] = None
-    parent_cache_bytes: Optional[int] = 256 * 1024 * 1024
     fault_schedule: Optional[object] = None
     audit: bool = False
     fast_path: bool = True
@@ -183,8 +192,6 @@ class ExperimentConfig:
             raise ValueError("mean_lifetime must be positive")
         if self.num_pseudo_clients < 1:
             raise ValueError("need at least one pseudo-client")
-        if self.size_scale <= 0:
-            raise ValueError("size_scale must be positive")
         if self.detection not in ("notify", "browser"):
             raise ValueError(
                 _unknown_value("detection mode", self.detection,
@@ -333,18 +340,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rng = RngRegistry(config.seed)
     sim = Simulator()
 
-    # Scale *time* by the document-size scale, keep byte accounting full.
-    latency_model = config.latency_model or LanModel(size_scale=config.size_scale)
+    latency_model = config.latency_model or LanModel(size_scale=SIZE_SCALE)
     network = Network(sim, latency=latency_model)
-    scaled_server_costs = dataclasses.replace(
-        config.server_costs,
-        cpu_per_kb=config.server_costs.cpu_per_kb / config.size_scale,
-        disk_read_per_kb=config.server_costs.disk_read_per_kb / config.size_scale,
-    )
-    scaled_proxy_costs = dataclasses.replace(
-        config.proxy_costs,
-        cpu_serve_per_kb=config.proxy_costs.cpu_serve_per_kb / config.size_scale,
-    )
 
     filestore = FileStore.from_catalog(
         trace.documents,
@@ -359,8 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "server",
             filestore,
             accel=protocol.accelerator,
-            costs=scaled_server_costs,
-            wire=config.wire,
+            costs=SERVER_COSTS,
             num_shards=config.shards,
             batch_window=config.batch_window,
             batch_max=config.batch_max,
@@ -374,8 +370,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "server",
             filestore,
             accel=protocol.accelerator,
-            costs=scaled_server_costs,
-            wire=config.wire,
+            costs=SERVER_COSTS,
         )
         sites = [server]
 
@@ -387,9 +382,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 network,
                 f"parent-{i}",
                 "server",
-                cache=Cache(capacity_bytes=config.parent_cache_bytes),
-                costs=scaled_proxy_costs,
-                wire=config.wire,
+                cache=Cache(capacity_bytes=PARENT_CACHE_BYTES),
+                costs=PROXY_COSTS,
             )
             for i in range(config.hierarchy_parents)
         ]
@@ -414,8 +408,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 capacity_bytes=config.proxy_cache_bytes,
                 expired_first=protocol.expired_first_cache,
             ),
-            wire=config.wire,
-            costs=scaled_proxy_costs,
+            costs=PROXY_COSTS,
             oracle=oracle,
         )
         proxies.append(proxy)
@@ -423,7 +416,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             proxy,
             shard,
             counters,
-            think_time=config.think_time,
+            think_time=THINK_TIME,
             rng=rng.stream(f"think-{i}"),
         )
         # Records at the one seam every request ends in, after the
@@ -478,10 +471,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         schedule,
         touch=lambda url: filestore.modify(url, now=sim.now),
         check_in=notify_change if protocol.needs_check_in else None,
-        overhead=config.modifier_overhead,
+        overhead=MODIFIER_OVERHEAD,
     )
 
-    coordinator = TimeCoordinator(sim, interval=config.interval)
+    coordinator = TimeCoordinator(sim, interval=INTERVAL)
     for client in clients:
         coordinator.register(client)
     coordinator.register(modifier)

@@ -49,6 +49,9 @@ from .sweep import SweepPoint, SweepResult, point_config
 
 __all__ = ["ParallelSweepRunner", "SweepPointFailed", "checkpoint_filename"]
 
+#: Seconds between the parent's polls of its workers.
+POLL_INTERVAL = 0.02
+
 
 class SweepPointFailed(RuntimeError):
     """A sweep point could not be completed (error, crash or timeout)."""
@@ -119,10 +122,9 @@ class ParallelSweepRunner:
             :func:`repro.replay.experiment.run_experiment`.
         progress: optional callable given one human-readable line per
             point event (completed / resumed / retried).
-        mp_context: ``multiprocessing`` start method; default ``fork``
-            where available (configs need not be picklable), else the
-            platform default.
-        poll_interval: parent poll period in seconds.
+
+    Workers start with ``fork`` where available (configs need not be
+    picklable), else with the platform's default start method.
     """
 
     def __init__(
@@ -134,8 +136,6 @@ class ParallelSweepRunner:
         resume: bool = False,
         experiment_fn: Callable[[ExperimentConfig], ExperimentResult] = run_experiment,
         progress: Optional[Callable[[str], None]] = None,
-        mp_context: Optional[str] = None,
-        poll_interval: float = 0.02,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -152,11 +152,10 @@ class ParallelSweepRunner:
         self.resume = resume
         self.experiment_fn = experiment_fn
         self.progress = progress
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(mp_context)
-        self.poll_interval = poll_interval
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
 
     # -- internals ---------------------------------------------------------
 
@@ -322,7 +321,7 @@ class ParallelSweepRunner:
                             f"(timeout={self.timeout:g}s)", worker_id,
                         )
                 if not made_progress and slots:
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         except BaseException:
             for slot in slots.values():
                 self._shutdown(slot)

@@ -12,7 +12,7 @@ Example::
 
     base = ExperimentConfig(trace=trace, protocol=invalidation(),
                             mean_lifetime=14 * DAYS)
-    results = sweep(base, cache=[
+    results = sweep(base, [
         ("16MB", {"proxy_cache_bytes": 16 << 20}),
         ("64MB", {"proxy_cache_bytes": 64 << 20}),
     ])

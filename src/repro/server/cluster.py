@@ -30,9 +30,9 @@ cached.  The cluster remembers each document's serving shard
 which never changes after the cluster is built, and on the excluded
 (crashed or drained) shards, so ``_refresh_excluded``, the one place the
 exclusions change, is the one place the memo is cleared.  And a node's
-virtual-node ring points depend only on its name and ``vnodes``, so
-:class:`HashRing` hashes them once per process, for every ring that
-holds the node; a document's own ring point stays per ring.  The
+virtual-node ring points depend only on its name, so :class:`HashRing`
+hashes them once per process, for every ring that holds the node; a
+document's own ring point stays per ring.  The
 cluster-wide flush-on-contact asks a non-owner shard to re-send only
 when it owes the contacting proxy an abandoned INVALIDATE.
 
@@ -56,7 +56,6 @@ import hashlib
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..http import HttpRequest
-from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network
 from ..sim import Simulator
 from .accelerator import AcceleratorConfig
@@ -66,23 +65,23 @@ from .httpd import ServerSite
 
 __all__ = ["HashRing", "AcceleratorCluster"]
 
+#: Virtual nodes per ring member.
+VNODES = 64
+
 
 class HashRing:
-    """Consistent-hash ring with virtual nodes.
+    """Consistent-hash ring with :data:`VNODES` virtual nodes per node.
 
     Deterministic across processes (MD5, not Python's seeded ``hash``),
     so a document's owning shard is a pure function of the ring
     membership — replays and parallel sweeps agree on placement.
     """
 
-    #: ``(node, vnodes)`` -> the node's virtual-node ring entries.  They
-    #: depend on nothing else, so every ring in the process shares them.
-    _node_points: Dict[Tuple[str, int], Tuple[Tuple[int, str], ...]] = {}
+    #: node -> its virtual-node ring entries.  They depend on nothing
+    #: else, so every ring in the process shares them.
+    _node_points: Dict[str, Tuple[Tuple[int, str], ...]] = {}
 
-    def __init__(self, nodes: Iterable[str] = (), vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError("need at least one virtual node per node")
-        self.vnodes = vnodes
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._ring: List[Tuple[int, str]] = []
         self._points: List[int] = []
         self._nodes: Set[str] = set()
@@ -106,10 +105,10 @@ class HashRing:
         if node in self._nodes:
             return
         self._nodes.add(node)
-        points = self._node_points.get((node, self.vnodes))
+        points = self._node_points.get(node)
         if points is None:
-            points = self._node_points[node, self.vnodes] = tuple(
-                (self._hash(f"{node}#{i}"), node) for i in range(self.vnodes)
+            points = self._node_points[node] = tuple(
+                (self._hash(f"{node}#{i}"), node) for i in range(VNODES)
             )
         self._ring.extend(points)
         self._rebuild()
@@ -172,11 +171,9 @@ class AcceleratorCluster:
         filestore: FileStore,
         accel: Optional[AcceleratorConfig] = None,
         costs: ServerCosts = DEFAULT_SERVER_COSTS,
-        wire: WireCosts = DEFAULT_WIRE,
         num_shards: int = 2,
         batch_window: float = 0.0,
         batch_max: int = 0,
-        vnodes: int = 64,
     ) -> None:
         if num_shards < 1:
             raise ValueError("need at least one shard")
@@ -191,14 +188,13 @@ class AcceleratorCluster:
                 filestore,
                 accel=accel,
                 costs=costs,
-                wire=wire,
                 batch_window=batch_window,
                 batch_max=batch_max,
             )
             for i in range(num_shards)
         ]
         self._by_address = {shard.address: shard for shard in self.shards}
-        self.ring = HashRing([s.address for s in self.shards], vnodes=vnodes)
+        self.ring = HashRing([s.address for s in self.shards])
         #: Crashed / draining shard addresses (kept separately so a drain
         #: overlapping a crash resolves correctly); ``_excluded`` is the
         #: materialized union the per-request routing reads.

@@ -56,7 +56,7 @@ from ..http import (
     make_reply_200,
     make_reply_304,
 )
-from ..http.wire import DEFAULT_WIRE, WireCosts
+from ..http.wire import DEFAULT_WIRE
 from ..metering import UsageLedger
 from ..net import Delivery, Message, Network, ReliableChannel
 from ..sim import Claim, Resource, Simulator
@@ -101,7 +101,6 @@ class ServerSite:
         filestore: FileStore,
         accel: Optional[AcceleratorConfig] = None,
         costs: ServerCosts = DEFAULT_SERVER_COSTS,
-        wire: WireCosts = DEFAULT_WIRE,
         batch_window: float = 0.0,
         batch_max: int = 0,
     ) -> None:
@@ -115,7 +114,6 @@ class ServerSite:
         self.filestore = filestore
         self.accel = accel or AcceleratorConfig()
         self.costs = costs
-        self.wire = wire
         self.batch_window = batch_window
         self.batch_max = batch_max
 
@@ -259,20 +257,19 @@ class ServerSite:
         if modified:
             reply = make_reply_200(
                 request, body_bytes=doc.size, last_modified=doc.last_modified,
-                wire=self.wire, lease_expires=lease_expires,
+                lease_expires=lease_expires,
             )
             self.replies_200 += 1
         else:
             reply = make_reply_304(
-                request, last_modified=doc.last_modified,
-                wire=self.wire, lease_expires=lease_expires,
+                request, last_modified=doc.last_modified, lease_expires=lease_expires,
             )
             self.replies_304 += 1
         if self.accel.piggyback:
             urls = self._piggyback_for(request.src, exclude_url=request.url)
             if urls:
                 reply.piggyback_invalidations = urls
-                reply.size += len(urls) * self.wire.piggyback_per_url
+                reply.size += len(urls) * DEFAULT_WIRE.piggyback_per_url
                 self.piggybacked_urls += len(urls)
         # All three approaches log incoming requests (paper Section 5.2).
         self.disk.use(self.costs.disk_log_write, self._send_reply, reply)
@@ -464,23 +461,16 @@ class ServerSite:
             by_url: Dict[str, List[str]] = {}
             for url, cid in pairs:
                 by_url.setdefault(url, []).append(cid)
-            return make_invalidate_batch(
-                self.address, proxy, by_url.items(), wire=self.wire
-            )
+            return make_invalidate_batch(self.address, proxy, by_url.items())
         url, client_id = next(iter(pairs))
         if self.accel.multicast:
             return make_invalidate_multi(
                 self.address, proxy, url, [cid for _url, cid in pairs],
-                wire=self.wire,
             )
-        return make_invalidate_url(
-            self.address, proxy, url, client_id, wire=self.wire
-        )
+        return make_invalidate_url(self.address, proxy, url, client_id)
 
     def _server_message(self, proxy: str) -> Invalidate:
-        return make_invalidate_server(
-            self.address, proxy, server=self.address, wire=self.wire
-        )
+        return make_invalidate_server(self.address, proxy, server=self.address)
 
     def _run(self, steps: list, blocking: bool, on_end, *args) -> None:
         """Send ``steps`` one after another, then call ``on_end(*args)``.
@@ -577,9 +567,7 @@ class ServerSite:
         if owed.pop(_BY_SERVER, None) is not None:
             steps.append((self._server_message(proxy), {}, self._requeue))
         for (url, cid), opened in owed.items():
-            message = make_invalidate_url(
-                self.address, proxy, url, cid, wire=self.wire
-            )
+            message = make_invalidate_url(self.address, proxy, url, cid)
             steps.append((message, {(url, cid): opened}, self._requeue))
         self._run(steps, False, None)
 

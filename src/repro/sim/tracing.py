@@ -1,9 +1,8 @@
 """Optional simulation observability.
 
 Attaching an :class:`EventTracer` to a :class:`~repro.sim.core.Simulator`
-records what the event loop processes — event counts by owner,
-processing rate over simulated time, and (optionally) a bounded tail of
-recent events for post-mortem debugging of stuck or runaway models.
+records what the event loop processes: event counts by owner and the
+processing rate over simulated time.
 
 Each processed queue entry is a plain function scheduled with
 ``Simulator.call_later``/``call_at``; the tracer counts it under the
@@ -16,15 +15,15 @@ loop when disabled.  It never changes how a run is scheduled.
 Example::
 
     sim = Simulator()
-    tracer = EventTracer(sim, keep_last=50)
+    tracer = EventTracer(sim)
     ... run ...
     print(tracer.summary())
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Deque, List, Optional, Tuple
+from collections import Counter
+from typing import Optional
 
 from .core import Simulator
 
@@ -32,16 +31,13 @@ __all__ = ["EventTracer"]
 
 
 class EventTracer:
-    """Counts (and optionally records) every processed event.
+    """Counts every processed event.
 
     Args:
         sim: the simulator to attach to (one tracer per simulator).
-        keep_last: size of the recent-event ring buffer of
-            ``(time, owner)`` pairs; 0 disables recording and keeps only
-            counters.
     """
 
-    def __init__(self, sim: Simulator, keep_last: int = 0) -> None:
+    def __init__(self, sim: Simulator) -> None:
         if getattr(sim, "_tracer", None) is not None:
             raise ValueError("simulator already has a tracer")
         self.sim = sim
@@ -51,9 +47,6 @@ class EventTracer:
         self.total = 0
         self.first_time: Optional[float] = None
         self.last_time: Optional[float] = None
-        self._ring: Optional[Deque[Tuple[float, str]]] = (
-            deque(maxlen=keep_last) if keep_last > 0 else None
-        )
         sim._tracer = self
 
     def observe(self, now: float, entry: list) -> None:
@@ -64,18 +57,11 @@ class EventTracer:
         if self.first_time is None:
             self.first_time = now
         self.last_time = now
-        if self._ring is not None:
-            self._ring.append((now, owner))
 
     def detach(self) -> None:
         """Stop tracing."""
         if getattr(self.sim, "_tracer", None) is self:
             self.sim._tracer = None
-
-    @property
-    def recent(self) -> List[Tuple[float, str]]:
-        """The tail of processed events (empty when recording disabled)."""
-        return list(self._ring) if self._ring is not None else []
 
     def events_per_sim_second(self) -> float:
         """Processing density over the observed simulated span."""

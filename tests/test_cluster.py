@@ -98,16 +98,16 @@ _NODES = tuple(f"shard-{i}" for i in range(8))
 
 
 def test_ring_owner_deterministic_across_instances():
-    a = HashRing(_NODES, vnodes=64)
-    b = HashRing(_NODES, vnodes=64)
+    a = HashRing(_NODES)
+    b = HashRing(_NODES)
     assert [a.owner(k) for k in _KEYS] == [b.owner(k) for k in _KEYS]
     # Insertion order must not matter either.
-    c = HashRing(tuple(reversed(_NODES)), vnodes=64)
+    c = HashRing(tuple(reversed(_NODES)))
     assert [a.owner(k) for k in _KEYS] == [c.owner(k) for k in _KEYS]
 
 
 def test_ring_remove_moves_only_departed_keys():
-    ring = HashRing(_NODES, vnodes=64)
+    ring = HashRing(_NODES)
     before = {k: ring.owner(k) for k in _KEYS}
     ring.remove_node("shard-3")
     after = {k: ring.owner(k) for k in _KEYS}
@@ -122,7 +122,7 @@ def test_ring_remove_moves_only_departed_keys():
 
 
 def test_ring_rejoin_reverts_exactly():
-    ring = HashRing(_NODES, vnodes=64)
+    ring = HashRing(_NODES)
     before = {k: ring.owner(k) for k in _KEYS}
     ring.remove_node("shard-5")
     ring.add_node("shard-5")
@@ -130,8 +130,8 @@ def test_ring_rejoin_reverts_exactly():
 
 
 def test_ring_exclude_equals_removal():
-    ring = HashRing(_NODES, vnodes=64)
-    removed = HashRing(tuple(n for n in _NODES if n != "shard-2"), vnodes=64)
+    ring = HashRing(_NODES)
+    removed = HashRing(tuple(n for n in _NODES if n != "shard-2"))
     for key in _KEYS[:200]:
         assert ring.owner(key, exclude=("shard-2",)) == removed.owner(key)
 
@@ -142,8 +142,8 @@ def test_ring_hashes_each_key_once_across_membership_changes(monkeypatch):
     # node's virtual-node points depend on the node alone, so they are
     # hashed once per process, whichever ring first holds the node.
     members = [n for n in _NODES if n != "shard-4"] + ["shard-9"]
-    expected = [HashRing(members, vnodes=64).owner(k) for k in _KEYS]
-    ring = HashRing(_NODES, vnodes=64)
+    expected = [HashRing(members).owner(k) for k in _KEYS]
+    ring = HashRing(_NODES)
     for key in _KEYS:
         ring.owner(key)
     hashed = []
@@ -164,7 +164,7 @@ def test_ring_hashes_each_key_once_across_membership_changes(monkeypatch):
 
 
 def test_ring_len_and_nodes():
-    ring = HashRing(_NODES, vnodes=64)
+    ring = HashRing(_NODES)
     assert set(ring.nodes) == set(_NODES)
     ring.remove_node("shard-0")
     ring.remove_node("shard-0")  # idempotent

@@ -97,10 +97,6 @@ class TestInvalidationPolicy:
         assert policy.action(entry(lease=100.0), now=99.0) == SERVE
         assert policy.action(entry(lease=100.0), now=101.0) == VALIDATE
 
-    def test_lease_flags(self):
-        assert not InvalidationPolicy().want_lease_get
-        assert InvalidationPolicy(want_leases=True).want_lease_ims
-
     def test_protocol_bundles(self):
         plain = invalidation()
         assert plain.uses_invalidation
@@ -114,7 +110,6 @@ class TestInvalidationPolicy:
         assert leased.accelerator.grant_leases
         assert leased.accelerator.lease_get == 3600.0
         assert leased.accelerator.lease_ims == 3600.0
-        assert leased.client_policy.want_lease_get
 
         two_tier = two_tier_lease(lease_duration=3600.0)
         assert two_tier.accelerator.lease_get == 0.0

@@ -83,7 +83,7 @@ from repro.core.leases import adaptive_lease, lease_invalidation, two_tier_lease
 from repro.core.polling import poll_every_time
 from repro.net import Network
 from repro.obs import Observation
-from repro.replay.experiment import ExperimentConfig, run_experiment
+from repro.replay.experiment import INTERVAL, ExperimentConfig, run_experiment
 from repro.replay.serialize import result_to_dict
 from repro.sim import RngRegistry
 from repro.traces import generate_trace, profile
@@ -354,8 +354,8 @@ def test_sparse_case_has_a_modification_only_interval():
         mean_lifetime_seconds=config.mean_lifetime,
         rng=RngRegistry(config.seed).stream("modifications"),
     )
-    requested = {int(r.timestamp // config.interval) for r in trace.records}
-    modified = {int(m.time // config.interval) for m in schedule}
+    requested = {int(r.timestamp // INTERVAL) for r in trace.records}
+    modified = {int(m.time // INTERVAL) for m in schedule}
     assert modified - requested
 
 

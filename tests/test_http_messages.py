@@ -62,8 +62,7 @@ def test_reply_304_fields():
 
 
 def test_lease_expiry_carried_on_replies():
-    req = make_get("p", "s", "/doc", client_id="c", want_lease=True)
-    assert req.want_lease
+    req = make_get("p", "s", "/doc", client_id="c")
     reply = make_reply_200(req, body_bytes=10, last_modified=0.0, lease_expires=500.0)
     assert reply.lease_expires == 500.0
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs import MetricsRegistry
 
 
 class TestHandles:
@@ -99,24 +95,3 @@ class TestQueries:
         text = reg.render()
         assert "requests{protocol=ttl,site=p2} 5" in text
         assert "latency" in text
-
-
-class TestNullRegistry:
-    def test_disabled_and_shared_handle(self):
-        null = NullRegistry()
-        assert null.enabled is False
-        c = null.counter("anything", a=1)
-        g = null.gauge("other")
-        t = null.timer("t")
-        # All no-op handles are the same object: zero allocation per call.
-        assert c is g is t
-        c.inc()
-        g.set(5)
-        t.observe(0.1)  # all silently ignored
-        assert len(null) == 0
-
-    def test_singleton_exists(self):
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-
-    def test_real_registry_enabled(self):
-        assert MetricsRegistry().enabled is True

@@ -48,7 +48,7 @@ class TestMissAndHit:
     def test_first_request_is_a_miss_with_transfer(self):
         sim, net, fs, server, proxy = build(poll_every_time())
         outcome = run_request(sim, proxy, "c1", "/a")
-        assert outcome.fetched and outcome.transfer
+        assert outcome.transfer
         assert not outcome.had_cached_copy
         assert not outcome.hit
         assert outcome.body_bytes == 1000

@@ -14,14 +14,27 @@ each with its reason.  They are the types of values that public
 functions return or hold, exported so that callers can annotate and
 check them, a few constants that describe what public functions accept,
 and one documented entry point.
+
+The same holds for configuration: every field of
+:class:`repro.replay.ExperimentConfig` must be set by name by some
+caller in the program, its benchmarks or its examples (see
+:data:`UNSET_FIELDS_ALLOWED`).  A field nothing sets is a fixed value
+dressed up as an option.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from repro.replay import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 SEARCHED = ("src", "tests", "examples", "benchmarks", "perfbench", "tools")
+#: Where an ``ExperimentConfig`` field must be set to count as used.
+CONFIG_CALLERS = ("src", "benchmarks", "perfbench", "examples")
+#: Calls whose keyword arguments set ``ExperimentConfig`` fields.
+CONFIG_SETTERS = {"ExperimentConfig", "replace", "run_matrix", "collect_report"}
 
 #: ``"subpackage.Name" -> why it stays exported without a use elsewhere``.
 ALLOWED = {
@@ -110,3 +123,59 @@ def test_allow_list_names_only_unused_exports():
     # An entry whose name gained a use, or left ``__all__``, must go.
     assert set(ALLOWED) - _unreferenced() == set()
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+#: ``ExperimentConfig`` field -> why it stays although no caller sets it.
+UNSET_FIELDS_ALLOWED = {
+    "num_pseudo_clients": (
+        "the configuration-space audit samples the number of clients"
+    ),
+    "mean_initial_age": (
+        "the configuration-space audit samples the initial document age"
+    ),
+}
+
+
+def _fields_set(tree: ast.AST) -> set:
+    """Names passed to a config setter or used as a sweep point's keys.
+
+    A sweep point is a ``(label, {"field": value, ...})`` tuple.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", None)
+            )
+            if called in CONFIG_SETTERS:
+                names.update(kw.arg for kw in node.keywords if kw.arg)
+        elif (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) == 2
+            and isinstance(node.elts[1], ast.Dict)
+        ):
+            names.update(
+                key.value
+                for key in node.elts[1].keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return names
+
+
+def _unset_config_fields() -> set:
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for directory in CONFIG_CALLERS:
+        for path in (ROOT / directory).rglob("*.py"):
+            fields -= _fields_set(ast.parse(path.read_text()))
+    return fields
+
+
+def test_every_config_field_is_set_by_some_caller():
+    assert _unset_config_fields() - set(UNSET_FIELDS_ALLOWED) == set()
+
+
+def test_unset_field_allow_list_names_only_unset_fields():
+    # An entry whose field gained a caller, or left the config, must go.
+    assert set(UNSET_FIELDS_ALLOWED) - _unset_config_fields() == set()
+    assert all(reason.strip() for reason in UNSET_FIELDS_ALLOWED.values())

@@ -29,24 +29,6 @@ def test_counts_processed_events():
     assert tracer.last_time == 3.0
 
 
-def test_ring_buffer_bounded():
-    sim = Simulator()
-    tracer = EventTracer(sim, keep_last=3)
-    for i in range(10):
-        sim.call_later(float(i), nothing)
-    sim.run()
-    assert len(tracer.recent) == 3
-    assert tracer.recent[-1] == (9.0, "nothing")
-
-
-def test_recording_disabled_by_default():
-    sim = Simulator()
-    tracer = EventTracer(sim)
-    sim.call_later(1.0, nothing)
-    sim.run()
-    assert tracer.recent == []
-
-
 def test_one_tracer_per_simulator():
     sim = Simulator()
     EventTracer(sim)
