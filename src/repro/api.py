@@ -34,9 +34,8 @@ the facade wraps them rather than replacing them.  The old
 
 from __future__ import annotations
 
-import difflib
 import inspect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .core import (
     adaptive_lease,
@@ -51,6 +50,7 @@ from .core import (
 from .core.protocol import Protocol
 from .replay import run_experiment
 from .replay import sweep as run_sweep
+from .replay.experiment import unknown_value
 
 __all__ = [
     "PROTOCOLS",
@@ -102,14 +102,6 @@ def protocol_names() -> List[str]:
     return sorted(PROTOCOLS)
 
 
-def _unknown(label: str, value: str, choices: Sequence[str]) -> str:
-    """Build an unknown-``label`` error message with a typo suggestion."""
-    suggestion = difflib.get_close_matches(str(value), list(choices), n=1)
-    hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
-    options = ", ".join(repr(c) for c in sorted(choices))
-    return f"unknown {label} {value!r}{hint} (choose from {options})"
-
-
 def build_protocol(name: str, **config: Any) -> Protocol:
     """Build a protocol by its CLI name, with validated keyword config.
 
@@ -126,7 +118,7 @@ def build_protocol(name: str, **config: Any) -> Protocol:
     """
     factory = PROTOCOLS.get(name)
     if factory is None:
-        raise ValueError(_unknown("protocol", name, list(PROTOCOLS)))
+        raise ValueError(unknown_value("protocol", name, sorted(PROTOCOLS)))
     if config:
         accepted = [
             p.name
@@ -136,7 +128,7 @@ def build_protocol(name: str, **config: Any) -> Protocol:
         for key in config:
             if key not in accepted:
                 raise ValueError(
-                    _unknown(f"{name!r} option", key, accepted)
+                    unknown_value(f"{name!r} option", key, sorted(accepted))
                     if accepted
                     else f"protocol {name!r} takes no options (got {key!r})"
                 )

@@ -48,8 +48,8 @@ from ..http import (
     Invalidate,
     make_get,
     make_ims,
+    make_invalidate,
     make_invalidate_server,
-    make_invalidate_url,
     make_reply_200,
     make_reply_304,
 )
@@ -260,24 +260,28 @@ class ParentProxy:
     # ------------------------------------------------------------------
 
     def _propagate(self, message: Invalidate) -> None:
-        if message.url is not None:
-            # Drop our shared copy and invalidate interested children.
-            self.cache.remove(f"{message.url}@{_SHARED}")
-            entries = self.interest.note_modification(message.url, self.sim.now)
-            messages = (
-                make_invalidate_url(
-                    self.address, entry.proxy, message.url, entry.client_id,
-                )
-                for entry in entries
-            )
-            for entry in entries:
-                self.owed[(message.url, entry.client_id)] = messages
-            self._forward(messages)
-        else:
+        if message.server is not None:
             # Server recovered: everything we hold is questionable, and
             # every child must hear the same.
             self.cache.mark_all_questionable()
             self._forward(self._server_messages(message.server))
+            return
+        # Drop our shared copy of each document and invalidate the
+        # interested children.
+        for url, _clients in message.pairs:
+            self.cache.remove(f"{url}@{_SHARED}")
+            self._forward(self._child_messages(url))
+
+    def _child_messages(self, url: str) -> Iterator[Invalidate]:
+        """An INVALIDATE for every child copy of ``url``, owed from now."""
+        entries = self.interest.note_modification(url, self.sim.now)
+        messages = (
+            make_invalidate(self.address, entry.proxy, ((url, (entry.client_id,)),))
+            for entry in entries
+        )
+        for entry in entries:
+            self.owed[(url, entry.client_id)] = messages
+        return messages
 
     def _server_messages(self, server: str) -> Iterator[Invalidate]:
         """An INVALIDATE-by-server for every known child, owed from now."""
@@ -297,9 +301,12 @@ class ParentProxy:
 
     def _forwarded(self, _delivered: bool, message, messages) -> None:
         self.invalidations_forwarded += 1
-        if message.url is not None:
-            self.interest.clear_after_invalidation(message.url, [message.client_id])
-        key = (message.url, message.client_id if message.url else message.dst)
+        if message.server is None:
+            ((url, (client_id,)),) = message.pairs
+            self.interest.clear_after_invalidation(url, [client_id])
+            key = (url, client_id)
+        else:
+            key = (None, message.dst)
         if self.owed.get(key) is messages:  # else a later chain owes it
             del self.owed[key]
         self._forward(messages)

@@ -13,14 +13,11 @@ from .messages import (
     Invalidate,
     make_get,
     make_ims,
-    make_invalidate_batch,
-    make_invalidate_multi,
+    make_invalidate,
     make_invalidate_server,
-    make_invalidate_url,
     make_reply_200,
     make_reply_304,
 )
-from .wire import DEFAULT_WIRE, WireCosts
 
 __all__ = [
     "OK",
@@ -37,10 +34,6 @@ __all__ = [
     "make_ims",
     "make_reply_200",
     "make_reply_304",
-    "make_invalidate_url",
-    "make_invalidate_multi",
-    "make_invalidate_batch",
+    "make_invalidate",
     "make_invalidate_server",
-    "WireCosts",
-    "DEFAULT_WIRE",
 ]

@@ -7,9 +7,15 @@ Modelled messages:
 * ``200 Document follows`` — file transfer (:func:`make_reply_200`).
 * ``304 Not Modified`` — validation success (:func:`make_reply_304`).
 * ``INVALIDATE`` — the new message type the paper adds to HTTP
-  (Section 4).  It carries either a URL (invalidate one document) or a Web
-  server address (mark every document from that server *questionable*;
-  used after a server-site failure).
+  (Section 4).  It carries either ``(url, client ids)`` pairs, the
+  documents one proxy's clients must drop (:func:`make_invalidate`), or a
+  Web server address, which marks every document from that server
+  *questionable* after a server-site failure
+  (:func:`make_invalidate_server`).  One pair for one client is the
+  paper's message; the multicast and batched fan-outs group more pairs
+  into one message.
+
+Every size comes from the constants in :mod:`repro.http.wire`.
 
 Each constructor returns a :class:`repro.net.Message` subclass whose
 ``category`` feeds straight into the Table 3/4 accounting rows.
@@ -21,7 +27,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..net import Address, Message
-from .wire import DEFAULT_WIRE, WireCosts
+from .wire import (
+    GET_BYTES,
+    IMS_BYTES,
+    INVALIDATE_BYTES,
+    INVALIDATE_PER_CLIENT_BYTES,
+    INVALIDATE_PER_URL_BYTES,
+    NOT_MODIFIED_BYTES,
+    RESPONSE_HEADER_BYTES,
+)
 
 __all__ = [
     "OK",
@@ -38,9 +52,7 @@ __all__ = [
     "make_ims",
     "make_reply_200",
     "make_reply_304",
-    "make_invalidate_url",
-    "make_invalidate_multi",
-    "make_invalidate_batch",
+    "make_invalidate",
     "make_invalidate_server",
 ]
 
@@ -110,44 +122,25 @@ class HttpResponse(Message):
 class Invalidate(Message):
     """An INVALIDATE message.
 
-    Exactly one of ``url`` / ``server`` / ``pairs`` is set:
+    Exactly one of ``pairs`` / ``server`` is set:
 
-    * ``url`` — delete the named document from the cache of ``client_id``
-      (or every client in ``client_ids`` for the multicast form).
+    * ``pairs`` — ``((url, (client_id, ...)), ...)``: delete each named
+      document from the caches of its listed clients, all behind the
+      destination proxy.  One pair with one client is the paper's form;
+      one URL with several clients the multicast form; several URLs the
+      sharded tier's batch.
     * ``server`` — mark every cached document from that Web server
       questionable (requires revalidation before next use); sent during
       server-site crash recovery.
-    * ``pairs`` — batched form: ``((url, client_ids), ...)`` coalescing
-      several documents' invalidations for one proxy into a single
-      message (the sharded accelerator tier's fan-out batching).
     """
 
-    url: Optional[str] = None
-    server: Optional[Address] = None
-    client_id: str = ""
-    #: Multicast form: all real clients behind the destination proxy that
-    #: should drop the URL (``None`` for the single-client form).
-    client_ids: Optional[tuple] = None
-    #: Batched form: ``((url, (client_id, ...)), ...)`` — every entry the
-    #: destination proxy should drop, across several documents.
     pairs: Optional[tuple] = None
+    server: Optional[Address] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        forms = sum(x is not None for x in (self.url, self.server, self.pairs))
-        if forms != 1:
-            raise ValueError("exactly one of url/server/pairs must be set")
-
-    @property
-    def target_clients(self) -> tuple:
-        """The client ids this message invalidates (1 or many).
-
-        For the batched (``pairs``) form the targets are per-URL; use
-        :attr:`pairs` directly instead.
-        """
-        if self.client_ids is not None:
-            return self.client_ids
-        return (self.client_id,) if self.client_id else ()
+        if (self.pairs is None) == (self.server is None):
+            raise ValueError("exactly one of pairs/server must be set")
 
 
 def make_get(
@@ -155,13 +148,12 @@ def make_get(
     dst: Address,
     url: str,
     client_id: str,
-    wire: WireCosts = DEFAULT_WIRE,
 ) -> HttpRequest:
     """Build a plain GET request."""
     return HttpRequest(
         src=src,
         dst=dst,
-        size=wire.get_request,
+        size=GET_BYTES,
         category=CATEGORY_GET,
         url=url,
         client_id=client_id,
@@ -174,13 +166,12 @@ def make_ims(
     url: str,
     client_id: str,
     ims_timestamp: float,
-    wire: WireCosts = DEFAULT_WIRE,
 ) -> HttpRequest:
     """Build an If-Modified-Since validation request."""
     return HttpRequest(
         src=src,
         dst=dst,
-        size=wire.ims_request,
+        size=IMS_BYTES,
         category=CATEGORY_IMS,
         url=url,
         client_id=client_id,
@@ -192,14 +183,13 @@ def make_reply_200(
     request: HttpRequest,
     body_bytes: int,
     last_modified: float,
-    wire: WireCosts = DEFAULT_WIRE,
     lease_expires: Optional[float] = None,
 ) -> HttpResponse:
     """Build a ``200 Document follows`` reply to ``request``."""
     return HttpResponse(
         src=request.dst,
         dst=request.src,
-        size=wire.response_header + body_bytes,
+        size=RESPONSE_HEADER_BYTES + body_bytes,
         category=CATEGORY_REPLY_200,
         reply_to=request.msg_id,
         status=OK,
@@ -213,14 +203,13 @@ def make_reply_200(
 def make_reply_304(
     request: HttpRequest,
     last_modified: float,
-    wire: WireCosts = DEFAULT_WIRE,
     lease_expires: Optional[float] = None,
 ) -> HttpResponse:
     """Build a ``304 Not Modified`` reply to ``request``."""
     return HttpResponse(
         src=request.dst,
         dst=request.src,
-        size=wire.not_modified_reply,
+        size=NOT_MODIFIED_BYTES,
         category=CATEGORY_REPLY_304,
         reply_to=request.msg_id,
         status=NOT_MODIFIED,
@@ -231,91 +220,34 @@ def make_reply_304(
     )
 
 
-def make_invalidate_url(
-    src: Address,
-    dst: Address,
-    url: str,
-    client_id: str,
-    wire: WireCosts = DEFAULT_WIRE,
-) -> Invalidate:
-    """Build an INVALIDATE carrying a URL (normal modification path)."""
-    return Invalidate(
-        src=src,
-        dst=dst,
-        size=wire.invalidate,
-        category=CATEGORY_INVALIDATE,
-        url=url,
-        client_id=client_id,
-    )
-
-
-def make_invalidate_multi(
-    src: Address,
-    dst: Address,
-    url: str,
-    client_ids,
-    wire: WireCosts = DEFAULT_WIRE,
-) -> Invalidate:
-    """Build one INVALIDATE covering several clients behind one proxy.
-
-    The multicast form the paper suggests for large fan-outs: one
-    message per proxy host instead of one per client site.
-    """
-    client_ids = tuple(client_ids)
-    if not client_ids:
-        raise ValueError("multicast INVALIDATE needs at least one client")
-    extra = wire.invalidate_per_client * (len(client_ids) - 1)
-    return Invalidate(
-        src=src,
-        dst=dst,
-        size=wire.invalidate + extra,
-        category=CATEGORY_INVALIDATE,
-        url=url,
-        client_ids=client_ids,
-    )
-
-
-def make_invalidate_batch(
-    src: Address,
-    dst: Address,
-    pairs,
-    wire: WireCosts = DEFAULT_WIRE,
-) -> Invalidate:
-    """Build one INVALIDATE coalescing several documents for one proxy.
+def make_invalidate(src: Address, dst: Address, pairs) -> Invalidate:
+    """Build an INVALIDATE for documents cached behind one proxy.
 
     ``pairs`` is an iterable of ``(url, client_ids)``.  The wire size is
-    one base INVALIDATE plus ``invalidate_per_url`` for each extra URL
-    and ``invalidate_per_client`` for each extra client id within a URL,
-    so batching saves the per-message framing the unbatched fan-out pays.
+    one base INVALIDATE plus ``INVALIDATE_PER_URL_BYTES`` for each further
+    URL and ``INVALIDATE_PER_CLIENT_BYTES`` for each further client of a
+    URL (:mod:`repro.http.wire`), so grouping saves the per-message
+    framing that one message per (url, client) pays.
     """
-    normalized = tuple((url, tuple(cids)) for url, cids in pairs)
-    if not normalized:
-        raise ValueError("batched INVALIDATE needs at least one pair")
-    size = wire.invalidate + wire.invalidate_per_url * (len(normalized) - 1)
-    for _url, cids in normalized:
+    pairs = tuple((url, tuple(cids)) for url, cids in pairs)
+    if not pairs:
+        raise ValueError("INVALIDATE needs at least one pair")
+    size = INVALIDATE_BYTES + INVALIDATE_PER_URL_BYTES * (len(pairs) - 1)
+    for _url, cids in pairs:
         if not cids:
-            raise ValueError("batched INVALIDATE pair needs at least one client")
-        size += wire.invalidate_per_client * (len(cids) - 1)
+            raise ValueError("INVALIDATE pair needs at least one client")
+        size += INVALIDATE_PER_CLIENT_BYTES * (len(cids) - 1)
     return Invalidate(
-        src=src,
-        dst=dst,
-        size=size,
-        category=CATEGORY_INVALIDATE,
-        pairs=normalized,
+        src=src, dst=dst, size=size, category=CATEGORY_INVALIDATE, pairs=pairs,
     )
 
 
-def make_invalidate_server(
-    src: Address,
-    dst: Address,
-    server: Address,
-    wire: WireCosts = DEFAULT_WIRE,
-) -> Invalidate:
+def make_invalidate_server(src: Address, dst: Address, server: Address) -> Invalidate:
     """Build an INVALIDATE carrying a server address (crash recovery)."""
     return Invalidate(
         src=src,
         dst=dst,
-        size=wire.invalidate,
+        size=INVALIDATE_BYTES,
         category=CATEGORY_INVALIDATE,
         server=server,
     )

@@ -5,61 +5,40 @@ requests, 304 replies, INVALIDATE messages) separately from *file
 transfers* (200 replies carrying a body).  The byte sizes below are
 representative HTTP/1.0-era header sizes; they only matter for the
 "message bytes" rows of Tables 3–4, which are dominated by file bodies, so
-the comparisons are insensitive to the exact values.  Every replay uses
-:data:`DEFAULT_WIRE`; the message builders in :mod:`repro.http.messages`
-accept another model.
+the comparisons are insensitive to the exact values.  They are fixed:
+every message the testbed builds is sized by these constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+__all__ = [
+    "GET_BYTES",
+    "IMS_BYTES",
+    "RESPONSE_HEADER_BYTES",
+    "NOT_MODIFIED_BYTES",
+    "INVALIDATE_BYTES",
+    "INVALIDATE_PER_CLIENT_BYTES",
+    "INVALIDATE_PER_URL_BYTES",
+    "PIGGYBACK_PER_URL_BYTES",
+]
 
-__all__ = ["WireCosts", "DEFAULT_WIRE"]
-
-
-@dataclass(frozen=True)
-class WireCosts:
-    """Byte sizes for each message kind on the wire.
-
-    Attributes:
-        get_request: a plain ``GET`` request (request line + headers).
-        ims_request: a ``GET`` with an ``If-Modified-Since`` header.
-        response_header: headers of a ``200`` reply (body size is added).
-        not_modified_reply: a ``304 Not Modified`` reply.
-        invalidate: an ``INVALIDATE`` message (new message type, Section 4).
-        invalidate_per_client: additional bytes per extra client id when a
-            single INVALIDATE is multicast to several clients behind one
-            proxy (the paper's suggested "multicast schemes").
-        invalidate_per_url: additional bytes per extra URL when a batched
-            INVALIDATE coalesces several documents' invalidations into one
-            message (the sharded accelerator tier's fan-out batching).
-        piggyback_per_url: bytes per URL in a piggybacked invalidation
-            list attached to a reply (PSI extension).
-    """
-
-    get_request: int = 300
-    ims_request: int = 340
-    response_header: int = 250
-    not_modified_reply: int = 180
-    invalidate: int = 120
-    invalidate_per_client: int = 16
-    invalidate_per_url: int = 24
-    piggyback_per_url: int = 24
-
-    def __post_init__(self) -> None:
-        for name in (
-            "get_request",
-            "ims_request",
-            "response_header",
-            "not_modified_reply",
-            "invalidate",
-            "invalidate_per_client",
-            "invalidate_per_url",
-            "piggyback_per_url",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-#: Default sizes used throughout the reproduction.
-DEFAULT_WIRE = WireCosts()
+#: A plain ``GET`` request (request line + headers).
+GET_BYTES = 300
+#: A ``GET`` with an ``If-Modified-Since`` header.
+IMS_BYTES = 340
+#: The headers of a ``200`` reply (the body size is added).
+RESPONSE_HEADER_BYTES = 250
+#: A ``304 Not Modified`` reply.
+NOT_MODIFIED_BYTES = 180
+#: An ``INVALIDATE`` naming one document for one client, or a server
+#: (the new message type, Section 4).
+INVALIDATE_BYTES = 120
+#: Each further client id of one document in an ``INVALIDATE`` (the
+#: paper's suggested "multicast schemes").
+INVALIDATE_PER_CLIENT_BYTES = 16
+#: Each further document in an ``INVALIDATE`` (the sharded accelerator
+#: tier's batching).
+INVALIDATE_PER_URL_BYTES = 24
+#: Each URL of a piggybacked invalidation list attached to a reply (PSI
+#: extension).
+PIGGYBACK_PER_URL_BYTES = 24

@@ -116,20 +116,6 @@ class LatencyStats:
         stats._reservoir = [float(v) for v in state.get("reservoir", [])]
         return stats
 
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold another stats object into this one."""
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        for value in other._reservoir:
-            if len(self._reservoir) < self._reservoir_size:
-                self._reservoir.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self._reservoir_size:
-                    self._reservoir[slot] = value
-
     def __repr__(self) -> str:
         return (
             f"LatencyStats(n={self.count}, mean={self.mean:.4f}, "

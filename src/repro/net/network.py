@@ -101,15 +101,6 @@ class Network:
             raise ValueError(f"address {address!r} already registered")
         self._handlers[address] = handler
 
-    def unregister(self, address: Address) -> None:
-        """Detach a node entirely (it becomes unknown, not merely down)."""
-        self._handlers.pop(address, None)
-
-    @property
-    def addresses(self) -> Tuple[Address, ...]:
-        """All registered addresses."""
-        return tuple(self._handlers)
-
     # -- failures -----------------------------------------------------------
 
     def set_down(self, address: Address) -> None:

@@ -36,8 +36,6 @@ class NetworkStats:
         self._lost: Counter = Counter()
         self._lost_reasons: Counter = Counter()
         self._duplicates: Counter = Counter()
-        self._batches: Counter = Counter()
-        self._batched_payloads: Counter = Counter()
 
     # -- recording ----------------------------------------------------------
 
@@ -46,21 +44,9 @@ class NetworkStats:
         self._sent[message.category] += 1
 
     def record_delivery(self, message: Message) -> None:
-        """Account one successfully delivered message.
-
-        Batched messages (those carrying a ``pairs`` payload, e.g. the
-        sharded accelerator's coalesced INVALIDATEs) are additionally
-        counted as one batch plus their per-(url, client) payload count,
-        so batching savings can be read directly off the stats.
-        """
+        """Account one successfully delivered message."""
         self._messages[message.category] += 1
         self._bytes[message.category] += message.size
-        pairs = getattr(message, "pairs", None)
-        if pairs is not None:
-            self._batches[message.category] += 1
-            self._batched_payloads[message.category] += sum(
-                len(cids) for _url, cids in pairs
-            )
 
     def record_drop(self, message: Message) -> None:
         """Account one message refused at connect time (sender saw it)."""
@@ -114,19 +100,6 @@ class NetworkStats:
         """Extra deliveries caused by duplication faults."""
         return sum(self._duplicates.values())
 
-    @property
-    def batches_delivered(self) -> int:
-        """Delivered messages that carried a batched payload."""
-        return sum(self._batches.values())
-
-    def batches(self, category: str) -> int:
-        """Delivered batched-message count for one category."""
-        return self._batches[category]
-
-    def batched_payloads(self, category: str) -> int:
-        """Delivered batched payload-item count for one category."""
-        return self._batched_payloads[category]
-
     def messages(self, category: str) -> int:
         """Delivered message count for one category."""
         return self._messages[category]
@@ -134,14 +107,6 @@ class NetworkStats:
     def bytes(self, category: str) -> int:
         """Delivered byte count for one category."""
         return self._bytes[category]
-
-    def dropped(self, category: str) -> int:
-        """Dropped message count for one category."""
-        return self._dropped[category]
-
-    def lost(self, category: str) -> int:
-        """In-flight loss count for one category."""
-        return self._lost[category]
 
     def lost_by_reason(self) -> Dict[str, int]:
         """Snapshot ``{loss reason: count}`` for chaos reconciliation."""
@@ -182,16 +147,6 @@ class NetworkStats:
             if count:
                 registry.counter(
                     "net_duplicates", category=category, **labels
-                ).inc(count)
-        for category, count in sorted(self._batches.items()):
-            if count:
-                registry.counter(
-                    "net_batches", category=category, **labels
-                ).inc(count)
-        for category, count in sorted(self._batched_payloads.items()):
-            if count:
-                registry.counter(
-                    "net_batched_payloads", category=category, **labels
                 ).inc(count)
 
     def __repr__(self) -> str:

@@ -153,9 +153,6 @@ class ProxyCache:
         #: AFS-style callback-race handling.
         self._tombstones: Dict[str, float] = {}
         self.invalidations_received = 0
-        #: Individual (url, client) invalidations that arrived inside
-        #: batched INVALIDATE messages (sharded accelerator tier).
-        self.batched_invalidations_received = 0
         self.piggyback_copies_removed = 0
         self.server_invalidations_received = 0
         self.questionable_validations = 0
@@ -182,10 +179,6 @@ class ProxyCache:
             ("proxy_failed_requests", self.failed_requests),
         ):
             registry.counter(name, site=site, **labels).inc(value)
-        if self.batched_invalidations_received:
-            registry.counter(
-                "proxy_batched_invalidations_received", site=site, **labels
-            ).inc(self.batched_invalidations_received)
         registry.gauge("proxy_cache_entries", site=site, **labels).set(
             len(self.cache)
         )
@@ -218,28 +211,16 @@ class ProxyCache:
             self._handle_invalidate(message)
 
     def _handle_invalidate(self, message: Invalidate) -> None:
-        if message.pairs is not None:
-            # Batched form: one message coalescing several documents'
-            # invalidations (the sharded accelerator tier).  Each pair is
-            # processed exactly like a url-form INVALIDATE.
+        if message.server is None:
+            # Delete each named client's copy of each named document; if
+            # one is not cached, the invalidation may have overtaken an
+            # in-flight fetch reply — tombstone the key so the eventual
+            # insert revalidates.
             for url, client_ids in message.pairs:
                 for client_id in client_ids:
                     key = entry_key(url, client_id)
                     if self.cache.remove(key) == 0:
                         self._tombstones[key] = self.sim.now
-            self.invalidations_received += 1
-            self.batched_invalidations_received += sum(
-                len(cids) for _url, cids in message.pairs
-            )
-        elif message.url is not None:
-            # Delete the targeted clients' copies; if one is not cached,
-            # the invalidation may have overtaken an in-flight fetch
-            # reply — tombstone the key so the eventual insert
-            # revalidates.  (The multicast form covers several clients.)
-            for client_id in message.target_clients:
-                key = entry_key(message.url, client_id)
-                if self.cache.remove(key) == 0:
-                    self._tombstones[key] = self.sim.now
             self.invalidations_received += 1
         else:
             # Server-address form: everything from that server becomes

@@ -61,8 +61,11 @@ from .pseudo_client import PseudoClient, shard_records
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]
 
 
-def _unknown_value(label: str, value, choices) -> str:
-    """Error text for a bad enum value, suggesting the closest spelling."""
+def unknown_value(label: str, value, choices) -> str:
+    """Error text for a bad choice, suggesting the closest spelling.
+
+    ``choices`` are listed in the order given.
+    """
     suggestion = difflib.get_close_matches(str(value), list(choices), n=1)
     hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
     options = ", ".join(repr(c) for c in choices)
@@ -84,7 +87,8 @@ MODIFIER_OVERHEAD = 0.5
 #: Capacity of each parent cache of a hierarchy.
 PARENT_CACHE_BYTES = 256 * 1024 * 1024
 #: The default server and proxy cost models with their per-KB times
-#: scaled by :data:`SIZE_SCALE`.  Messages use the default wire sizes.
+#: scaled by :data:`SIZE_SCALE`.  Message sizes are the constants of
+#: :mod:`repro.http.wire`.
 SERVER_COSTS = dataclasses.replace(
     DEFAULT_SERVER_COSTS,
     cpu_per_kb=DEFAULT_SERVER_COSTS.cpu_per_kb / SIZE_SCALE,
@@ -194,7 +198,7 @@ class ExperimentConfig:
             raise ValueError("need at least one pseudo-client")
         if self.detection not in ("notify", "browser"):
             raise ValueError(
-                _unknown_value("detection mode", self.detection,
+                unknown_value("detection mode", self.detection,
                                ("notify", "browser"))
             )
         if self.shards < 1:
@@ -587,9 +591,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "handoffs": cluster.handoffs,
             "shard_crashes": cluster.shard_crashes,
             "rebalances": cluster.rebalances,
-            "batches_delivered": stats.batches(CATEGORY_INVALIDATE),
-            "batched_invalidations_delivered": stats.batched_payloads(
-                CATEGORY_INVALIDATE
+            "batches_delivered": sum(s.batches_sent for s in cluster.shards),
+            "batched_invalidations_delivered": sum(
+                s.batched_invalidations for s in cluster.shards
             ),
         }
     if config.audit or schedule_obj is not None:

@@ -49,14 +49,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..http import (
     HttpRequest,
     Invalidate,
-    make_invalidate_batch,
-    make_invalidate_multi,
+    make_invalidate,
     make_invalidate_server,
-    make_invalidate_url,
     make_reply_200,
     make_reply_304,
 )
-from ..http.wire import DEFAULT_WIRE
+from ..http.wire import PIGGYBACK_PER_URL_BYTES
 from ..metering import UsageLedger
 from ..net import Delivery, Message, Network, ReliableChannel
 from ..sim import Claim, Resource, Simulator
@@ -182,6 +180,8 @@ class ServerSite:
         #: Proxies with a flush timer in flight (timers are not
         #: cancelled; a fired timer on an empty buffer is a no-op).
         self._batch_timer_armed: Set[str] = set()
+        #: Delivered batch-buffer flushes and the (url, client) pairs
+        #: they carried.
         self.batches_sent = 0
         self.batched_invalidations = 0
         #: Wall-clock seconds each modification's INVALIDATE fan-out took.
@@ -269,7 +269,7 @@ class ServerSite:
             urls = self._piggyback_for(request.src, exclude_url=request.url)
             if urls:
                 reply.piggyback_invalidations = urls
-                reply.size += len(urls) * DEFAULT_WIRE.piggyback_per_url
+                reply.size += len(urls) * PIGGYBACK_PER_URL_BYTES
                 self.piggybacked_urls += len(urls)
         # All three approaches log incoming requests (paper Section 5.2).
         self.disk.use(self.costs.disk_log_write, self._send_reply, reply)
@@ -443,7 +443,7 @@ class ServerSite:
         obligations stay open either way.
         """
         steps = [
-            (self._invalidate_message(proxy, pairs), pairs, self._abandon)
+            (self._invalidate_message(proxy, pairs), pairs, False)
             for proxy, pairs in groups
         ]
         entries = sum(len(pairs) for _proxy, pairs in groups)
@@ -455,19 +455,12 @@ class ServerSite:
         if self.fanout_listener is not None:
             self.fanout_listener(url, started, self.sim.now, entries)
 
-    def _invalidate_message(self, proxy: str, pairs: Pairs) -> Message:
-        """Build the INVALIDATE for one fan-out group."""
-        if self.batch_window or self.batch_max:
-            by_url: Dict[str, List[str]] = {}
-            for url, cid in pairs:
-                by_url.setdefault(url, []).append(cid)
-            return make_invalidate_batch(self.address, proxy, by_url.items())
-        url, client_id = next(iter(pairs))
-        if self.accel.multicast:
-            return make_invalidate_multi(
-                self.address, proxy, url, [cid for _url, cid in pairs],
-            )
-        return make_invalidate_url(self.address, proxy, url, client_id)
+    def _invalidate_message(self, proxy: str, pairs: Pairs) -> Invalidate:
+        """Build the INVALIDATE for one fan-out group, its clients by URL."""
+        by_url: Dict[str, List[str]] = {}
+        for url, cid in pairs:
+            by_url.setdefault(url, []).append(cid)
+        return make_invalidate(self.address, proxy, by_url.items())
 
     def _server_message(self, proxy: str) -> Invalidate:
         return make_invalidate_server(self.address, proxy, server=self.address)
@@ -475,10 +468,11 @@ class ServerSite:
     def _run(self, steps: list, blocking: bool, on_end, *args) -> None:
         """Send ``steps`` one after another, then call ``on_end(*args)``.
 
-        A step ``(message, pairs, undelivered)`` is a CPU stage for the
+        A step ``(message, pairs, resend)`` is a CPU stage for the
         message, then its delivery over the reliable channel (TCP plus
-        periodic retry).  :meth:`_discharge` closes what a delivered one
-        covers; ``undelivered(message, pairs)`` records how one that
+        periodic retry); ``resend`` is true when the step re-sends an
+        abandoned INVALIDATE on contact.  :meth:`_discharge` closes what
+        a delivered step covers; :meth:`_requeue` records how one that
         ``max_retries`` gave up on is still owed.  A ``blocking`` run
         holds the accept lock throughout.  :meth:`crash` ends every run.
         """
@@ -509,25 +503,27 @@ class ServerSite:
             run.delivery = self.channel.deliver(message, self._on_sent, run)
 
     def _on_sent(self, delivered: bool, run: _Run) -> None:
-        message, pairs, undelivered = run.steps[run.index]
+        message, pairs, resend = run.steps[run.index]
         run.index += 1
         if delivered:
-            self._discharge(message, pairs)
+            self._discharge(message, pairs, resend)
         else:
-            undelivered(message, pairs)
+            self._requeue(message, pairs, resend)
         self._step(None, run)
 
-    def _discharge(self, message: Invalidate, pairs: Pairs) -> None:
+    def _discharge(self, message: Invalidate, pairs: Pairs, resend: bool) -> None:
         """Count a delivered INVALIDATE and close what it covers.
 
         The only place entries and obligations close, and only those known
         when each obligation opened: a newer registration is kept, and an
-        obligation a later modification re-opened stays open.
+        obligation a later modification re-opened stays open.  Under
+        batching every first send of pairs is a batch-buffer flush; the
+        re-send of an abandoned batch goes pair by pair and is no batch.
         """
         self.invalidations_sent += 1
         if message.server is not None:
             self._pending_server_inval.discard(message.dst)
-        elif message.pairs is not None:
+        elif (self.batch_window or self.batch_max) and not resend:
             self.batches_sent += 1
             self.batched_invalidations += len(pairs)
         for (url, client_id), opened in pairs.items():
@@ -535,18 +531,16 @@ class ServerSite:
             if self._pending_inval.get((url, client_id), math.inf) <= opened:
                 del self._pending_inval[(url, client_id)]
 
-    def _abandon(self, message: Invalidate, pairs: Pairs) -> None:
-        """Record an abandoned INVALIDATE and queue it for flush-on-contact.
+    def _requeue(self, message: Invalidate, pairs: Pairs, resend: bool) -> None:
+        """Owe an undelivered INVALIDATE to its proxy's next contact.
 
         Keeps the site-list entries and the pending obligations: the
         copies out there are still stale and still owed an invalidation,
-        just via a different channel, and ``_owed`` records which.
+        just via a different channel, and ``_owed`` records which.  Only
+        a first send counts as abandoned; a failed re-send is owed again.
         """
-        self.invalidations_abandoned += len(pairs) or 1  # by-server: once
-        self._requeue(message, pairs)
-
-    def _requeue(self, message: Invalidate, pairs: Pairs) -> None:
-        """Owe an undelivered INVALIDATE to its proxy's next contact."""
+        if not resend:
+            self.invalidations_abandoned += len(pairs) or 1  # by-server: once
         owed = self._owed.setdefault(message.dst, {})
         if message.server is not None:
             owed[_BY_SERVER] = 0.0
@@ -565,10 +559,10 @@ class ServerSite:
             return  # the common case: nothing owed
         steps = []
         if owed.pop(_BY_SERVER, None) is not None:
-            steps.append((self._server_message(proxy), {}, self._requeue))
+            steps.append((self._server_message(proxy), {}, True))
         for (url, cid), opened in owed.items():
-            message = make_invalidate_url(self.address, proxy, url, cid)
-            steps.append((message, {(url, cid): opened}, self._requeue))
+            message = make_invalidate(self.address, proxy, ((url, (cid,)),))
+            steps.append((message, {(url, cid): opened}, True))
         self._run(steps, False, None)
 
     # ------------------------------------------------------------------
@@ -646,7 +640,7 @@ class ServerSite:
         # One INVALIDATE-by-server per proxy host is enough: the proxy
         # marks every cached document from this server questionable.
         steps = [
-            (self._server_message(proxy), {}, self._abandon)
+            (self._server_message(proxy), {}, False)
             for proxy in sorted(targets)
         ]
         self._run(steps, False, None)

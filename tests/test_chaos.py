@@ -399,17 +399,17 @@ class TestMutationIsCaught:
     shrinker must produce a tiny reproducer."""
 
     @pytest.fixture()
-    def drop_url_invalidates(self, monkeypatch):
+    def drop_document_invalidates(self, monkeypatch):
         original = ProxyCache._handle_invalidate
 
         def broken(self, message):
-            if message.url is not None:
-                return  # INVALIDATE-by-URL silently dropped: the bug
+            if message.server is None:
+                return  # every document INVALIDATE silently dropped: the bug
             return original(self, message)
 
         monkeypatch.setattr(ProxyCache, "_handle_invalidate", broken)
 
-    def test_violation_detected_and_shrunk(self, tiny_trace, drop_url_invalidates):
+    def test_violation_detected_and_shrunk(self, tiny_trace, drop_document_invalidates):
         base = config_for(tiny_trace, invalidation())
         report = run_campaign(base, num_schedules=2, seed=7)
         assert not report.ok
@@ -427,7 +427,7 @@ class TestMutationIsCaught:
             assert repro["violation_count"] > 0
             assert len(repro["schedule"]["faults"]) <= 3
 
-    def test_shrink_is_a_fixpoint(self, tiny_trace, drop_url_invalidates):
+    def test_shrink_is_a_fixpoint(self, tiny_trace, drop_document_invalidates):
         import dataclasses
 
         base = config_for(tiny_trace, invalidation(), audit=True)

@@ -175,13 +175,13 @@ def test_ring_len_and_nodes():
 # -- 3. batching boundary cases (manual testbed, one shard) ----------------
 
 
-def _build_shard(batch_window: float, batch_max: int):
+def _build_shard(batch_window: float, batch_max: int, max_retries=None):
     sim = Simulator()
     net = Network(sim, latency=FixedLatency(0.001), connect_timeout=0.5)
     fs = FileStore.from_catalog(
         {"/a.html": 4096, "/b.html": 2048, "/c.html": 1024}
     )
-    protocol = invalidation(retry_interval=5.0)
+    protocol = invalidation(retry_interval=5.0, max_retries=max_retries)
     shard = ServerSite(
         sim, net, "server", fs, accel=protocol.accelerator,
         batch_window=batch_window, batch_max=batch_max,
@@ -216,8 +216,42 @@ def test_batch_max_exact_fill_flushes_immediately():
     assert shard.batches_sent == 1
     assert shard.invalidations_sent == 1
     assert shard.batched_invalidations == 2
-    assert proxy.batched_invalidations_received == 2
+    assert proxy.invalidations_received == 1  # one message for both pairs
+    assert len(proxy.cache) == 0  # both copies dropped
     assert not shard._pending_inval  # both obligations closed
+
+
+def test_abandoned_batch_is_resent_pair_by_pair_on_contact():
+    sim, fs, shard, proxy = _build_shard(
+        batch_window=1000.0, batch_max=2, max_retries=0
+    )
+    received = []
+    handle = proxy._handle_invalidate
+
+    def record(message):
+        received.append(message)
+        handle(message)
+
+    proxy._handle_invalidate = record
+    _fetch(sim, proxy, "alice", "/a.html")
+    _fetch(sim, proxy, "alice", "/b.html")
+    shard.network.set_down("proxy-0")
+    for url in ("/a.html", "/b.html"):
+        fs.modify(url, now=sim.now)
+        shard.check_in(url)  # the second fills the buffer: one flush
+    sim.run()
+    assert shard.invalidations_abandoned == 2
+    assert shard.batches_sent == 0
+    shard.network.set_up("proxy-0")
+    _fetch(sim, proxy, "bob", "/c.html")  # the contact re-sends what is owed
+    assert [message.pairs for message in received] == [
+        (("/a.html", ("alice",)),),
+        (("/b.html", ("alice",)),),
+    ]
+    assert shard.invalidations_sent == 2
+    assert shard.batches_sent == 0  # a re-send is no batch
+    assert shard.batched_invalidations == 0
+    assert not shard._pending_inval
 
 
 def test_batch_window_timer_flushes():
@@ -574,7 +608,7 @@ def test_abandoned_invalidate_is_resent_when_another_shard_serves_the_proxy():
     (inval_at, inval), (reply_at, reply) = sorted(
         arrivals, key=lambda arrival: arrival[0]
     )
-    assert isinstance(inval, Invalidate) and inval.url == stale
+    assert isinstance(inval, Invalidate) and inval.pairs == ((stale, ("c1",)),)
     assert inval.src == owner
     arrived = start + 0.001
     assert inval_at == pytest.approx(

@@ -5,8 +5,9 @@ An AST-level equivalent of pydocstyle's missing-docstring rules
 to the packages whose public API the docs promise is documented:
 ``repro.replay``, ``repro.chaos``, ``repro.proxy``, ``repro.hierarchy``,
 ``repro.server``, ``repro.net``, ``repro.sim``, ``repro.workload``,
-``repro.metrics`` and ``repro.obs``.  It runs from the
-source alone, so the gate holds even where ruff is not installed.
+``repro.metrics``, ``repro.obs``, ``repro.http``, ``repro.traces`` and
+``repro.metering``.  It runs from the source alone, so the gate holds
+even where ruff is not installed.
 """
 
 import ast
@@ -30,6 +31,9 @@ AUDITED = (
     os.path.join("repro", "workload"),
     os.path.join("repro", "metrics"),
     os.path.join("repro", "obs"),
+    os.path.join("repro", "http"),
+    os.path.join("repro", "traces"),
+    os.path.join("repro", "metering"),
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro import fixed_ttl, invalidation
 from repro.core import SERVE, VALIDATE, FixedTtlPolicy
 from repro.core.fixed_ttl import fixed_ttl as fixed_ttl_factory
-from repro.http import Invalidate, make_invalidate_multi, DEFAULT_WIRE
+from repro.http import Invalidate, make_invalidate
 from repro.net import FixedLatency, Network, WanModel
 from repro.proxy import Cache, CacheEntry, ProxyCache
 from repro.server import FileStore, ServerSite
@@ -49,24 +49,21 @@ class TestFixedTtl:
 
 
 class TestMulticastMessages:
-    def test_multi_invalidate_size_scales_with_clients(self):
-        one = make_invalidate_multi("s", "p", "/a", ["c1"])
-        three = make_invalidate_multi("s", "p", "/a", ["c1", "c2", "c3"])
-        assert one.size == DEFAULT_WIRE.invalidate
-        assert three.size == DEFAULT_WIRE.invalidate + 2 * DEFAULT_WIRE.invalidate_per_client
-        assert three.target_clients == ("c1", "c2", "c3")
+    """The grouped form's payload; its sizes are in test_http_messages.py."""
 
     def test_multi_invalidate_requires_clients(self):
         with pytest.raises(ValueError):
-            make_invalidate_multi("s", "p", "/a", [])
+            make_invalidate("s", "p", [("/a", [])])
+        with pytest.raises(ValueError):
+            make_invalidate("s", "p", [])
 
     def test_single_form_target_clients(self):
-        inv = Invalidate(src="s", dst="p", size=10, url="/a", client_id="c7")
-        assert inv.target_clients == ("c7",)
+        inv = make_invalidate("s", "p", [("/a", ["c7"])])
+        assert inv.pairs == (("/a", ("c7",)),)
 
     def test_server_form_has_no_target_clients(self):
         inv = Invalidate(src="s", dst="p", size=10, server="s")
-        assert inv.target_clients == ()
+        assert inv.pairs is None
 
 
 class TestMulticastInvalidation:

@@ -60,15 +60,6 @@ class TestLatencyStats:
             stats.record(float(v % 1000))
         assert stats.percentile(50) == pytest.approx(500, abs=60)
 
-    def test_merge(self):
-        a, b = LatencyStats(), LatencyStats()
-        a.record(1.0)
-        b.record(9.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean == pytest.approx(5.0)
-        assert a.max == 9.0
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=300))
     def test_mean_within_min_max(self, values):
         stats = LatencyStats()

@@ -155,16 +155,6 @@ def test_stats_account_messages_and_bytes_by_category():
     assert net.stats.bytes_by_category() == {"get": 150, "invalidate": 7}
 
 
-def test_unregister_makes_address_unknown():
-    sim, net = make_net()
-    net.register("b", lambda m: None)
-    net.unregister("b")
-    assert "b" not in net.addresses
-    net.send(Message(src="a", dst="b", size=10))
-    sim.run()
-    assert net.stats.total_dropped == 1
-
-
 def test_negative_message_size_rejected():
     with pytest.raises(ValueError):
         Message(src="a", dst="b", size=-1)

@@ -105,8 +105,11 @@ class TestInvalidation:
         site.check_in("/a")
         sim.run()
         invs = invalidates(inbox)
-        assert {i.client_id for i in invs} == {"c1", "c2"}
-        assert all(i.url == "/a" for i in invs)
+        # One INVALIDATE per site, each naming one client's copy.
+        assert sorted(i.pairs for i in invs) == [
+            (("/a", ("c1",)),),
+            (("/a", ("c2",)),),
+        ]
         assert site.invalidations_sent == 2
         # Sites are forgotten once invalidated.
         assert len(site.table.site_list("/a")) == 0
@@ -369,7 +372,7 @@ class TestFlushOnContact:
         net.send(make_get("p2", "server", "/b", client_id="c2"))
         sim.run()
         (inval_at, inval), (reply_at, reply) = arrivals
-        assert isinstance(inval, Invalidate) and inval.url == "/a"
+        assert isinstance(inval, Invalidate) and inval.pairs == (("/a", ("c1",)),)
         assert isinstance(reply, HttpResponse) and reply.url == "/b"
         costs = site.costs
         arrived = start + 0.001
@@ -423,7 +426,7 @@ class TestFlushOnContact:
             at
             for at, message in arrivals
             if isinstance(message, Invalidate)
-            and message.url == "/a"
+            and message.pairs == (("/a", ("c1",)),)
             and at >= recovered
         ]
         assert resent == []
