@@ -230,7 +230,7 @@ OBSERVATION_PINS = {
         "c9bcd4f2d255a22a2cdd2aab11ce3ee07a8fd8288d3c410231fb44ac004aceb3",
     ),
     "invalidation-shards4-window1": (
-        "580ad1051cd2a727eae8d4d4d8b4cdcb16e19affa0fc0d5cb7bff004db7606c4",
+        "7ac5b22ecad18bd4a2bc173aa8e8745d1b8282e0f649e281afa14acf0e0f3d8c",
         "fd00db3bc23f88fb70ee12154f3b260168b3f0474b72e2e86d0a9b7b8c7bde0c",
     ),
 }
