@@ -199,7 +199,7 @@ class ExperimentConfig:
         if self.detection not in ("notify", "browser"):
             raise ValueError(
                 unknown_value("detection mode", self.detection,
-                               ("notify", "browser"))
+                              ("notify", "browser"))
             )
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
