@@ -101,6 +101,16 @@ class Network:
             raise ValueError(f"address {address!r} already registered")
         self._handlers[address] = handler
 
+    def close(self) -> None:
+        """Detach every node once the simulator has stopped.
+
+        Each node holds the network and the network holds each node's
+        handler, so this is what lets a finished replay's nodes be freed
+        by reference counting.  A send after it fails as one to an
+        unknown address.
+        """
+        self._handlers.clear()
+
     # -- failures -----------------------------------------------------------
 
     def set_down(self, address: Address) -> None:

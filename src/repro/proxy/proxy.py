@@ -366,6 +366,7 @@ class ProxyCache:
             )
 
     def _on_reply_timeout(self, leg: _Leg) -> None:
+        leg.timer = None  # the fired entry's args still hold the leg
         self._pending.pop(leg.msg_id, None)
         self._fail(leg.outcome, leg.on_done)
 

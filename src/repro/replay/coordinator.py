@@ -102,6 +102,15 @@ class TimeCoordinator:
         """Add a pseudo-client or modifier participant."""
         self._participants.append(participant)
 
+    def close(self) -> None:
+        """Forget every participant once the simulator has stopped.
+
+        A called participant holds :meth:`_arrive`, so the participant
+        list is a back-reference; dropping it lets a finished replay be
+        freed by reference counting.
+        """
+        self._participants.clear()
+
     def start(
         self, duration: float, on_finish: Optional[Callable[[], None]] = None
     ) -> None:

@@ -509,7 +509,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     coordinator.start(
         trace.duration, None if lease_controller is None else lease_controller.stop
     )
-    sim.run()
+    try:
+        sim.run()
+    finally:
+        # The handler table and the participant list are the world's only
+        # back-references; dropping them lets reference counting free the
+        # replay's simulator, nodes and state when this function returns.
+        network.close()
+        coordinator.close()
     if not coordinator.finished:
         raise RuntimeError("replay deadlocked before completing the trace")
     wall_time = sim.now

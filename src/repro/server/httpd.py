@@ -27,7 +27,7 @@ a busy one queues FIFO with the INVALIDATE senders.
 
 There is one INVALIDATE fan-out.  A modification opens one obligation
 per registered site, stamped with the time it opened, then groups the
-sites as ``(proxy, pairs)`` in one of three ways: one message per site
+sites by proxy and URL in one of three ways: one message per site
 (the paper's form), one per proxy covering its clients (``multicast``),
 or one per proxy's batch buffer, flushed when ``batch_max`` pairs
 accumulate or ``batch_window`` seconds after the buffer opened.  Every
@@ -391,13 +391,13 @@ class ServerSite:
                 self._enqueue(entry.proxy, url, entry.client_id)
             return
         if self.accel.multicast:
-            groups: Dict[str, Pairs] = {}
+            clients: Dict[str, Dict[str, float]] = {}
             for entry in entries:
-                groups.setdefault(entry.proxy, {})[(url, entry.client_id)] = now
-            grouped = list(groups.items())
+                clients.setdefault(entry.proxy, {})[entry.client_id] = now
+            grouped = [(proxy, {url: cids}) for proxy, cids in clients.items()]
         else:
             grouped = [
-                (entry.proxy, {(url, entry.client_id): now}) for entry in entries
+                (entry.proxy, {url: {entry.client_id: now}}) for entry in entries
             ]
         self._send_invalidations(url, now, grouped)
 
@@ -423,30 +423,32 @@ class ServerSite:
         by_url: Dict[str, Dict[str, float]] = {}
         for url, client_id, opened in buffer:
             by_url.setdefault(url, {})[client_id] = opened
-        pairs = {
-            (url, cid): opened
-            for url, cids in by_url.items()
-            for cid, opened in cids.items()
-        }
         # The fan-out is timed from when the buffer opened.
         url, _client_id, started = buffer[0]
-        self._send_invalidations(url, started, [(proxy, pairs)])
+        self._send_invalidations(url, started, [(proxy, by_url)])
 
     def _send_invalidations(self, url: str, started: float, groups) -> None:
-        """Send one INVALIDATE per ``(proxy, pairs)`` group, serially.
+        """Send one INVALIDATE per ``(proxy, by_url)`` group, serially.
 
-        A group is one site-list entry (the per-site form), one proxy's
-        clients (``multicast``) or one proxy's batch buffer.  With
-        ``blocking_send`` the accept lock is held for the whole fan-out.
-        A group whose delivery is abandoned (``max_retries`` exhausted)
-        is queued for re-send on the proxy's next contact — its
-        obligations stay open either way.
+        ``by_url`` maps each URL to ``{client_id: opened}``, the
+        obligations the message discharges.  A group is one site-list
+        entry (the per-site form), one proxy's clients (``multicast``) or
+        one proxy's batch buffer.  With ``blocking_send`` the accept lock
+        is held for the whole fan-out.  A group whose delivery is
+        abandoned (``max_retries`` exhausted) is queued for re-send on the
+        proxy's next contact — its obligations stay open either way.
         """
-        steps = [
-            (self._invalidate_message(proxy, pairs), pairs, False)
-            for proxy, pairs in groups
-        ]
-        entries = sum(len(pairs) for _proxy, pairs in groups)
+        steps = []
+        entries = 0
+        for proxy, by_url in groups:
+            pairs = {
+                (doc, cid): opened
+                for doc, cids in by_url.items()
+                for cid, opened in cids.items()
+            }
+            message = make_invalidate(self.address, proxy, by_url.items())
+            steps.append((message, pairs, False))
+            entries += len(pairs)
         blocking = self.accel.blocking_send
         self._run(steps, blocking, self._fanout_done, url, started, entries)
 
@@ -454,13 +456,6 @@ class ServerSite:
         self.invalidation_times.append(self.sim.now - started)
         if self.fanout_listener is not None:
             self.fanout_listener(url, started, self.sim.now, entries)
-
-    def _invalidate_message(self, proxy: str, pairs: Pairs) -> Invalidate:
-        """Build the INVALIDATE for one fan-out group, its clients by URL."""
-        by_url: Dict[str, List[str]] = {}
-        for url, cid in pairs:
-            by_url.setdefault(url, []).append(cid)
-        return make_invalidate(self.address, proxy, by_url.items())
 
     def _server_message(self, proxy: str) -> Invalidate:
         return make_invalidate_server(self.address, proxy, server=self.address)
@@ -479,7 +474,12 @@ class ServerSite:
         run = _Run(steps, on_end, args)
         self._runs[run] = None
         if blocking:
-            run.hold = self.accept_lock.acquire(self._step, run)
+            hold = self.accept_lock.acquire(self._step, run)
+            if run in self._runs:
+                # Still waiting for the lock, or sending: the run owns the
+                # claim until _step (or a crash) releases it.  A run that
+                # was granted at once and had no step has released it.
+                run.hold = hold
         else:
             self._step(None, run)
 
@@ -494,6 +494,7 @@ class ServerSite:
         del self._runs[run]
         if run.hold is not None:
             self.accept_lock.release(run.hold)
+            run.hold = None  # the claim's args hold the run
         if run.on_end is not None:
             run.on_end(*run.args)
 
@@ -505,6 +506,7 @@ class ServerSite:
     def _on_sent(self, delivered: bool, run: _Run) -> None:
         message, pairs, resend = run.steps[run.index]
         run.index += 1
+        run.delivery = None  # the delivery's args hold the run
         if delivered:
             self._discharge(message, pairs, resend)
         else:
@@ -615,6 +617,7 @@ class ServerSite:
                 run.delivery.cancel()
             if run.hold is not None:
                 self.accept_lock.release(run.hold)
+            run.delivery = run.hold = None
         self._runs.clear()
         if lose_sitelog:
             self.known_sites = KnownSitesLog()

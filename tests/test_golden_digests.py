@@ -69,10 +69,12 @@ Regenerate only for an intended behaviour change::
     PYTHONPATH=src python tests/test_golden_digests.py --write-timelines
 """
 
+import gc
 import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -372,6 +374,35 @@ def test_owner_breakdown_adds_up_and_moves_no_result():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_timeline_matches_golden(case):
     assert timeline_digest(case) == _golden(TIMELINE_PATH)[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_replay_leaves_no_cycles(case):
+    """Reference counting alone frees a finished replay's whole world.
+
+    With the cyclic collector off, a replay must leave nothing for it to
+    collect.  Every object alive before the replay is kept alive in
+    ``before``, so the count is of cycles the replay created, not of
+    garbage the interpreter or the test runner makes of its own.
+    """
+    overrides = CASES[case][1]
+    _trace(overrides.get("trace", "EPA"), overrides.get("scale", 0.02))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        before = gc.get_objects()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        run_case(case)
+        found = gc.collect()
+        kinds = Counter(type(o).__qualname__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        before = None
+        if enabled:
+            gc.enable()
+    assert found == 0, f"{found} objects left in cycles: {kinds.most_common(8)}"
 
 
 if __name__ == "__main__":

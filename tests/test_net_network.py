@@ -56,6 +56,18 @@ def test_send_to_unknown_address_fails_after_timeout():
     assert net.stats.total_dropped == 1 and net.stats.messages_lost == 0
 
 
+def test_close_detaches_every_node():
+    sim, net = make_net(connect_timeout=3.0)
+    net.register("b", lambda m: None)
+    net.close()
+    assert not net.is_up("b")
+    outcomes = []
+    net.send(Message(src="a", dst="b", size=10), outcomes.append)
+    sim.run()
+    assert outcomes == [False]
+    net.register("b", lambda m: None)  # the address is free again
+
+
 def test_fire_and_forget_failure_does_not_crash_run():
     sim, net = make_net()
     net.send(Message(src="a", dst="ghost", size=10))

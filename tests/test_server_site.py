@@ -1,5 +1,6 @@
 """Integration-level tests for the ServerSite (HTTPD + accelerator)."""
 
+import gc
 
 import pytest
 
@@ -316,6 +317,32 @@ class TestCrashRecovery:
         # INVALIDATE's obligation stays open, covered by that broadcast.
         assert not site.recovery_pending("proxy")
         assert site.write_pending("/a", "c1")
+
+    def test_crash_leaves_the_runs_it_ends_no_cycles(self):
+        """A fan-out ended mid-send is freed without the cyclic collector.
+
+        The run's claim on the accept lock and its delivery on the
+        channel both hold the run in their arguments.
+        """
+        accel = AcceleratorConfig(invalidation=True, blocking_send=True)
+        sim, net, fs, site, inbox = setup_site(accel=accel)
+        net.send(make_get("proxy", "server", "/a", client_id="c1"))
+        sim.run()
+        net.set_down("proxy")
+        fs.modify("/a", now=sim.now)
+        site.check_in("/a")
+        sim.run(until=sim.now + 5.0)  # the INVALIDATE is retrying
+        assert site._runs and site.accept_lock.count == 1
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            site.crash()
+            sim.run(until=sim.now + 100.0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_crash_stops_the_retries_of_a_recovery_broadcast(self):
         accel = AcceleratorConfig(invalidation=True)
