@@ -125,10 +125,13 @@ def test_server_cpu_ordering(experiment):
 
 
 def test_ttl_stale_hits_bounded_but_nonzero_overall(experiment):
-    """TTL's stale serves exist and stay a small fraction of transfers."""
+    """The polling-vs-TTL transfer gap stays a small fraction of transfers."""
     trace_name, _, results = experiment
     ttl = results["ttl"]
     transfer_gap = results["polling"].replies_200 - ttl.replies_200
-    assert transfer_gap >= 0
-    # Paper: stale hits up to ~1% of file transfers (SASK worst).
-    assert transfer_gap <= 0.05 * results["polling"].replies_200
+    # Paper: stale hits up to ~1% of file transfers (SASK worst).  The
+    # gap may go negative: with 64 MB caches TTL's expired-first
+    # replacement refetches copies that polling's LRU keeps (Section
+    # 5.2).  tests/test_replay_experiment.py pins its sign and its
+    # stale-serve bound with unbounded caches.
+    assert abs(transfer_gap) <= 0.05 * results["polling"].replies_200

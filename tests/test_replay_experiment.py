@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import build_protocol
 from repro.core import (
     adaptive_ttl,
     invalidation,
@@ -11,6 +12,7 @@ from repro.core import (
     poll_every_time,
     two_tier_lease,
 )
+from repro.obs import REPORT_EXPERIMENTS
 from repro.replay import (
     ExperimentConfig,
     format_comparison_table,
@@ -20,7 +22,7 @@ from repro.replay import (
     shard_records,
 )
 from repro.sim import RngRegistry
-from repro.traces import PROFILES, generate_trace
+from repro.traces import PROFILES, generate_trace, profile
 from repro.workload import DAYS
 
 SCALE = 0.03
@@ -170,6 +172,33 @@ class TestPaperShape:
         # The gap exists only if some stale serving happened.
         if gap > 0:
             assert three_results["ttl"].stale_serves >= gap
+
+    @pytest.mark.parametrize(
+        "row", REPORT_EXPERIMENTS, ids=lambda row: f"{row[1]}-{row[2]:g}d"
+    )
+    def test_ttl_transfer_gap_is_at_most_its_stale_serves(self, row):
+        # With unbounded caches polling transfers a copy TTL does not
+        # only where TTL served a stale one instead, so the gap lies in
+        # [0, stale serves].  A bounded cache moves the lower bound:
+        # TTL's expired-first replacement (Section 5.2) evicts copies it
+        # must fetch again, which polling's plain LRU keeps.
+        _table, trace_name, days = row
+        trace = generate_trace(
+            profile(trace_name).scaled(0.02), RngRegistry(seed=42)
+        )
+        polling, ttl = (
+            run_experiment(
+                ExperimentConfig(
+                    trace=trace,
+                    protocol=build_protocol(name),
+                    mean_lifetime=days * DAYS,
+                    seed=42,
+                    proxy_cache_bytes=None,
+                )
+            )
+            for name in ("polling", "ttl")
+        )
+        assert 0 <= polling.replies_200 - ttl.replies_200 <= ttl.stale_serves
 
     def test_invalidation_table_populated_only_for_invalidation(self, three_results):
         assert three_results["invalidation"].sitelist_entries > 0

@@ -19,6 +19,7 @@ from repro.obs.report import (
     delta_pct,
     experiment_label,
     format_delta,
+    head_sha,
     load_checkpoint_results,
     render_report,
 )
@@ -102,6 +103,12 @@ class TestManifest:
         unstamped = dict(stamped)
         del unstamped["generated"]
         assert unstamped == report_data.manifest
+
+
+def test_git_sha_returns_string():
+    sha = head_sha()
+    assert isinstance(sha, str)
+    assert sha
 
 
 class TestCheckpointLoading:
